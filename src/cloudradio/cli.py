@@ -131,7 +131,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "crossvalidate":
-        if args.samples:
+        if args.samples is not None:
             cfg = replace(cfg, crossval_samples=args.samples)
         report = crossvalidate(cfg)
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -129,6 +129,8 @@ def validate(config: ExperimentConfig):
         errors.append("log_base: must exceed 1")
     if config.thp_vectors < 1:
         errors.append("thp_vectors: must be at least 1")
+    if config.crossval_samples < 1:
+        errors.append("crossval_samples: must be at least 1")
     return errors, warnings
 
 
@@ -342,6 +344,8 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
     that has one and attaches the sup gaps to the report.
     """
     _require_valid(config)
+    if with_crossval:
+        _crossval_schemes(config)
     t0 = time.perf_counter()
     indices = list(range(config.drops))
     if workers > 1:
@@ -459,21 +463,23 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
         counts = rng.poisson(lam * np.pi * radius**2, size=m)
         counts = np.maximum(counts, 3)  # P[count < 3] is astronomically small
         total = int(counts.sum())
-        r = radius * np.sqrt(rng.uniform(size=total))
-        owner = np.repeat(np.arange(m), counts)
-        order = np.lexsort((r, owner))
-        r = r[order]
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        fades = rng.exponential(1.0 / mu, size=total)
-        p = fades * r ** (-alpha)
-        z1p = p[starts]
-        z2p = p[starts + 1]
+        # one row per sample, distances ascending; the inf padding has power 0
+        filled = np.arange(counts.max()) < counts[:, None]
+        p = np.full(filled.shape, np.inf)
+        p[filled] = radius * np.sqrt(rng.uniform(size=total))
+        # a float array without NaN or -0.0 has one sorted order, so the
+        # sort kind cannot change a bit of the result
+        p.sort(axis=1)
+        np.power(p, -alpha, out=p)
+        p[filled] *= rng.exponential(1.0 / mu, size=total)
+        z1p = p[:, 0]
+        z2p = p[:, 1]
         if scheme == "tic":
             sinr = z1p / sigma_sq
         elif scheme == "smf2":
             sinr = (z1p + z2p) / sigma_sq
         else:
-            i_r = np.bincount(owner[order], weights=p, minlength=m) - z1p - z2p + tail_mean
+            i_r = p[:, 2:].sum(axis=1) + tail_mean
             sinr = (z1p + z2p) / (sigma_sq + i_r)
         out[done:done + m] = np.log1p(sinr) / np.log(base)
         done += m
@@ -486,14 +492,7 @@ def crossvalidate(config: ExperimentConfig) -> dict:
     For every configured scheme with an analytic counterpart, reports the sup
     CDF gap and the SNR shift (dB) between the two curves at CDF level 0.5.
     """
-    wanted = [s for s in config.schemes if s in CROSSVAL_SCHEMES]
-    if not wanted:
-        raise ConfigError("schemes: crossvalidate needs one of " + ", ".join(CROSSVAL_SCHEMES))
-    # 'smf2-interf' exists only as an analytic pairing, not as a run scheme
-    rest = tuple(s for s in config.schemes if s != "smf2-interf") or ("tic",)
-    _require_valid(replace(config, schemes=rest))
-    if len(config.snr_list) != 1:
-        raise ConfigError("snr_db: crossvalidate expects a scalar SNR")
+    wanted = _crossval_schemes(config)
     noise = NoiseModel.from_snr_db(config.snr_list[0])
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
     report = {}
@@ -518,6 +517,19 @@ def crossvalidate(config: ExperimentConfig) -> dict:
             "snr_shift_db_at_median": shift,
         }
     return report
+
+
+def _crossval_schemes(config):
+    """The configured schemes crossvalidate compares; ConfigError unless it can run them."""
+    wanted = [s for s in config.schemes if s in CROSSVAL_SCHEMES]
+    if not wanted:
+        raise ConfigError("schemes: crossvalidate needs one of " + ", ".join(CROSSVAL_SCHEMES))
+    # 'smf2-interf' exists only as an analytic pairing, not as a run scheme
+    rest = tuple(s for s in config.schemes if s != "smf2-interf") or ("tic",)
+    _require_valid(replace(config, schemes=rest))
+    if len(config.snr_list) != 1:
+        raise ConfigError("snr_db: crossvalidate expects a scalar SNR")
+    return wanted
 
 
 def _median_threshold(grid, coverage):

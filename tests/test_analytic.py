@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from cloudradio import (CoverageCurve, QuadratureConfig, coverage_to_cdf, gamma_threshold,
-                        laplace_ir, tau_smf2, tau_smf2_curve, tau_tic, tau_tic_curve)
-from cloudradio.analytic import hypoexp_tail
+from cloudradio import (CoverageCurve, NumericalError, QuadratureConfig, analytic,
+                        coverage_to_cdf, gamma_threshold, laplace_ir, tau_smf2, tau_smf2_curve,
+                        tau_tic, tau_tic_curve)
+from cloudradio.analytic import _check_quad, _laplace_exponent_integral, hypoexp_tail
 
 
 def test_quadrature_config_invariants():
@@ -72,8 +74,6 @@ def test_laplace_trivial_cases():
 
 def test_laplace_alpha4_closed_form_vs_quadrature():
     # generic-alpha path at alpha exactly 4 must agree with the arctan form
-    from cloudradio.analytic import _laplace_exponent_integral
-
     cfg = QuadratureConfig()
     for A, excl in [(1.0, 1.0), (5.0, 2.0), (0.3, 0.5)]:
         closed = _laplace_exponent_integral(A, excl, 4.0, cfg)
@@ -180,3 +180,76 @@ def test_curve_builders_and_csv(tmp_path):
     tic.to_csv(path)
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.allclose(back[:, 1], tic.coverage)
+
+
+def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0, base=2.0):
+    """Reference tau_smf2: one nested scalar quad per threshold, outer error gated."""
+    config = QuadratureConfig()
+    g = gamma_threshold(t, base)
+    if g <= 0:
+        return 1.0
+    q = lam * np.pi
+    c = mu * g
+    zmax = config.trunc_radius(lam)
+    two_pi_lam = 2.0 * np.pi * lam
+
+    def F(x, excl):
+        out = np.exp(-c * sigma_sq * x)
+        if with_interference:
+            out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha, config))
+        return out
+
+    def bracket(z1, z2):
+        x1 = z1**alpha
+        x2 = z2**alpha
+        if abs(x2 - x1) < 1e-6 * x2:
+            x = 0.5 * (x1 + x2)
+            h = 1e-5 * x
+            dF = (F(x + h, z2) - F(x - h, z2)) / (2.0 * h)
+            return F(x, z2) - x * dF
+        return (x2 * F(x1, z2) - x1 * F(x2, z2)) / (x2 - x1)
+
+    def inner(z1):
+        return quad(lambda z2: z2 * np.exp(-q * z2 * z2) * bracket(z1, z2),
+                    z1, zmax, epsabs=1e-14, epsrel=config.rel_tol, limit=200)[0]
+
+    val, err = quad(lambda z1: z1 * inner(z1), 0.0, zmax,
+                    epsabs=1e-13, epsrel=config.rel_tol, limit=200)
+    val = _check_quad(val, err, config, "tau_smf2") * two_pi_lam**2
+    return float(np.clip(val, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha, with_interference, thresholds", [
+    (4.0, False, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0)),
+    (4.0, True, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0)),
+    (3.0, False, (0.5, 1.5, 3.0, 4.5, 6.0)),
+    (3.0, True, (0.2, 0.4, 0.6, 0.8, 1.0)),  # generic Laplace path: one quad per element
+])
+def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, thresholds):
+    grid = np.array(thresholds)
+    curve = tau_smf2_curve(0.3, 0.1, 1.0, grid, with_interference, alpha=alpha)
+    ref = [smf2_per_threshold(0.3, 0.1, 1.0, t, with_interference, alpha) for t in grid]
+    assert np.max(np.abs(curve.coverage - ref)) < 1e-8
+    assert np.all(curve.coverage[grid == 0.0] == 1.0)
+
+
+def test_quadrature_gate_is_per_threshold():
+    # a max-norm gate would pass the tail entry: 5e-11 is far below 1e-6 * 1.0
+    cfg = QuadratureConfig()
+    _check_quad(np.array([1.0, 1e-5]), np.array([5e-7, 5e-12]), cfg, "ok")
+    with pytest.raises(NumericalError):
+        _check_quad(np.array([1.0, 1e-5]), np.array([5e-7, 5e-11]), cfg, "tail")
+
+
+def test_tau_smf2_curve_raises_on_over_tolerance_error(monkeypatch):
+    real = analytic.quad_vec
+
+    def over_tolerance(f, a, b, **kw):
+        val, err = real(f, a, b, **kw)
+        return val, max(err, 1e-3)
+
+    monkeypatch.setattr(analytic, "quad_vec", over_tolerance)
+    with pytest.raises(NumericalError):
+        tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
+    with pytest.raises(NumericalError):
+        tau_smf2(0.3, 0.1, 1.0, 2.0, with_interference=True)

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cloudradio import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
+from cloudradio import (ConfigError, ExperimentConfig, PRESETS, QuadratureConfig, crossvalidate,
                         load_config_file, preset_config, run, simulate_drop,
                         tagged_rate_samples, validate)
 from cloudradio.cli import main
@@ -143,6 +144,51 @@ def test_tagged_samples_schemes(rng):
     assert s.shape == (2000,) and np.all(s >= 0)
 
 
+def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
+    """Reference tagged sampler: one lexsort over (sample, distance) per batch.
+
+    Same draws as tagged_rate_samples; the smf2-interf field beyond the two
+    nearest BSs is summed exactly with math.fsum.
+    """
+    radius = QuadratureConfig().trunc_radius(lam) + 10.0
+    tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
+    out = []
+    for done in range(0, n, batch):
+        m = min(batch, n - done)
+        counts = np.maximum(rng.poisson(lam * np.pi * radius**2, size=m), 3)
+        total = int(counts.sum())
+        r = radius * np.sqrt(rng.uniform(size=total))
+        owner = np.repeat(np.arange(m), counts)
+        r = r[np.lexsort((r, owner))]
+        p = rng.exponential(1.0 / mu, size=total) * r ** (-alpha)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        z1p = p[starts[:-1]]
+        z2p = p[starts[:-1] + 1]
+        if scheme == "tic":
+            sinr = z1p / sigma_sq
+        elif scheme == "smf2":
+            sinr = (z1p + z2p) / sigma_sq
+        else:
+            i_r = np.array([math.fsum(p[a + 2:b]) for a, b in zip(starts[:-1], starts[1:])])
+            i_r += tail_mean
+            sinr = (z1p + z2p) / (sigma_sq + i_r)
+        out.append(np.log1p(sinr) / np.log(base))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
+def test_tagged_samples_match_lexsort_reference(scheme):
+    # three batches; for smf2-interf, subtracting the two nearest powers from
+    # the whole field instead of summing the rest misses this by up to 1.9e-5
+    args = (scheme, 5000, 0.3, 0.1, 1.0, 4.0, 2.0)
+    got = tagged_rate_samples(*args, np.random.default_rng(5), batch=2000)
+    ref = lexsort_rate_samples(*args, np.random.default_rng(5), batch=2000)
+    if scheme == "smf2-interf":
+        assert np.max(np.abs(got - ref)) < 1e-12
+    else:
+        assert np.array_equal(got, ref)
+
+
 def test_crossvalidate_requires_counterpart():
     with pytest.raises(ConfigError):
         crossvalidate(ExperimentConfig(schemes=("zfdpc",)))
@@ -208,3 +254,18 @@ def test_cli_run_assert_failure_exits_4(tmp_path, capsys):
                  "--output-dir", str(tmp_path), "--assert"])
     assert code == 4
     assert "assertion failed" in capsys.readouterr().err
+
+
+def test_cli_crossvalidate_rejects_zero_samples(tmp_path, capsys):
+    assert main(["crossvalidate", "--schemes", "tic", "--samples", "0"]) == 2
+    path = tmp_path / "zero.cfg"
+    path.write_text("schemes = tic\ncrossval_samples = 0\n")
+    assert main(["crossvalidate", "--config", str(path)]) == 2
+    assert "crossval_samples" in capsys.readouterr().err
+
+
+def test_cli_run_crossvalidate_without_scheme_fails_before_drops(tmp_path, capsys):
+    code = main(["run", "--preset", "fig-conv-zf", "--crossvalidate", "--drops", "20",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert not list(tmp_path.rglob("*.csv"))
