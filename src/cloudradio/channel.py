@@ -17,7 +17,6 @@ __all__ = [
     "MIN_DISTANCE_KM",
     "ChannelMatrix",
     "NoiseModel",
-    "PartialCsiView",
     "build_channel",
     "take_partial_csi",
     "inter_cluster_interference",
@@ -72,14 +71,6 @@ class NoiseModel:
         return -10.0 * np.log10(16.0 * lambda_b**2 * self.sigma_sq)
 
 
-@dataclass
-class PartialCsiView:
-    """H restricted to the l best-known entries per row, zero elsewhere."""
-
-    known: np.ndarray
-    l: int
-
-
 def build_channel(cohort: Cohort, assoc: Association, mu, alpha, rng) -> ChannelMatrix:
     """Draw fades and assemble the cohort channel matrix.
 
@@ -102,8 +93,8 @@ def build_channel(cohort: Cohort, assoc: Association, mu, alpha, rng) -> Channel
     return ChannelMatrix(entries=h * z ** (-alpha / 2.0), alpha=float(alpha), mu=float(mu))
 
 
-def take_partial_csi(H, l, distances=None) -> PartialCsiView:
-    """Keep the l best entries per row, zero the rest.
+def take_partial_csi(H, l, distances=None) -> np.ndarray:
+    """H as an array with the l best entries per row kept and the rest zeroed.
 
     "Best" is largest instantaneous magnitude by default; pass the cohort
     distance matrix to select the l nearest BSs per row instead (sensitivity
@@ -118,7 +109,7 @@ def take_partial_csi(H, l, distances=None) -> PartialCsiView:
     known = np.zeros_like(entries)
     rows = np.repeat(np.arange(k), l)
     known[rows, keep.ravel()] = entries[rows, keep.ravel()]
-    return PartialCsiView(known=known, l=int(l))
+    return known
 
 
 def inter_cluster_interference(split: ClusterSplit, ue_index, assoc: Association,

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .harness import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
-                      load_config_file, preset_config, run, validate)
+                      load_config_file, parse_field, preset_config, run, validate)
 from .numerics import NumericalError
 
 # reference expectations applied under --assert; (scheme, snr, stat) -> (lo, hi)
@@ -59,11 +59,10 @@ def _build_config(args) -> ExperimentConfig:
         val = getattr(args, field)
         if val is not None:
             updates[attr] = val
-    if args.snr_db is not None:
-        parts = [float(p) for p in args.snr_db.split(",")]
-        updates["snr_db"] = parts if len(parts) > 1 else parts[0]
-    if args.schemes is not None:
-        updates["schemes"] = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+    for field in ("snr_db", "schemes"):
+        val = getattr(args, field)
+        if val is not None:
+            updates[field] = parse_field(field, val)
     if "output_dir" not in updates and cfg.output_dir is None:
         env = os.environ.get("CLOUDRADIO_OUTPUT_DIR")
         if env:

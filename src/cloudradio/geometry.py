@@ -94,10 +94,6 @@ class Cohort:
     def k(self) -> int:
         return len(self.bs_indices)
 
-    @property
-    def pairs(self):
-        return list(zip(self.bs_indices.tolist(), self.ue_indices.tolist()))
-
 
 @dataclass
 class ClusterSplit:

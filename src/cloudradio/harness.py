@@ -3,20 +3,24 @@ seeding, CSV/JSON emission, and Monte Carlo vs analytic cross-validation.
 
 A run iterates independent drops.  Each drop derives its own random substream
 from (seed, drop index), so results are byte-identical for a given seed and
-config regardless of worker count.
+config regardless of worker count.  simulate_drop draws one network and runs
+each configured scheme of the SCHEMES registry once over the whole SNR sweep;
+the --dump-* files are written by the drop from what it drew.
 """
 
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, precoding, thp
 from .analytic import DEFAULT_CONFIG as _QUAD_DEFAULTS
-from .channel import NoiseModel, build_channel, inter_cluster_interference, take_partial_csi
+from .channel import (ChannelMatrix, NoiseModel, build_channel, inter_cluster_interference,
+                      take_partial_csi)
 from .geometry import (Cohort, ClusterSplit, PointSet, Region, associate, sample_ppp,
                        select_cohort, split_cluster)
 from .numerics import lq_factor
@@ -28,6 +32,7 @@ __all__ = [
     "ExperimentReport",
     "PRESETS",
     "load_config_file",
+    "parse_field",
     "preset_config",
     "validate",
     "run",
@@ -36,20 +41,8 @@ __all__ = [
     "tagged_rate_samples",
 ]
 
-RATE_SCHEMES = (
-    "conventional",
-    "zfdpc",
-    "uplink-sic",
-    "mmse",
-    "tic",
-    "smf",
-    "smf2",
-    "zfdpc-partial",
-    "clustered",
-    "clustered-partial",
-)
-POWER_SCHEMES = ("thp-adaptive", "thp-fixed4", "thp-fixed16", "thp-fixed64")
 CROSSVAL_SCHEMES = ("tic", "smf2", "smf2-interf")
+DEBUG_DROPS = 4  # drops that write --dump-* files
 
 
 class ConfigError(ValueError):
@@ -109,9 +102,8 @@ def validate(config: ExperimentConfig):
         errors.append("drops: must be at least 1")
     if not config.schemes:
         errors.append("schemes: must not be empty")
-    known = set(RATE_SCHEMES) | set(POWER_SCHEMES)
     for s in config.schemes:
-        if s not in known:
+        if s not in SCHEMES:
             errors.append(f"schemes: unknown scheme '{s}'")
     snrs = config.snr_list
     if len(snrs) > 1 and np.any(np.diff(snrs) <= 0):
@@ -131,6 +123,8 @@ def validate(config: ExperimentConfig):
         errors.append("thp_vectors: must be at least 1")
     if config.crossval_samples < 1:
         errors.append("crossval_samples: must be at least 1")
+    if config.seed < 0:
+        errors.append("seed: must be non-negative")
     return errors, warnings
 
 
@@ -179,34 +173,51 @@ def preset_config(name, **overrides) -> ExperimentConfig:
 
 def load_config_file(path) -> ExperimentConfig:
     """Parse a flat `key = value` text file into an ExperimentConfig."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read '{path}': {exc.strerror}") from exc
+    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return ExperimentConfig(**{k: _coerce(k, v) for k, v in values.items()})
+        key = key.replace("-", "_")
+        if key not in known:
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        try:
+            values[key] = parse_field(key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+    return ExperimentConfig(**values)
 
 
-def _coerce(key, val):
-    if key == "region_km":
-        parts = val.replace("x", ",").split(",")
-        return tuple(float(p) for p in parts)
-    if key == "schemes":
-        return tuple(s.strip() for s in val.split(",") if s.strip())
-    if key == "snr_db":
-        parts = [float(p) for p in val.split(",")]
-        return parts if len(parts) > 1 else parts[0]
-    if key in ("drops", "csi_l", "smf_l", "seed", "thp_vectors", "crossval_samples"):
-        return int(val)
-    if key == "output_dir":
-        return val
-    if key == "lambda_u" and val.lower() in ("none", ""):
-        return None
-    return float(val)
+def parse_field(key, val):
+    """The typed value of config field `key` written as text; ConfigError names the key."""
+    try:
+        if key == "region_km":
+            dims = tuple(float(p) for p in val.replace("x", ",").split(","))
+            if len(dims) != 2:
+                raise ValueError("expected two dimensions, e.g. 10x10")
+            return dims
+        if key == "schemes":
+            return tuple(s.strip() for s in val.split(",") if s.strip())
+        if key == "snr_db":
+            parts = [float(p) for p in val.split(",")]
+            return parts if len(parts) > 1 else parts[0]
+        if key in ("drops", "csi_l", "smf_l", "seed", "thp_vectors", "crossval_samples"):
+            return int(val)
+        if key == "output_dir":
+            return val
+        if key == "lambda_u" and val.lower() in ("none", ""):
+            return None
+        return float(val)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse '{val}' ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +229,43 @@ def _drop_rng(seed, drop_index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(drop_index,)))
 
 
-def simulate_drop(config: ExperimentConfig, drop_index: int) -> dict:
+@dataclass
+class Drop:
+    """What the schemes of one drop read: its channel and, if any, its cluster."""
+
+    config: ExperimentConfig
+    index: int
+    H: ChannelMatrix
+    cluster: tuple | None  # (H_in, i_r); None without clustered schemes or in-cluster BSs
+
+    @property
+    def base(self):
+        return self.config.log_base
+
+    @cached_property
+    def lq(self):
+        # one factorization shared by the THP schemes; zfdpc factors on its own
+        return lq_factor(self.H)
+
+
+def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
+                  dump_geometry=False, dump_channels=False) -> dict:
     """One network realization evaluated for every configured scheme.
 
-    Returns {(scheme, snr_db): rates array}.  Power schemes produce a single
-    sample per drop.  Channel and fades are shared across a SNR sweep so the
-    sweep isolates the noise effect.
+    Returns {(scheme, snr_db): rates array}.  Each scheme in SCHEMES runs once
+    over the whole SNR sweep, so the channel, the fades and every
+    factorization are shared by the sweep, which isolates the noise effect.
+    Power schemes produce a single sample per drop and SNR.  With debug_dir
+    set, the drop writes the point sets and the channel matrix it drew there.
     """
     rng = _drop_rng(config.seed, drop_index)
     region = Region(*config.region_km)
     bs = sample_ppp(config.lambda_b, region, rng)
     ue = sample_ppp(config.lambda_u_effective, region, rng)
+    stem = None if debug_dir is None else Path(debug_dir, f"drop{drop_index:04d}")
+    if stem and dump_geometry:
+        bs.to_csv(f"{stem}_bs.csv")
+        ue.to_csv(f"{stem}_ue.csv")
     if len(bs) == 0 or len(ue) == 0:
         return {}
     assoc = associate(bs, ue)
@@ -236,78 +273,72 @@ def simulate_drop(config: ExperimentConfig, drop_index: int) -> dict:
     if cohort.k == 0:
         return {}
     H = build_channel(cohort, assoc, config.mu, config.alpha, rng)
-    k = cohort.k
-    base = config.log_base
+    if stem and dump_channels:
+        H.to_csv(f"{stem}_H.csv")
+    cluster = None
+    if any(s.startswith("clustered") for s in config.schemes):
+        cluster = _cluster_channel(config, region, bs, assoc, cohort, rng)
 
-    needs_cluster = any(s.startswith("clustered") for s in config.schemes)
-    if needs_cluster:
-        cohort_bs = PointSet(bs.points[cohort.bs_indices], config.lambda_b)
-        local = split_cluster(cohort_bs, region.center, config.cluster_radius_km)
-        # indices back into assoc columns / cohort streams
-        split = ClusterSplit(in_cluster=cohort.bs_indices[local.in_cluster],
-                             out_cluster=cohort.bs_indices[local.out_cluster],
-                             radius=local.radius)
-        in_streams = local.in_cluster
-        if in_streams.size:
-            sub = Cohort(bs_indices=cohort.bs_indices[in_streams],
-                         ue_indices=cohort.ue_indices[in_streams])
-            H_in = build_channel(sub, assoc, config.mu, config.alpha, rng)
-            i_r = np.array([
-                inter_cluster_interference(split, u, assoc, config.mu, config.alpha, rng)
-                for u in sub.ue_indices
-            ])
-        else:
-            H_in, i_r = None, None
-
-    view = None
-    if "zfdpc-partial" in config.schemes:
-        view = take_partial_csi(H, min(config.csi_l, k))
-
-    fact = lq_factor(H) if any(s.startswith("thp") for s in config.schemes) else None
-
-    out = {}
-    for snr in config.snr_list:
-        noise = NoiseModel.from_snr_db(snr)
-        for scheme in config.schemes:
-            if scheme == "conventional":
-                rates = precoding.conventional_rates(H, noise, base).rates
-            elif scheme == "zfdpc":
-                rates = precoding.zfdpc_rates(H, noise, base).rates
-            elif scheme == "uplink-sic":
-                rates = precoding.uplink_sic_rates(H, noise, base).rates
-            elif scheme == "mmse":
-                rates = precoding.mmse_rates(H, noise, base).rates
-            elif scheme == "tic":
-                rates = precoding.tic_rate(H, noise, base).rates
-            elif scheme == "smf":
-                rates = precoding.smf_rate(H, noise, min(config.smf_l or k, k), base).rates
-            elif scheme == "smf2":
-                rates = precoding.smf_rate(H, noise, min(2, k), base).rates
-            elif scheme == "zfdpc-partial":
-                rates = precoding.zfdpc_partial_rates(H, view, noise, base).rates
-            elif scheme == "clustered":
-                if H_in is None:
-                    continue
-                rates = precoding.clustered_rates(H_in, i_r, noise, base).rates
-            elif scheme == "clustered-partial":
-                if H_in is None:
-                    continue
-                rates = precoding.clustered_rates(H_in, i_r, noise, base,
-                                                  csi_l=config.csi_l).rates
-            elif scheme.startswith("thp"):
-                mode = "adaptive" if scheme == "thp-adaptive" else int(scheme.removeprefix("thp-fixed"))
-                rates = _thp_power_sample(fact, noise, mode, config, drop_index)
-            else:  # pragma: no cover - validate() blocks unknown schemes
-                raise ConfigError(f"schemes: unknown scheme '{scheme}'")
-            out[(scheme, snr)] = rates
-    return out
+    drop = Drop(config, drop_index, H, cluster)
+    snrs = config.snr_list
+    sigma_sq = np.array([NoiseModel.from_snr_db(snr).sigma_sq for snr in snrs])
+    per_scheme = {s: SCHEMES[s](drop, sigma_sq) for s in config.schemes}
+    return {(s, snr): rates[j] for j, snr in enumerate(snrs)
+            for s, rates in per_scheme.items() if rates is not None}
 
 
-def _thp_power_sample(fact, noise, mode, config, drop_index):
-    # fresh data substream so rate schemes stay unaffected by THP draws
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(drop_index, 1)))
-    return np.array([thp.drop_power_sample(fact, noise, mode, rng,
-                                           config.thp_vectors, config.log_base)])
+def _cluster_channel(config, region, bs, assoc, cohort, rng):
+    """(H_in, i_r) of the cohort streams inside the cluster disc; None if it has none."""
+    cohort_bs = PointSet(bs.points[cohort.bs_indices], config.lambda_b)
+    local = split_cluster(cohort_bs, region.center, config.cluster_radius_km)
+    if not local.in_cluster.size:
+        return None
+    # indices back into assoc columns / cohort streams
+    split = ClusterSplit(in_cluster=cohort.bs_indices[local.in_cluster],
+                         out_cluster=cohort.bs_indices[local.out_cluster],
+                         radius=local.radius)
+    sub = Cohort(bs_indices=split.in_cluster, ue_indices=cohort.ue_indices[local.in_cluster])
+    H_in = build_channel(sub, assoc, config.mu, config.alpha, rng)
+    i_r = np.array([inter_cluster_interference(split, u, assoc, config.mu, config.alpha, rng)
+                    for u in sub.ue_indices])
+    return H_in, i_r
+
+
+def _thp_power(mode):
+    def power_samples(drop, sigma_sq):
+        c = drop.config
+        samples = []
+        for s2 in sigma_sq:
+            # fresh data substream so rate schemes stay unaffected by THP draws
+            rng = np.random.default_rng(np.random.SeedSequence(c.seed,
+                                                               spawn_key=(drop.index, 1)))
+            samples.append([thp.drop_power_sample(drop.lq, s2, mode, rng,
+                                                  c.thp_vectors, c.log_base)])
+        return np.array(samples)
+    return power_samples
+
+
+# scheme name -> fn(drop, sigma_sq array) -> one row of rates per SNR point, or
+# None when the drop has no streams for the scheme
+SCHEMES = {
+    "conventional": lambda d, s2: precoding.conventional_rates(d.H, s2, d.base),
+    "zfdpc": lambda d, s2: precoding.zfdpc_rates(d.H, s2, d.base),
+    "uplink-sic": lambda d, s2: precoding.uplink_sic_rates(d.H, s2, d.base),
+    "mmse": lambda d, s2: precoding.mmse_rates(d.H, s2, d.base),
+    "tic": lambda d, s2: precoding.tic_rate(d.H, s2, d.base),
+    "smf": lambda d, s2: precoding.smf_rate(d.H, s2, min(d.config.smf_l or d.H.k, d.H.k),
+                                            d.base),
+    "smf2": lambda d, s2: precoding.smf_rate(d.H, s2, min(2, d.H.k), d.base),
+    "zfdpc-partial": lambda d, s2: precoding.zfdpc_partial_rates(
+        d.H, take_partial_csi(d.H, min(d.config.csi_l, d.H.k)), s2, d.base),
+    "clustered": lambda d, s2: d.cluster and precoding.clustered_rates(*d.cluster, s2, d.base),
+    "clustered-partial": lambda d, s2: d.cluster and precoding.clustered_rates(
+        *d.cluster, s2, d.base, csi_l=d.config.csi_l),
+    "thp-adaptive": _thp_power("adaptive"),
+    "thp-fixed4": _thp_power(4),
+    "thp-fixed16": _thp_power(16),
+    "thp-fixed64": _thp_power(64),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +362,8 @@ class ExperimentReport:
 
 
 def _worker(args):
-    config, idx = args
-    return idx, simulate_drop(config, idx)
+    config, idx, dumps = args
+    return idx, simulate_drop(config, idx, **dumps)
 
 
 def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
@@ -340,20 +371,28 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
     """Execute a config: simulate drops, aggregate, emit CSVs and a summary.
 
     Identical (seed, config) give byte-identical CSVs for any worker count.
-    with_crossval additionally runs the analytic comparison for any scheme
-    that has one and attaches the sup gaps to the report.
+    The dump flags make the first DEBUG_DROPS drops write what they drew under
+    debug/.  with_crossval additionally runs the analytic comparison for any
+    scheme that has one and attaches the sup gaps to the report.
     """
     _require_valid(config)
     if with_crossval:
         _crossval_schemes(config)
     t0 = time.perf_counter()
-    indices = list(range(config.drops))
+    out_root = Path(output_dir or config.output_dir or ".") / name
+    dumps = {}
+    if dump_geometry or dump_channels:
+        debug_dir = out_root / "debug"
+        debug_dir.mkdir(parents=True, exist_ok=True)
+        dumps = dict(debug_dir=debug_dir, dump_geometry=dump_geometry,
+                     dump_channels=dump_channels)
+    jobs = [(config, i, dumps if i < DEBUG_DROPS else {}) for i in range(config.drops)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(indices) // (workers * 8))
-            results = dict(pool.map(_worker, [(config, i) for i in indices], chunksize=chunk))
+            chunk = max(1, len(jobs) // (workers * 8))
+            results = dict(pool.map(_worker, jobs, chunksize=chunk))
     else:
-        results = {i: simulate_drop(config, i) for i in indices}
+        results = dict(map(_worker, jobs))
 
     # aggregation is sorted by drop index, so worker scheduling cannot matter
     collected = {}
@@ -365,7 +404,6 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
         for key, rates in drop.items():
             collected.setdefault(key, []).append((i, rates))
 
-    out_root = Path(output_dir or config.output_dir or ".") / name
     out_root.mkdir(parents=True, exist_ok=True)
 
     sweep = len(config.snr_list) > 1
@@ -386,9 +424,6 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
                 "mean_pct": gain_percent(cdf, basecdf, "mean"),
                 "cell_edge_pct": gain_percent(cdf, basecdf, "cell_edge"),
             }
-
-    if dump_geometry or dump_channels:
-        _dump_debug(config, out_root, dump_geometry, dump_channels)
 
     report = ExperimentReport(
         name=name,
@@ -416,25 +451,6 @@ def _write_rates_csv(path, chunks):
         for stream, r in enumerate(rates):
             lines.append(f"{drop_id},{stream},{r:.12g}")
     path.write_text("\n".join(lines) + "\n")
-
-
-def _dump_debug(config, out_root, geometry, channels):
-    debug = out_root / "debug"
-    debug.mkdir(exist_ok=True)
-    for i in range(min(config.drops, 4)):
-        rng = _drop_rng(config.seed, i)
-        region = Region(*config.region_km)
-        bs = sample_ppp(config.lambda_b, region, rng)
-        ue = sample_ppp(config.lambda_u_effective, region, rng)
-        if geometry:
-            bs.to_csv(debug / f"drop{i:04d}_bs.csv")
-            ue.to_csv(debug / f"drop{i:04d}_ue.csv")
-        if channels and len(bs) and len(ue):
-            assoc = associate(bs, ue)
-            cohort = select_cohort(assoc, rng)
-            if cohort.k:
-                H = build_channel(cohort, assoc, config.mu, config.alpha, rng)
-                H.to_csv(debug / f"drop{i:04d}_H.csv")
 
 
 # ---------------------------------------------------------------------------

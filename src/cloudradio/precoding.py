@@ -3,18 +3,20 @@
 Rates are log_base(1 + SINR) in bps/Hz (base 2 unless configured otherwise),
 with unit transmit power per stream throughout: no water-filling, no uplink
 power control.  Degenerate factorization streams get rate 0.
-"""
 
-from dataclasses import dataclass
+Every rate function takes the noise power as a NoiseModel, a scalar sigma^2,
+or a 1-D array of m sigma^2 values.  A scalar gives k per-stream rates; an
+array gives shape (m, k), row j at sigma^2[j], bit-identical to the scalar
+call.  Factorizations, partial-CSI selection and sorts run once per call, so
+a whole SNR sweep of one drop shares them.
+"""
 
 import numpy as np
 
-from .channel import ChannelMatrix, NoiseModel, PartialCsiView, take_partial_csi
+from .channel import ChannelMatrix, NoiseModel, take_partial_csi
 from .numerics import hpd_inverse, lq_factor
 
 __all__ = [
-    "RateVector",
-    "SinrBreakdown",
     "conventional_rates",
     "zfdpc_rates",
     "uplink_sic_rates",
@@ -26,41 +28,21 @@ __all__ = [
 ]
 
 
-@dataclass
-class RateVector:
-    """Per-stream rates with their scheme tag and drop provenance."""
-
-    rates: np.ndarray
-    scheme: str
-    drop_id: int | None = None
-
-
-@dataclass
-class SinrBreakdown:
-    """Linear signal / interference / noise powers for one stream."""
-
-    signal: float
-    interference: float
-    noise: float
-
-    @property
-    def sinr(self) -> float:
-        return self.signal / (self.interference + self.noise)
-
-
 def _rate(sinr, base):
     return np.log1p(sinr) / np.log(base)
 
 
 def _sigma(noise):
-    return noise.sigma_sq if isinstance(noise, NoiseModel) else noise
+    # a vector of noise powers becomes an (m, 1) column that broadcasts over streams
+    s2 = np.asarray(noise.sigma_sq if isinstance(noise, NoiseModel) else noise, dtype=float)
+    return s2[:, None] if s2.ndim else s2
 
 
 def _entries(H):
     return H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
 
 
-def conventional_rates(H, noise, base=2.0, drop_id=None) -> RateVector:
+def conventional_rates(H, noise, base=2.0) -> np.ndarray:
     """Nearest-BS baseline: every other cohort BS interferes.
 
     rate_i = log(1 + |H_ii|^2 / (sigma^2 + sum_{j != i} |H_ij|^2))
@@ -68,70 +50,71 @@ def conventional_rates(H, noise, base=2.0, drop_id=None) -> RateVector:
     P = np.abs(_entries(H)) ** 2
     sig = np.diag(P)
     interf = P.sum(axis=1) - sig
-    return RateVector(_rate(sig / (_sigma(noise) + interf), base), "conventional", drop_id)
+    return _rate(sig / (_sigma(noise) + interf), base)
 
 
-def zfdpc_rates(H, noise, base=2.0, drop_id=None) -> RateVector:
+def zfdpc_rates(H, noise, base=2.0) -> np.ndarray:
     """Downlink ZF-DPC: factor H = L Q, rate_i = log(1 + l_ii^2 / sigma^2)."""
     g = lq_factor(_entries(H)).stream_gains
-    return RateVector(_rate(g**2 / _sigma(noise), base), "zfdpc", drop_id)
+    return _rate(g**2 / _sigma(noise), base)
 
 
-def uplink_sic_rates(H, noise, base=2.0, drop_id=None) -> RateVector:
+def uplink_sic_rates(H, noise, base=2.0) -> np.ndarray:
     """Uplink successive cancellation: same factorization applied to H^T.
 
     Cancellation of previously decoded streams is assumed ideal, so the rates
     are log(1 + m_ii^2 / sigma^2) with H^T = M Q'.
     """
     g = lq_factor(_entries(H).T).stream_gains
-    return RateVector(_rate(g**2 / _sigma(noise), base), "uplink-sic", drop_id)
+    return _rate(g**2 / _sigma(noise), base)
 
 
-def zfdpc_partial_rates(H, H_p: PartialCsiView, noise, base=2.0, drop_id=None) -> RateVector:
-    """ZF-DPC driven by the partial-CSI factorization.
-
-    Factor H_p = L_p Q_p and precode with Q_p^dagger; the effective channel is
-    E = H Q_p^dagger.  DPC is credited with cancelling exactly the known
-    triangular part, so for stream i the residual mismatch Z = E - L_p
-    interferes for j < i and the unknown upper entries interfere in full:
-
-        SINR_i = |E_ii|^2 / (sigma^2 + sum_{j<i} |Z_ij|^2 + sum_{j>i} |E_ij|^2)
-    """
-    He = _entries(H)
-    fact = lq_factor(H_p.known)
+def _partial_rates(He, known, s2, base):
+    # s2 is sigma^2 as _sigma returns it, or that plus per-stream interference
+    fact = lq_factor(known)
     E = He @ fact.Q.conj().T
     Z = E - fact.L
     Zsq = np.abs(Z) ** 2
     Esq = np.abs(E) ** 2
     below = np.tril(Zsq, -1).sum(axis=1)
     above = np.triu(Esq, 1).sum(axis=1)
-    sinr = np.diag(Esq) / (_sigma(noise) + below + above)
+    # (s2 + below) + above, in this order: the grouping changes the rounding
+    sinr = np.diag(Esq) / (s2 + below + above)
     sinr = np.where(fact.degenerate, 0.0, sinr)
-    return RateVector(_rate(sinr, base), f"zfdpc-partial-l{H_p.l}", drop_id)
+    return _rate(sinr, base)
 
 
-def clustered_rates(H_in, interference, noise, base=2.0, csi_l=None, drop_id=None) -> RateVector:
+def zfdpc_partial_rates(H, known, noise, base=2.0) -> np.ndarray:
+    """ZF-DPC driven by the partial-CSI factorization.
+
+    `known` is H masked to the known entries (see take_partial_csi).  Factor
+    it as L_p Q_p and precode with Q_p^dagger; the effective channel is
+    E = H Q_p^dagger.  DPC is credited with cancelling exactly the known
+    triangular part, so for stream i the residual mismatch Z = E - L_p
+    interferes for j < i and the unknown upper entries interfere in full:
+
+        SINR_i = |E_ii|^2 / (sigma^2 + sum_{j<i} |Z_ij|^2 + sum_{j>i} |E_ij|^2)
+    """
+    return _partial_rates(_entries(H), known, _sigma(noise), base)
+
+
+def clustered_rates(H_in, interference, noise, base=2.0, csi_l=None) -> np.ndarray:
     """ZF-DPC inside the cluster with inter-cluster power added to the noise.
 
     H_in spans the in-cluster cohort only; `interference` is the per-stream
     uncancellable power from out-of-cluster BSs.  With csi_l given, the
     in-cluster precoder itself runs on partial CSI.
     """
-    interference = np.asarray(interference, dtype=float)
-    noise_eff = _sigma(noise) + interference
+    noise_eff = _sigma(noise) + np.asarray(interference, dtype=float)
     He = _entries(H_in)
     if csi_l is None:
         g = lq_factor(He).stream_gains
-        rates = _rate(g**2 / noise_eff, base)
-        tag = "clustered"
-    else:
-        view = take_partial_csi(He, min(csi_l, He.shape[0]))
-        rates = zfdpc_partial_rates(He, view, noise_eff, base=base).rates
-        tag = f"clustered-partial-l{csi_l}"
-    return RateVector(rates, tag, drop_id)
+        return _rate(g**2 / noise_eff, base)
+    known = take_partial_csi(He, min(csi_l, He.shape[0]))
+    return _partial_rates(He, known, noise_eff, base)
 
 
-def mmse_rates(H, noise, base=2.0, drop_id=None) -> RateVector:
+def mmse_rates(H, noise, base=2.0) -> np.ndarray:
     """Joint linear MMSE uplink receiver on the transposed channel H^T.
 
     As for uplink SIC, the streams are the UEs, i.e. the rows of H, so with
@@ -140,23 +123,30 @@ def mmse_rates(H, noise, base=2.0, drop_id=None) -> RateVector:
         MSE = sigma^2 (G^dagger G + sigma^2 I)^-1 = sigma^2 (conj(H) H^T + sigma^2 I)^-1
 
     and rate_i = -log(MSE_ii); the matrix inverted is HPD by construction.
+    The MSE is not separable in sigma^2, so a vector of noise powers costs one
+    inverse each; conj(H) H^T is formed once.
     """
     He = _entries(H)
     s2 = _sigma(noise)
     k = He.shape[0]
-    A = He.conj() @ He.T + s2 * np.eye(k)
-    A = 0.5 * (A + A.conj().T)
-    mse = s2 * np.real(np.diag(hpd_inverse(A)))
-    return RateVector(-np.log(mse) / np.log(base), "mmse", drop_id)
+    gram = He.conj() @ He.T
+
+    def rates_at(s):
+        A = gram + s * np.eye(k)
+        A = 0.5 * (A + A.conj().T)
+        mse = s * np.real(np.diag(hpd_inverse(A)))
+        return -np.log(mse) / np.log(base)
+
+    return rates_at(s2) if s2.ndim == 0 else np.array([rates_at(s) for s in s2[:, 0]])
 
 
-def tic_rate(H, noise, base=2.0, drop_id=None) -> RateVector:
+def tic_rate(H, noise, base=2.0) -> np.ndarray:
     """Total interference cancellation: interference removed, not reused."""
     sig = np.abs(np.diag(_entries(H))) ** 2
-    return RateVector(_rate(sig / _sigma(noise), base), "tic", drop_id)
+    return _rate(sig / _sigma(noise), base)
 
 
-def smf_rate(H, noise, l, base=2.0, drop_id=None) -> RateVector:
+def smf_rate(H, noise, l, base=2.0) -> np.ndarray:
     """Spatial matched filter over the l strongest streams per row.
 
     The remaining k - l streams stay as interference:
@@ -173,4 +163,4 @@ def smf_rate(H, noise, l, base=2.0, drop_id=None) -> RateVector:
     srt = np.sort(P, axis=1)[:, ::-1]
     sig = srt[:, :l].sum(axis=1)
     rest = srt[:, l:].sum(axis=1)
-    return RateVector(_rate(sig / (_sigma(noise) + rest), base), f"smf-l{l}", drop_id)
+    return _rate(sig / (_sigma(noise) + rest), base)

@@ -143,15 +143,17 @@ def draw_symbols(constellations, rng, batch=1):
     return out
 
 
-def drop_power_sample(fact, noise: NoiseModel, mode, rng, vectors=100, base=2.0) -> float:
+def drop_power_sample(fact, noise, mode, rng, vectors=100, base=2.0) -> float:
     """Total transmit power of one drop, averaged over random data vectors.
 
-    mode is "adaptive" (constellations from the per-stream ZF-DPC capacity)
-    or a fixed order in {4, 16, 64}.
+    noise is a NoiseModel or a scalar sigma^2.  mode is "adaptive"
+    (constellations from the per-stream ZF-DPC capacity) or a fixed order in
+    {4, 16, 64}.
     """
     L = _lower(fact)
     if mode == "adaptive":
-        caps = np.log1p(np.abs(np.diag(L)) ** 2 / noise.sigma_sq) / np.log(base)
+        sigma_sq = getattr(noise, "sigma_sq", noise)
+        caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base)
         cons = [select_modulation(c) for c in caps]
     else:
         cons = [_CACHE[int(mode)]] * L.shape[0]

@@ -64,16 +64,16 @@ def test_magnitude_dominance_is_only_statistical(rng, drop):
 
 def test_partial_csi_full_budget_is_identity(drop):
     _, _, _, _, H = drop
-    view = take_partial_csi(H, H.k)
-    assert np.array_equal(view.known, H.entries)
+    known = take_partial_csi(H, H.k)
+    assert np.array_equal(known, H.entries)
 
 
 def test_partial_csi_single_budget_keeps_row_argmax(rng):
     H = build_channel(_cohort(4), _assoc(np.ones((4, 4)) + np.eye(4) * -0.5), 1.0, 4.0, rng)
-    view = take_partial_csi(H, 1)
+    known = take_partial_csi(H, 1)
     for i in range(4):
         j = np.argmax(np.abs(H.entries[i]))
-        row = view.known[i].copy()
+        row = known[i].copy()
         assert row[j] == H.entries[i, j]
         row[j] = 0
         assert np.all(row == 0)
@@ -82,14 +82,14 @@ def test_partial_csi_single_budget_keeps_row_argmax(rng):
 def test_partial_csi_zero_pattern_matches_sort_oracle(rng):
     k, l = 5, 3
     H = build_channel(_cohort(k), _assoc(np.ones((k, k)) - 0.5 * np.eye(k)), 1.0, 4.0, rng)
-    view = take_partial_csi(H, l)
+    known = take_partial_csi(H, l)
     for i in range(k):
         keep = set(np.argsort(np.abs(H.entries[i]))[::-1][:l].tolist())
-        nz = set(np.flatnonzero(view.known[i]).tolist())
+        nz = set(np.flatnonzero(known[i]).tolist())
         assert nz == keep
         for j in nz:
-            assert view.known[i, j] == H.entries[i, j]
-    assert np.count_nonzero(view.known) == k * l
+            assert known[i, j] == H.entries[i, j]
+    assert np.count_nonzero(known) == k * l
 
 
 def test_partial_csi_distance_based_selection(rng):
@@ -97,10 +97,10 @@ def test_partial_csi_distance_based_selection(rng):
     i, j = np.indices((k, k))
     z = 1.0 + np.abs(i - j) + 0.01 * j
     H = build_channel(_cohort(k), _assoc(z), 1.0, 4.0, rng)
-    view = take_partial_csi(H, 2, distances=z)
+    known = take_partial_csi(H, 2, distances=z)
     for i in range(k):
         nearest_two = set(np.argsort(z[i])[:2].tolist())
-        assert set(np.flatnonzero(view.known[i]).tolist()) == nearest_two
+        assert set(np.flatnonzero(known[i]).tolist()) == nearest_two
 
 
 def test_partial_csi_budget_range(drop):

@@ -109,7 +109,8 @@ def test_cohort_forced_matching():
     bs = PointSet(np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]), 1.0)
     ue = PointSet(np.array([[0.1, 0.0], [5.1, 0.0], [9.9, 0.0]]), 1.0)
     cohort = select_cohort(associate(bs, ue), np.random.default_rng(0))
-    assert cohort.pairs == [(0, 0), (1, 1), (2, 2)]
+    assert cohort.bs_indices.tolist() == [0, 1, 2]
+    assert cohort.ue_indices.tolist() == [0, 1, 2]
 
 
 def test_cohort_uniform_choice_chi_square(rng):
@@ -129,7 +130,7 @@ def test_cohort_indices_distinct(drop):
     assert len(set(cohort.ue_indices.tolist())) == cohort.k
     # every pair respects the primary association
     _, _, assoc, _, _ = drop
-    for b, u in cohort.pairs:
+    for b, u in zip(cohort.bs_indices, cohort.ue_indices):
         assert assoc.primary_bs[u] == b
 
 

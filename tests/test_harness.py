@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cloudradio import (ConfigError, ExperimentConfig, PRESETS, QuadratureConfig
                         load_config_file, preset_config, run, simulate_drop,
                         tagged_rate_samples, validate)
 from cloudradio.cli import main
+from cloudradio.harness import SCHEMES
 
 TINY = dict(drops=6, seed=42, schemes=("conventional", "zfdpc", "tic"))
 
@@ -83,6 +85,23 @@ def test_simulate_drop_deterministic():
         assert np.array_equal(a[key], b[key])
     c = simulate_drop(cfg, 4)
     assert not np.array_equal(a[("zfdpc", 10.0)], c[("zfdpc", 10.0)])
+
+
+def test_sweep_equals_its_single_snr_runs():
+    # every scheme runs once per drop over the whole sweep; each SNR row must
+    # be bit-identical to a run configured with that SNR alone
+    cfg = ExperimentConfig(region_km=(12.0, 12.0), schemes=tuple(SCHEMES),
+                           snr_db=[0.0, 10.0, 30.0], csi_l=3, smf_l=4, cluster_radius_km=4.0,
+                           thp_vectors=10, seed=8)
+    for i in range(5):
+        sweep = simulate_drop(cfg, i)
+        singles = {}
+        for snr in cfg.snr_list:
+            singles.update(simulate_drop(replace(cfg, snr_db=snr), i))
+        assert sweep.keys() == singles.keys()
+        assert {s for s, _ in sweep} == set(SCHEMES)
+        for key, rates in singles.items():
+            assert np.array_equal(sweep[key], rates), key
 
 
 def test_run_identical_bytes_and_worker_invariance(tmp_path):
@@ -239,6 +258,62 @@ def test_cli_dump_flags(tmp_path):
     debug = tmp_path / "run" / "debug"
     assert any(p.name.endswith("_bs.csv") for p in debug.iterdir())
     assert any(p.name.endswith("_H.csv") for p in debug.iterdir())
+
+
+def test_cli_dumped_channels_are_the_drops_own(tmp_path):
+    # clustered schemes draw more from the drop's stream after H, so a dump
+    # replayed from the stream in another order would show another matrix
+    argv = ["run", "--preset", "fig-cluster", "--schemes", "conventional,zfdpc,clustered",
+            "--drops", "6", "--seed", "5", "--dump-channels"]
+    assert main(argv + ["--output-dir", str(tmp_path / "w1")]) == 0
+    assert main(argv + ["--output-dir", str(tmp_path / "w2"), "--workers", "2"]) == 0
+    root = tmp_path / "w1" / "fig-cluster"
+    dumps = sorted((root / "debug").glob("drop*_H.csv"))
+    assert [p.name for p in dumps] == [f"drop{i:04d}_H.csv" for i in range(4)]
+    rows = {s: np.loadtxt(root / f"{s}.csv", delimiter=",", skiprows=1)
+            for s in ("conventional", "zfdpc")}
+    for i, path in enumerate(dumps):
+        ri = np.loadtxt(path, delimiter=",", ndmin=2)
+        H = ri[:, 0::2] + 1j * ri[:, 1::2]
+        P = np.abs(H) ** 2
+        sig = np.diag(P)
+        sigma_sq = 0.1  # 10 dB
+        expected = {
+            "conventional": np.log2(1 + sig / (sigma_sq + P.sum(axis=1) - sig)),
+            "zfdpc": np.log2(1 + np.abs(np.diag(np.linalg.qr(H.conj().T)[1])) ** 2 / sigma_sq),
+        }
+        for scheme, want in expected.items():
+            got = rows[scheme][rows[scheme][:, 0] == i]
+            assert np.array_equal(got[:, 1], np.arange(len(want)))
+            assert np.max(np.abs(got[:, 2] - want)) < 1e-6, (scheme, i)
+        other = tmp_path / "w2" / "fig-cluster" / "debug" / path.name
+        assert other.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("config_text, argv, named", [
+    ("foo = 1\n", [], "line 1: unknown key 'foo'"),
+    ("drops = ten\n", [], "line 1: drops"),
+    ("lambda_b = x\n", [], "line 1: lambda_b"),
+    ("seed = 3\nregion_km = 10\n", [], "line 2: region_km"),
+    (None, ["--snr-db", "abc"], "snr_db"),
+    (None, ["--config", "missing.cfg"], "missing.cfg"),
+])
+def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text, argv, named):
+    monkeypatch.chdir(tmp_path)
+    if config_text is not None:
+        (tmp_path / "bad.cfg").write_text(config_text)
+        argv = ["--config", "bad.cfg"]
+    assert main(["validate"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err
+
+
+def test_cli_run_negative_seed_exits_2(tmp_path, capsys):
+    # numpy's SeedSequence rejects it with ValueError once the first drop starts
+    assert main(["run", "--schemes", "zfdpc", "--drops", "2", "--seed=-1",
+                 "--output-dir", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_env_output_dir(tmp_path, monkeypatch, capsys):

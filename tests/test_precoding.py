@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cloudradio import (NoiseModel, clustered_rates, conventional_rates, lq_factor,
                         mmse_rates, smf_rate, take_partial_csi, tic_rate,
                         uplink_sic_rates, zfdpc_partial_rates, zfdpc_rates)
-from cloudradio.precoding import SinrBreakdown
 
 from conftest import random_complex, standard_drop
 
@@ -27,37 +26,37 @@ def brute_force_det(H):
 
 def test_conventional_no_interferer():
     H = np.eye(1, dtype=complex)
-    rv = conventional_rates(H, NoiseModel.from_snr_db(10.0))
-    assert rv.rates[0] == pytest.approx(LOG2_11, abs=1e-12)
+    r = conventional_rates(H, NoiseModel.from_snr_db(10.0))
+    assert r[0] == pytest.approx(LOG2_11, abs=1e-12)
 
 
 def test_conventional_unit_sir_limit():
     H = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    rv = conventional_rates(H, 1e-15)
-    assert np.allclose(rv.rates, 1.0, atol=1e-9)
+    r = conventional_rates(H, 1e-15)
+    assert np.allclose(r, 1.0, atol=1e-9)
 
 
 def test_zfdpc_identity_channel():
-    rv = zfdpc_rates(np.eye(5, dtype=complex), NoiseModel.from_snr_db(10.0))
-    assert np.allclose(rv.rates, LOG2_11)
+    r = zfdpc_rates(np.eye(5, dtype=complex), NoiseModel.from_snr_db(10.0))
+    assert np.allclose(r, LOG2_11)
 
 
 def test_zfdpc_degenerate_stream_rate_zero():
     H = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    rv = zfdpc_rates(H, 0.1)
-    assert rv.rates[1] == 0.0
+    r = zfdpc_rates(H, 0.1)
+    assert r[1] == 0.0
 
 
 def test_uplink_identity_matches_downlink():
     H = np.eye(4, dtype=complex)
-    assert np.allclose(uplink_sic_rates(H, 0.1).rates, zfdpc_rates(H, 0.1).rates)
+    assert np.allclose(uplink_sic_rates(H, 0.1), zfdpc_rates(H, 0.1))
 
 
 def test_uplink_diagonal_log_sums_agree(rng):
     d = np.abs(rng.standard_normal(4)) + 0.2
     H = np.diag(d).astype(complex)
-    up = uplink_sic_rates(H, 0.1).rates
-    dn = zfdpc_rates(H, 0.1).rates
+    up = uplink_sic_rates(H, 0.1)
+    dn = zfdpc_rates(H, 0.1)
     assert np.allclose(np.sort(up), np.sort(dn))
 
 
@@ -81,8 +80,8 @@ def test_duality_determinant_sum_rate(rng, k):
 def test_partial_full_budget_reduces_to_zfdpc(rng):
     H = random_complex(rng, 6)
     view = take_partial_csi(H, 6)
-    full = zfdpc_rates(H, 0.1).rates
-    part = zfdpc_partial_rates(H, view, 0.1).rates
+    full = zfdpc_rates(H, 0.1)
+    part = zfdpc_partial_rates(H, view, 0.1)
     assert np.max(np.abs(full - part)) < 1e-9
 
 
@@ -92,18 +91,18 @@ def test_partial_mean_rate_monotone_in_budget(rng):
         *_, H = standard_drop(rng)
         for l in sums:
             view = take_partial_csi(H, min(l, H.k))
-            sums[l] += zfdpc_partial_rates(H, view, 0.1).rates.mean()
+            sums[l] += zfdpc_partial_rates(H, view, 0.1).mean()
     assert sums[2] < sums[6] < sums[30]
 
 
 def test_mmse_identity_channel():
-    rv = mmse_rates(np.eye(3, dtype=complex), NoiseModel.from_snr_db(10.0))
-    assert np.allclose(rv.rates, LOG2_11, atol=1e-10)
+    r = mmse_rates(np.eye(3, dtype=complex), NoiseModel.from_snr_db(10.0))
+    assert np.allclose(r, LOG2_11, atol=1e-10)
 
 
 def test_mmse_noise_dominated_limit(rng):
     H = random_complex(rng, 4)
-    assert np.all(mmse_rates(H, 1e9).rates < 1e-6)
+    assert np.all(mmse_rates(H, 1e9) < 1e-6)
 
 
 def test_mmse_matches_per_row_uplink_sinr():
@@ -121,23 +120,23 @@ def test_mmse_matches_per_row_uplink_sinr():
         others = np.delete(H, i, axis=0).T
         R = others @ others.conj().T + s2 * np.eye(3)
         expected.append(np.log2(1.0 + np.real(h.conj().T @ np.linalg.solve(R, h))[0, 0]))
-    assert np.max(np.abs(mmse_rates(H, s2).rates - expected)) < 1e-9
+    assert np.max(np.abs(mmse_rates(H, s2) - expected)) < 1e-9
 
 
 def test_tic_direct_formula():
     H = np.eye(1, dtype=complex)
-    assert tic_rate(H, 0.1).rates[0] == pytest.approx(LOG2_11, abs=1e-12)
+    assert tic_rate(H, 0.1)[0] == pytest.approx(LOG2_11, abs=1e-12)
 
 
 def test_smf_single_stream_equals_tic():
     H = np.array([[0.8 + 0.3j]])
-    assert smf_rate(H, 0.1, 1).rates[0] == pytest.approx(tic_rate(H, 0.1).rates[0])
+    assert smf_rate(H, 0.1, 1)[0] == pytest.approx(tic_rate(H, 0.1)[0])
 
 
 def test_smf_full_combining_row_energy(rng):
     H = random_complex(rng, 5)
     expected = np.log2(1.0 + np.sum(np.abs(H) ** 2, axis=1) / 0.1)
-    assert np.allclose(smf_rate(H, 0.1, 5).rates, expected)
+    assert np.allclose(smf_rate(H, 0.1, 5), expected)
 
 
 def test_smf_order_validated(rng):
@@ -153,33 +152,33 @@ def test_scheme_ordering_invariant(rng):
     for _ in range(5):
         *_, H = standard_drop(rng)
         noise = NoiseModel.from_snr_db(10.0)
-        conv = conventional_rates(H, noise).rates
-        tic = tic_rate(H, noise).rates
-        smf = smf_rate(H, noise, H.k).rates
+        conv = conventional_rates(H, noise)
+        tic = tic_rate(H, noise)
+        smf = smf_rate(H, noise, H.k)
         assert np.all(conv <= tic + 1e-12)
         assert np.all(tic <= smf + 1e-12)
 
 
 def test_clustered_no_interference_matches_zfdpc(rng):
     H = random_complex(rng, 4)
-    base = zfdpc_rates(H, 0.1).rates
-    assert np.allclose(clustered_rates(H, np.zeros(4), 0.1).rates, base)
+    base = zfdpc_rates(H, 0.1)
+    assert np.allclose(clustered_rates(H, np.zeros(4), 0.1), base)
 
 
 def test_clustered_partial_variant(rng):
     H = random_complex(rng, 5)
-    got = clustered_rates(H, np.zeros(5), 0.1, csi_l=5).rates
-    assert np.allclose(got, zfdpc_rates(H, 0.1).rates, atol=1e-9)
+    got = clustered_rates(H, np.zeros(5), 0.1, csi_l=5)
+    assert np.allclose(got, zfdpc_rates(H, 0.1), atol=1e-9)
     noisy = clustered_rates(H, np.full(5, 10.0), 0.1, csi_l=3)
-    assert np.all(noisy.rates <= clustered_rates(H, np.zeros(5), 0.1, csi_l=3).rates + 1e-12)
+    assert np.all(noisy <= clustered_rates(H, np.zeros(5), 0.1, csi_l=3) + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31), c=st.floats(1.0, 20.0))
 def test_zfdpc_scale_response(seed, c):
     H = random_complex(np.random.default_rng(seed), 4)
-    base = zfdpc_rates(H, 0.1).rates
-    boosted = zfdpc_rates(c * H, 0.1).rates
+    base = zfdpc_rates(H, 0.1)
+    boosted = zfdpc_rates(c * H, 0.1)
     assert np.all(boosted >= base - 1e-12)
 
 
@@ -187,17 +186,32 @@ def test_rates_non_negative_finite(rng):
     *_, H = standard_drop(rng)
     noise = NoiseModel.from_snr_db(10.0)
     for fn in (conventional_rates, zfdpc_rates, uplink_sic_rates, mmse_rates, tic_rate):
-        r = fn(H, noise).rates
+        r = fn(H, noise)
         assert np.all(r >= 0) and np.all(np.isfinite(r))
-
-
-def test_sinr_breakdown():
-    b = SinrBreakdown(signal=2.0, interference=1.5, noise=0.5)
-    assert b.sinr == pytest.approx(1.0)
 
 
 def test_log_base_configurable():
     H = np.eye(2, dtype=complex)
-    nats = zfdpc_rates(H, 0.1, base=np.e).rates
-    bits = zfdpc_rates(H, 0.1).rates
+    nats = zfdpc_rates(H, 0.1, base=np.e)
+    bits = zfdpc_rates(H, 0.1)
     assert np.allclose(nats * np.log2(np.e), bits)
+
+
+@pytest.mark.parametrize("rates", [
+    conventional_rates,
+    zfdpc_rates,
+    uplink_sic_rates,
+    mmse_rates,
+    tic_rate,
+    lambda H, s2: smf_rate(H, s2, 2),
+    lambda H, s2: zfdpc_partial_rates(H, take_partial_csi(H, 2), s2),
+    lambda H, s2: clustered_rates(H, np.linspace(0.0, 0.3, H.k), s2),
+    lambda H, s2: clustered_rates(H, np.linspace(0.0, 0.3, H.k), s2, csi_l=2),
+])
+def test_noise_vector_rows_equal_scalar_calls(rng, rates):
+    *_, H = standard_drop(rng)
+    sigma_sq = np.array([NoiseModel.from_snr_db(s).sigma_sq for s in (-6.0, 0.0, 10.0, 45.0)])
+    sweep = rates(H, sigma_sq)
+    assert sweep.shape == (sigma_sq.size, H.k)
+    for j, s2 in enumerate(sigma_sq):
+        assert np.array_equal(sweep[j], rates(H, float(s2)))
