@@ -8,6 +8,7 @@ Default output directory comes from $CLOUDRADIO_OUTPUT_DIR when set.
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
 
     sub.add_parser("list-presets", help="show available figure presets")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_sweeps(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(args)
     except ConfigError as exc:
@@ -106,6 +107,21 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+
+
+def _attach_negative_sweeps(argv):
+    """Write `--snr-db -6,0,10` as `--snr-db=-6,0,10`.
+
+    argparse takes a lone negative number for a value, but reads a list that
+    starts with one as an unknown option and leaves --snr-db without its value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--snr-db" and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _dispatch(args) -> int:

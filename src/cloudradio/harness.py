@@ -23,7 +23,7 @@ from .channel import (ChannelMatrix, NoiseModel, build_channel, inter_cluster_in
                       take_partial_csi)
 from .geometry import (Cohort, ClusterSplit, PointSet, Region, associate, sample_ppp,
                        select_cohort, split_cluster)
-from .numerics import lq_factor
+from .numerics import blas_threads, lq_factor
 from .stats import build_cdf, gain_percent
 
 __all__ = [
@@ -231,12 +231,13 @@ def _drop_rng(seed, drop_index):
 
 @dataclass
 class Drop:
-    """What the schemes of one drop read: its channel and, if any, its cluster."""
+    """What the schemes of one drop read: its channel, its cluster if any, and the sweep."""
 
     config: ExperimentConfig
     index: int
     H: ChannelMatrix
     cluster: tuple | None  # (H_in, i_r); None without clustered schemes or in-cluster BSs
+    sigma_sq: np.ndarray  # noise power of each SNR point
 
     @property
     def base(self):
@@ -246,6 +247,21 @@ class Drop:
     def lq(self):
         # one factorization shared by the THP schemes; zfdpc factors on its own
         return lq_factor(self.H)
+
+    @cached_property
+    def thp_power(self):
+        """{scheme: power samples, one row per SNR point} of every configured THP scheme.
+
+        One precode pass serves them all.  Every (mode, SNR) sample draws its
+        data from a fresh (seed, (drop, 1)) substream, so the THP draws leave
+        the rate schemes' stream alone and each sample equals its own run.
+        """
+        c = self.config
+        modes = {s: _THP_MODES[s] for s in c.schemes if s in _THP_MODES}
+        seed = np.random.SeedSequence(c.seed, spawn_key=(self.index, 1))
+        power = thp.drop_power_samples(self.lq, self.sigma_sq, modes.values(), seed,
+                                       c.thp_vectors, c.log_base)
+        return {s: power[mode][:, None] for s, mode in modes.items()}
 
 
 def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
@@ -279,10 +295,10 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     if any(s.startswith("clustered") for s in config.schemes):
         cluster = _cluster_channel(config, region, bs, assoc, cohort, rng)
 
-    drop = Drop(config, drop_index, H, cluster)
     snrs = config.snr_list
     sigma_sq = np.array([NoiseModel.from_snr_db(snr).sigma_sq for snr in snrs])
-    per_scheme = {s: SCHEMES[s](drop, sigma_sq) for s in config.schemes}
+    drop = Drop(config, drop_index, H, cluster, sigma_sq)
+    per_scheme = {s: SCHEMES[s](drop) for s in config.schemes}
     return {(s, snr): rates[j] for j, snr in enumerate(snrs)
             for s, rates in per_scheme.items() if rates is not None}
 
@@ -304,40 +320,28 @@ def _cluster_channel(config, region, bs, assoc, cohort, rng):
     return H_in, i_r
 
 
-def _thp_power(mode):
-    def power_samples(drop, sigma_sq):
-        c = drop.config
-        samples = []
-        for s2 in sigma_sq:
-            # fresh data substream so rate schemes stay unaffected by THP draws
-            rng = np.random.default_rng(np.random.SeedSequence(c.seed,
-                                                               spawn_key=(drop.index, 1)))
-            samples.append([thp.drop_power_sample(drop.lq, s2, mode, rng,
-                                                  c.thp_vectors, c.log_base)])
-        return np.array(samples)
-    return power_samples
+_THP_MODES = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
+             "thp-fixed64": 64}
 
 
-# scheme name -> fn(drop, sigma_sq array) -> one row of rates per SNR point, or
+# scheme name -> fn(drop) -> one row of rates per SNR point of drop.sigma_sq, or
 # None when the drop has no streams for the scheme
 SCHEMES = {
-    "conventional": lambda d, s2: precoding.conventional_rates(d.H, s2, d.base),
-    "zfdpc": lambda d, s2: precoding.zfdpc_rates(d.H, s2, d.base),
-    "uplink-sic": lambda d, s2: precoding.uplink_sic_rates(d.H, s2, d.base),
-    "mmse": lambda d, s2: precoding.mmse_rates(d.H, s2, d.base),
-    "tic": lambda d, s2: precoding.tic_rate(d.H, s2, d.base),
-    "smf": lambda d, s2: precoding.smf_rate(d.H, s2, min(d.config.smf_l or d.H.k, d.H.k),
-                                            d.base),
-    "smf2": lambda d, s2: precoding.smf_rate(d.H, s2, min(2, d.H.k), d.base),
-    "zfdpc-partial": lambda d, s2: precoding.zfdpc_partial_rates(
-        d.H, take_partial_csi(d.H, min(d.config.csi_l, d.H.k)), s2, d.base),
-    "clustered": lambda d, s2: d.cluster and precoding.clustered_rates(*d.cluster, s2, d.base),
-    "clustered-partial": lambda d, s2: d.cluster and precoding.clustered_rates(
-        *d.cluster, s2, d.base, csi_l=d.config.csi_l),
-    "thp-adaptive": _thp_power("adaptive"),
-    "thp-fixed4": _thp_power(4),
-    "thp-fixed16": _thp_power(16),
-    "thp-fixed64": _thp_power(64),
+    "conventional": lambda d: precoding.conventional_rates(d.H, d.sigma_sq, d.base),
+    "zfdpc": lambda d: precoding.zfdpc_rates(d.H, d.sigma_sq, d.base),
+    "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq, d.base),
+    "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq, d.base),
+    "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq, d.base),
+    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(d.config.smf_l or d.H.k, d.H.k),
+                                        d.base),
+    "smf2": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, d.H.k), d.base),
+    "zfdpc-partial": lambda d: precoding.zfdpc_partial_rates(
+        d.H, take_partial_csi(d.H, min(d.config.csi_l, d.H.k)), d.sigma_sq, d.base),
+    "clustered": lambda d: d.cluster and precoding.clustered_rates(*d.cluster, d.sigma_sq,
+                                                                   d.base),
+    "clustered-partial": lambda d: d.cluster and precoding.clustered_rates(
+        *d.cluster, d.sigma_sq, d.base, csi_l=d.config.csi_l),
+    **{s: (lambda d, s=s: d.thp_power[s]) for s in _THP_MODES},
 }
 
 
@@ -366,6 +370,14 @@ def _worker(args):
     return idx, simulate_drop(config, idx, **dumps)
 
 
+def _one_blas_thread():
+    # a pool process keeps the limit for its whole life, so nothing is restored
+    blas_threads(1).__enter__()
+
+
+# k ~ 30 matrices cost OpenBLAS more in thread start-up than in work, and a
+# pool of n processes would otherwise run n times as many threads as cores
+@blas_threads(1)
 def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
         dump_geometry=False, dump_channels=False, with_crossval=False) -> ExperimentReport:
     """Execute a config: simulate drops, aggregate, emit CSVs and a summary.
@@ -388,7 +400,7 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
                      dump_channels=dump_channels)
     jobs = [(config, i, dumps if i < DEBUG_DROPS else {}) for i in range(config.drops)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             chunk = max(1, len(jobs) // (workers * 8))
             results = dict(pool.map(_worker, jobs, chunksize=chunk))
     else:

@@ -4,7 +4,8 @@ THP replaces dirty-paper coding by feedback pre-subtraction plus a symmetric
 modulo that bounds the transmit amplitude.  Data symbols come from square QAM
 constellations normalized to unit average energy; the modulo base tau of each
 stream is tied to its constellation so the modulo is transparent whenever no
-interference has to be pre-subtracted.
+interference has to be pre-subtracted.  drop_power_samples evaluates every
+mode of a drop over a whole SNR sweep in one precode pass.
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,12 @@ def qam_constellation(M) -> QamConstellation:
 
 
 _CACHE = {M: qam_constellation(M) for M in SUPPORTED_ORDERS}
+# per order, in SUPPORTED_ORDERS' rows: the modulo base, and the points padded
+# with zeros so that one fancy index reads symbols of any mix of orders
+_BASES = np.array([_CACHE[M].modulo_base for M in SUPPORTED_ORDERS])
+_POINTS = np.zeros((len(SUPPORTED_ORDERS), max(SUPPORTED_ORDERS)), dtype=complex)
+for _row, _M in enumerate(SUPPORTED_ORDERS):
+    _POINTS[_row, :_M] = _CACHE[_M].points
 
 
 def select_modulation(c_zfdpc) -> QamConstellation:
@@ -65,18 +72,20 @@ def select_modulation(c_zfdpc) -> QamConstellation:
     """
     if c_zfdpc < 0:
         raise ValueError("capacity must be non-negative")
-    if c_zfdpc > 7:
-        return _CACHE[64]
-    if c_zfdpc > 4:
-        return _CACHE[16]
-    return _CACHE[4]
+    return _CACHE[int(_adaptive_orders(c_zfdpc))]
+
+
+def _adaptive_orders(caps):
+    return np.select([caps > 7, caps > 4], [64, 16], 4)
 
 
 def symmetric_modulo(x, tau):
     """Wrap real and imaginary parts independently into [-tau/2, tau/2)."""
-    re = np.mod(np.real(x) + tau / 2.0, tau) - tau / 2.0
-    im = np.mod(np.imag(x) + tau / 2.0, tau) - tau / 2.0
-    return re + 1j * im
+    # (re, im) pairs of a float view, each wrapped by the same np.mod
+    parts = np.asarray(x, dtype=complex)[..., None].view(np.float64)
+    tau = np.asarray(tau)[..., None]
+    wrapped = np.mod(parts + tau / 2.0, tau) - tau / 2.0
+    return wrapped.view(complex)[..., 0][()]
 
 
 @dataclass
@@ -89,20 +98,35 @@ class ThpOutput:
 
 
 def _lower(L):
-    return L.L if isinstance(L, TriangularFactorization) else np.asarray(L)
+    """The triangular matrix, and the mask of its streams that carry no data."""
+    if isinstance(L, TriangularFactorization):
+        return L.L, L.degenerate
+    L = np.asarray(L)
+    return L, np.zeros(L.shape[0], dtype=bool)
 
 
-def precode_batch(L, data, taus):
-    """Vectorized THP over a batch of data vectors: data shape (batch, k)."""
-    diag = np.real(np.diag(L))
-    if np.any(diag <= 0):
-        raise ValueError("THP needs a strictly positive triangular diagonal")
+def precode_batch(L, data, taus, off=None):
+    """Vectorized THP over a batch of data vectors: data shape (batch, k).
+
+    taus holds each stream's modulo base, shape (k,), or one row of them per
+    data vector, shape (batch, k).  Streams marked in the boolean mask `off`
+    (degenerate ones) transmit nothing: their u is 0 and their diagonal may
+    vanish.
+    """
     k = L.shape[0]
-    u = np.empty_like(data)
-    u[:, 0] = data[:, 0]
+    off = np.zeros(k, dtype=bool) if off is None else np.asarray(off)
+    diag = np.real(np.diag(L))
+    if np.any(diag[~off] <= 0):
+        raise ValueError("THP needs a strictly positive triangular diagonal")
+    taus = np.asarray(taus).T  # taus[i]: stream i's base, shared or per vector
+    # C order whatever the input's: the layout of u[:, :i] decides how the
+    # feedback product rounds
+    u = np.array(data, dtype=complex, order="C")
+    u[:, off] = 0.0
     for i in range(1, k):
-        feedback = u[:, :i] @ (L[i, :i] / diag[i])
-        u[:, i] = symmetric_modulo(data[:, i] - feedback, taus[i])
+        if not off[i]:
+            feedback = u[:, :i] @ (L[i, :i] / diag[i])
+            u[:, i] = symmetric_modulo(u[:, i] - feedback, taus[i])
     return u
 
 
@@ -111,12 +135,13 @@ def thp_precode(L, data, constellations) -> ThpOutput:
 
     u_1 = data_1 and u_i = mod_tau_i(data_i - sum_{j<i} (l_ij/l_ii) u_j).
     The vector actually radiated is Q^dagger u; the unitary leaves the power
-    untouched, so power statistics are taken on u itself.
+    untouched, so power statistics are taken on u itself.  Degenerate streams
+    of a factorization transmit nothing.
     """
-    Lm = _lower(L)
+    Lm, off = _lower(L)
     data = np.asarray(data, dtype=complex)
     taus = np.array([c.modulo_base for c in constellations])
-    u = precode_batch(Lm, data[None, :], taus)[0]
+    u = precode_batch(Lm, data[None, :], taus, off)[0]
     p = np.abs(u) ** 2
     return ThpOutput(transmit=u, per_stream_power=p, total_power=float(p.sum()))
 
@@ -127,20 +152,42 @@ def thp_loopback(L, output: ThpOutput, constellations) -> np.ndarray:
     recovered_i = mod_tau_i(y_i / l_ii); with correct precoding this equals
     the data exactly, which is the precoder's primary correctness property.
     """
-    Lm = _lower(L)
+    Lm, _ = _lower(L)
     y = Lm @ output.transmit
     diag = np.real(np.diag(Lm))
     taus = np.array([c.modulo_base for c in constellations])
     return symmetric_modulo(y / diag, taus)
 
 
+def _rows(orders):
+    # row of each constellation order in _POINTS and _BASES
+    return np.searchsorted(SUPPORTED_ORDERS, orders)
+
+
+def _draw(orders, rng, batch):
+    # stream by stream, batch draws each: the order of a per-stream loop of
+    # rng.integers(M, size=batch), so the generator is consumed the same way
+    idx = rng.integers(orders[:, None], size=(orders.size, batch))
+    return _POINTS[_rows(orders)[:, None], idx].T.copy()
+
+
 def draw_symbols(constellations, rng, batch=1):
     """I.i.d. uniform symbols, one column per stream."""
-    k = len(constellations)
-    out = np.empty((batch, k), dtype=complex)
-    for i, c in enumerate(constellations):
-        out[:, i] = c.points[rng.integers(c.M, size=batch)]
-    return out
+    return _draw(np.array([c.M for c in constellations]), rng, batch)
+
+
+def _orders(L, sigma_sq, mode, base):
+    """Constellation order of each stream: one row per noise power for
+    "adaptive" (from the ZF-DPC capacity), a single row for a fixed order."""
+    if mode != "adaptive":
+        return np.full((1, L.shape[0]), int(mode))
+    sigma_sq = np.reshape(sigma_sq, (-1, 1))
+    caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base)
+    return _adaptive_orders(caps)
+
+
+def _mean_power(u):
+    return float(np.mean(np.sum(np.abs(u) ** 2, axis=1)))
 
 
 def drop_power_sample(fact, noise, mode, rng, vectors=100, base=2.0) -> float:
@@ -150,16 +197,32 @@ def drop_power_sample(fact, noise, mode, rng, vectors=100, base=2.0) -> float:
     (constellations from the per-stream ZF-DPC capacity) or a fixed order in
     {4, 16, 64}.
     """
-    L = _lower(fact)
-    if mode == "adaptive":
-        sigma_sq = getattr(noise, "sigma_sq", noise)
-        caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base)
-        cons = [select_modulation(c) for c in caps]
-    else:
-        cons = [_CACHE[int(mode)]] * L.shape[0]
-    taus = np.array([c.modulo_base for c in cons])
-    u = precode_batch(L, draw_symbols(cons, rng, batch=vectors), taus)
-    return float(np.mean(np.sum(np.abs(u) ** 2, axis=1)))
+    L, off = _lower(fact)
+    orders = _orders(L, getattr(noise, "sigma_sq", noise), mode, base)[0]
+    u = precode_batch(L, _draw(orders, rng, vectors), _BASES[_rows(orders)], off)
+    return _mean_power(u)
+
+
+def drop_power_samples(fact, sigma_sq, modes, seed, vectors=100, base=2.0) -> dict:
+    """drop_power_sample for every mode at every noise power, in one precode pass.
+
+    Returns {mode: one sample per entry of sigma_sq}.  Each sample draws its
+    data from a fresh np.random.default_rng(seed), so it equals
+    drop_power_sample(fact, s2, mode, np.random.default_rng(seed), vectors,
+    base).  A fixed order does not depend on the noise: its sample is
+    computed once and repeated over sigma_sq.
+    """
+    L, off = _lower(fact)
+    sigma_sq = np.atleast_1d(sigma_sq)
+    orders = {mode: _orders(L, sigma_sq, mode, base) for mode in modes}
+    rows = np.concatenate(list(orders.values()))
+    data = np.concatenate([_draw(o, np.random.default_rng(seed), vectors) for o in rows])
+    taus = np.repeat(_BASES[_rows(rows)], vectors, axis=0)
+    u = precode_batch(L, data, taus, off).reshape(len(rows), vectors, -1)
+    power = iter([_mean_power(x) for x in u])
+    # np.resize repeats a fixed order's one sample over the sweep
+    return {mode: np.resize([next(power) for _ in o], sigma_sq.size)
+            for mode, o in orders.items()}
 
 
 def thp_power_cdf(factorizations, noise: NoiseModel, mode, rng,

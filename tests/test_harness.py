@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,12 @@ import pytest
 from cloudradio import (ConfigError, ExperimentConfig, PRESETS, QuadratureConfig, crossvalidate,
                         load_config_file, preset_config, run, simulate_drop,
                         tagged_rate_samples, validate)
+from cloudradio import harness, qam_constellation
+from cloudradio.channel import ChannelMatrix
 from cloudradio.cli import main
-from cloudradio.harness import SCHEMES
+from cloudradio.harness import SCHEMES, Drop
+
+from conftest import random_complex
 
 TINY = dict(drops=6, seed=42, schemes=("conventional", "zfdpc", "tic"))
 
@@ -154,6 +159,62 @@ def test_run_thp_power_scheme(tmp_path):
     # one power sample per drop, roughly k with the modulo penalty on top
     assert report.summaries["thp-adaptive"]["10"]["n"] == 4
     assert report.summaries["thp-fixed4"]["10"]["mean"] > 0
+
+
+def _per_stream_thp_power(L, sigma_sq, mode, rng, vectors, base):
+    """THP power as one draw and one modulo per stream (the unbatched algorithm)."""
+    if mode == "adaptive":
+        caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base)
+        cons = [qam_constellation(64 if c > 7 else 16 if c > 4 else 4) for c in caps]
+    else:
+        cons = [qam_constellation(mode)] * L.shape[0]
+    data = np.empty((vectors, len(cons)), dtype=complex)
+    for i, c in enumerate(cons):
+        data[:, i] = c.points[rng.integers(c.M, size=vectors)]
+    diag = np.real(np.diag(L))
+    u = np.empty_like(data)
+    u[:, 0] = data[:, 0]
+    for i in range(1, len(cons)):
+        x = data[:, i] - u[:, :i] @ (L[i, :i] / diag[i])
+        tau = cons[i].modulo_base
+        u[:, i] = ((np.mod(x.real + tau / 2.0, tau) - tau / 2.0)
+                   + 1j * (np.mod(x.imag + tau / 2.0, tau) - tau / 2.0))
+    return float(np.mean(np.sum(np.abs(u) ** 2, axis=1)))
+
+
+def test_batched_thp_matches_per_mode_and_snr_draws():
+    # one precode pass for all four schemes over the sweep; each (scheme, SNR)
+    # sample must equal the unbatched algorithm on a fresh (seed, (drop, 1))
+    # substream, bit for bit
+    modes = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
+             "thp-fixed64": 64}
+    cfg = ExperimentConfig(schemes=tuple(modes), snr_db=[0.0, 10.0, 30.0], thp_vectors=37,
+                           seed=8)
+    gen = np.random.default_rng(4)
+    H = random_complex(gen, 9) * np.geomspace(0.3, 30.0, 9)[:, None]
+    sigma_sq = np.array([1.0, 0.1, 0.001])
+    drop = Drop(cfg, 5, H, None, sigma_sq)
+    L = drop.lq.L
+    caps = np.log2(1 + np.abs(np.diag(L)) ** 2 / 0.1)
+    assert np.any(caps <= 4) and np.any(caps > 7)  # mixed constellations at 10 dB
+    for scheme, mode in modes.items():
+        rows = SCHEMES[scheme](drop)
+        assert rows.shape == (3, 1)
+        for j, s2 in enumerate(sigma_sq):
+            sub = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(5, 1)))
+            want = _per_stream_thp_power(L, s2, mode, sub, 37, 2.0)
+            assert rows[j, 0] == want, (scheme, s2)
+
+
+def test_run_thp_sweep_identical_bytes_at_any_workers(tmp_path):
+    cfg = ExperimentConfig(drops=6, seed=9, snr_db=[0.0, 20.0], thp_vectors=21,
+                           schemes=("zfdpc", "thp-adaptive", "thp-fixed4", "thp-fixed64"))
+    run(cfg, workers=1, name="w1", output_dir=tmp_path)
+    run(cfg, workers=2, name="w2", output_dir=tmp_path)
+    files = sorted(p.name for p in (tmp_path / "w1").glob("*.csv"))
+    assert len(files) == 8
+    for name in files:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
 
 def test_tagged_samples_schemes(rng):
@@ -314,6 +375,43 @@ def test_cli_run_negative_seed_exits_2(tmp_path, capsys):
     assert main(["run", "--schemes", "zfdpc", "--drops", "2", "--seed=-1",
                  "--output-dir", str(tmp_path)]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_cli_snr_db_help_example_runs(tmp_path, capsys):
+    # the example in --snr-db's own help text, given as a separate argument
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    example = re.search(r"--snr-db SNR_DB scalar or comma list, e\.g\. '10' or '([^']+)'",
+                        help_text).group(1)
+    assert example.startswith("-")
+    assert main(["run", "--preset", "fig-tx-pow", "--snr-db", example, "--drops", "3",
+                 "--seed", "2", "--output-dir", str(tmp_path)]) == 0
+    snrs = [float(v) for v in example.split(",")]
+    assert json.loads(capsys.readouterr().out)["config"]["snr_db"] == snrs
+    for snr in snrs:
+        assert (tmp_path / "fig-tx-pow" / f"thp-adaptive_snr{snr:g}.csv").is_file()
+
+
+def test_cli_run_degenerate_stream_exits_0(tmp_path, monkeypatch, capsys):
+    # the last cohort row repeats the one before, so its stream is degenerate
+    # with an exactly zero diagonal: zero rate for zfdpc, zero power for THP
+    def repeated_row_channel(cohort, assoc, mu, alpha, rng):
+        H = np.eye(cohort.k, dtype=complex)
+        if cohort.k > 1:
+            H[-1] = H[-2]
+        return ChannelMatrix(entries=H, alpha=alpha, mu=mu)
+
+    monkeypatch.setattr(harness, "build_channel", repeated_row_channel)
+    assert main(["run", "--schemes", "zfdpc,thp-adaptive,thp-fixed4", "--drops", "3",
+                 "--seed", "5", "--output-dir", str(tmp_path)]) == 0
+    rates = np.loadtxt(tmp_path / "run" / "zfdpc.csv", delimiter=",", skiprows=1)
+    power = np.loadtxt(tmp_path / "run" / "thp-fixed4.csv", delimiter=",", skiprows=1)
+    last = [rates[rates[:, 0] == d][-1, 2] for d in range(3)]
+    k = [np.sum(rates[:, 0] == d) for d in range(3)]
+    assert last == [0.0, 0.0, 0.0]
+    # identity rows and unit-energy QPSK: every live stream adds exactly 1
+    assert np.allclose(power[:, 2], np.array(k) - 1, atol=1e-9)
 
 
 def test_cli_env_output_dir(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudradio import NumericalError, hpd_inverse, lq_factor
+from cloudradio import NumericalError, hpd_inverse, lq_factor, numerics
 
 from conftest import random_complex
 
@@ -100,3 +100,40 @@ def test_hpd_inverse_reports_failing_pivot():
     A = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(NumericalError, match=r"pivot 2"):
         hpd_inverse(A)
+
+
+def _thread_counts():
+    return [get() for _, get in numerics._openblas_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at 2 threads for the test, then as it was."""
+    controls = numerics._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library is loaded")
+    original = _thread_counts()
+    for set_, _ in controls:
+        set_(2)
+    yield len(controls)
+    for (set_, _), count in zip(controls, original):
+        set_(count)
+
+
+def test_blas_threads_sets_one_and_restores(two_blas_threads):
+    with numerics.blas_threads(1):
+        assert _thread_counts() == [1] * two_blas_threads
+    assert _thread_counts() == [2] * two_blas_threads
+
+
+def test_blas_threads_noop_without_openblas(two_blas_threads, tmp_path, monkeypatch):
+    maps = tmp_path / "maps"
+    maps.write_text("7f00-7f01 r-xp 00000000 08:01 42 /usr/lib/x86_64-linux-gnu/libc.so.6\n"
+                    "7f02-7f03 rw-p 00000000 00:00 0 [heap]\n")
+    monkeypatch.setattr(numerics, "_MAPS", str(maps))
+    assert numerics._openblas_controls() == []
+    with numerics.blas_threads(1):
+        monkeypatch.undo()
+        assert _thread_counts() == [2] * two_blas_threads
+    monkeypatch.setattr(numerics, "_MAPS", str(tmp_path / "missing"))
+    assert numerics._openblas_controls() == []

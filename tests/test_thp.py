@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from cloudradio import (NoiseModel, lq_factor, qam_constellation, select_modulation,
                         thp_loopback, thp_power_cdf, thp_precode)
-from cloudradio.thp import SUPPORTED_ORDERS, draw_symbols, symmetric_modulo
+from cloudradio.thp import (SUPPORTED_ORDERS, draw_symbols, drop_power_sample,
+                            drop_power_samples, symmetric_modulo)
 
 from conftest import random_complex
 
@@ -116,6 +117,25 @@ def test_precode_rejects_zero_diagonal(rng):
         thp_precode(L, draw_symbols(cons, rng)[0], cons)
 
 
+def test_degenerate_stream_transmits_nothing(rng):
+    # row 2 repeats row 1, so stream 2 has an exactly zero diagonal; like the
+    # rate schemes' zero rate, THP gives it zero power instead of failing
+    H = np.eye(3)
+    H[2] = H[1]
+    fact = lq_factor(H)
+    assert fact.degenerate.tolist() == [False, False, True]
+    cons = [qam_constellation(16)] * 3
+    data = draw_symbols(cons, rng)[0]
+    out = thp_precode(fact, data, cons)
+    assert out.transmit[2] == 0
+    assert np.allclose(out.transmit[:2], data[:2], atol=1e-12)
+    # each QPSK symbol has unit energy, so the two live streams total 2
+    assert drop_power_sample(fact, 0.1, 4, rng) == pytest.approx(2.0, abs=1e-12)
+    powers = drop_power_samples(fact, [1.0, 0.01], ["adaptive", 4, 64], seed=3, vectors=9)
+    assert np.allclose(powers[4], 2.0, atol=1e-12)
+    assert all(np.all(np.isfinite(p)) for p in powers.values())
+
+
 def test_loopback_diagonal_trivial(rng):
     cons = [qam_constellation(64)] * 3
     data = draw_symbols(cons, rng)[0]
@@ -168,6 +188,22 @@ def test_awgn_symbol_errors_decrease_with_snr(rng):
                 trials += 1
         ser[snr_db] = errors / trials
     assert 0 <= ser[16.0] < ser[6.0] < 1
+
+
+def test_draw_symbols_matches_per_stream_draws():
+    # one rng.integers call over all streams must consume the generator as a
+    # loop of per-stream calls does, up to and including the next draw
+    cons = [qam_constellation(M) for M in (4, 64, 16, 16, 4, 64, 16)]
+    for batch in (1, 7, 101):
+        gen, ref_gen = np.random.default_rng(17), np.random.default_rng(17)
+        got = draw_symbols(cons, gen, batch=batch)
+        want = np.empty((batch, len(cons)), dtype=complex)
+        for i, c in enumerate(cons):
+            want[:, i] = c.points[ref_gen.integers(c.M, size=batch)]
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(float), want.view(float))
+        assert gen.integers(1 << 62) == ref_gen.integers(1 << 62)
+        assert gen.random() == ref_gen.random()
 
 
 def test_power_cdf_degenerate_for_diagonal_qpsk(rng):
