@@ -12,6 +12,8 @@ single-branch coverage therefore integrates exp(-pi*lam*z**2
 - mu*gamma*sigma**2*z**alpha); for alpha = 2 this collapses to the harmonic
 closed form lam*pi / (lam*pi + mu*gamma*sigma**2) and for alpha = 4 to a
 scaled-erfcx form, both cross-checked against the quadrature on every call.
+The interference Laplace exponent is closed form at every alpha > 2: an
+arctan at alpha = 4 and a Gauss hypergeometric function otherwise.
 
 A two-branch curve is one nested scipy.integrate.quad_vec pass over the
 whole threshold grid rather than one nested quad per threshold.  The error
@@ -22,12 +24,11 @@ interference-averaged one about 3.5 s, against 10.6 s and 22.5 s for one
 nested quad per threshold.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
-from scipy.special import erfcx
+from scipy.special import erfcx, hyp2f1
 
 from .numerics import NumericalError
 
@@ -144,30 +145,22 @@ def tau_tic(lam, sigma_sq, mu, t, config=None, alpha=4.0, base=2.0) -> float:
     return float(val)
 
 
-def _laplace_exponent_integral(A, excl, alpha, config):
+def _laplace_exponent_integral(A, excl, alpha):
     """integral_excl^inf v*A / (A + v**alpha) dv, A = gamma * z_hazard**alpha.
 
-    A may be a vector; the generic-alpha path then runs one quad per element.
+    A may be a vector.  With b = A / excl**alpha, integrating the series in
+    A*v**(-alpha) term by term gives
+        excl**2 * b/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -b),
+    which at alpha = 4 is the arctan form kept below.
     """
     if alpha == 4.0:
         s = np.sqrt(A)
         return 0.5 * s * (np.pi / 2.0 - np.arctan(excl * excl / s))
-    if np.ndim(A):
-        return np.reshape([_laplace_exponent_integral(a, excl, alpha, config)
-                           for a in np.ravel(A)], np.shape(A))
-    # generic path: quadrature in log space up to V, analytic bound
-    # A * V**(2-alpha)/(alpha-2) added for the tail (its own error is O(A^2));
-    # plain floats and math.exp, since quad calls the integrand per point
-    A = float(A)
-    V = max(excl, (A / ((alpha - 2.0) * 1e-9)) ** (1.0 / (alpha - 2.0)))
-    val, err = quad(lambda w: A * math.exp(2.0 * w) / (A + math.exp(alpha * w)),
-                    math.log(excl), math.log(V),
-                    epsabs=1e-13, epsrel=config.rel_tol, limit=200)
-    tail = A * V ** (2.0 - alpha) / (alpha - 2.0)
-    return _check_quad(val, err, config, "laplace exponent") + tail
+    b = A / excl**alpha
+    return excl**2 * b / (alpha - 2.0) * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b)
 
 
-def laplace_ir(z, t, lam, alpha=4.0, config=None, mu=1.0, base=2.0) -> float:
+def laplace_ir(z, t, lam, alpha=4.0, mu=1.0, base=2.0) -> float:
     """Laplace transform of the interference beyond z, at s = mu*gamma*z**alpha.
 
     E[exp(-s I_r)] over PPP interferer positions (all farther than z) and
@@ -178,12 +171,11 @@ def laplace_ir(z, t, lam, alpha=4.0, config=None, mu=1.0, base=2.0) -> float:
         raise ValueError("z must be positive")
     if alpha <= 2:
         raise ValueError("alpha must exceed 2 for a finite interference field")
-    config = config or DEFAULT_CONFIG
     g = gamma_threshold(t, base)
     if g <= 0 or lam == 0:
         return 1.0
     A = g * z**alpha
-    return float(np.exp(-2.0 * np.pi * lam * _laplace_exponent_integral(A, z, alpha, config)))
+    return float(np.exp(-2.0 * np.pi * lam * _laplace_exponent_integral(A, z, alpha)))
 
 
 def hypoexp_tail(z1, z2, s, mu=1.0, alpha=4.0):
@@ -246,7 +238,7 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, config, alpha):
         # interference beyond the second-nearest BS
         out = np.exp(-c * sigma_sq * x)
         if with_interference:
-            out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha, config))
+            out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
         return out
 
     def bracket(z1, z2):

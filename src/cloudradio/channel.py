@@ -5,18 +5,25 @@ h_ij * z_ij^(-alpha/2), where row i is UE i (stream i) and column j is BS j,
 z_ij the UE-to-BS distance and h_ij a circularly-symmetric complex Gaussian
 fade with mean power 1/mu.  Nearest-BS association makes the diagonal the
 row-wise distance minimum, which is what the triangular precoder exploits.
+
+Distances come from `ue_bs_distances`, which computes only the block a caller
+asks for: the k x k cohort block in build_channel, which the channel keeps, and
+the in-cluster by out-of-cluster block of the interference draw.  A clustered
+drop slices both of its blocks from the cohort block, so no drop holds a
+UE-by-BS matrix of the whole network.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Association, ClusterSplit, Cohort
+from .geometry import Association, ClusterSplit, Cohort, point_distances
 
 __all__ = [
     "MIN_DISTANCE_KM",
     "ChannelMatrix",
     "NoiseModel",
+    "ue_bs_distances",
     "build_channel",
     "take_partial_csi",
     "inter_cluster_interference",
@@ -29,11 +36,16 @@ MIN_DISTANCE_KM = 1e-3
 
 @dataclass
 class ChannelMatrix:
-    """Faded path-loss gains for one cohort (see module docstring)."""
+    """Faded path-loss gains for one cohort (see module docstring).
+
+    distances is the clamped UE-to-BS distance block the gains were drawn
+    over, row per stream UE and column per stream BS.
+    """
 
     entries: np.ndarray
     alpha: float
     mu: float
+    distances: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -71,9 +83,22 @@ class NoiseModel:
         return -10.0 * np.log10(16.0 * lambda_b**2 * self.sigma_sq)
 
 
-def build_channel(cohort: Cohort, assoc: Association, mu, alpha, rng) -> ChannelMatrix:
+def ue_bs_distances(assoc, ue_indices, bs_indices) -> np.ndarray:
+    """Distances (km), row per UE of ue_indices and column per BS of bs_indices.
+
+    assoc is an Association, whose points give the block, or a UE-by-BS
+    distance matrix, which is indexed as given.
+    """
+    if isinstance(assoc, Association):
+        return point_distances(assoc.ue_points[ue_indices, None, :],
+                               assoc.bs_points[None, bs_indices, :])
+    return np.asarray(assoc, dtype=float)[np.ix_(ue_indices, bs_indices)]
+
+
+def build_channel(cohort: Cohort, assoc, mu, alpha, rng) -> ChannelMatrix:
     """Draw fades and assemble the cohort channel matrix.
 
+    assoc is an Association or a distance matrix (see ue_bs_distances).
     Requires alpha > 2 (interference field integrability) and mu > 0.  The
     row-wise distance dominance of the diagonal is checked exhaustively.
     """
@@ -83,14 +108,15 @@ def build_channel(cohort: Cohort, assoc: Association, mu, alpha, rng) -> Channel
         raise ValueError("path-loss exponent must exceed 2")
     if not mu > 0:
         raise ValueError("mu must be positive")
-    z = assoc.distances[np.ix_(cohort.ue_indices, cohort.bs_indices)]
-    z = np.maximum(z, MIN_DISTANCE_KM)
+    z = np.maximum(ue_bs_distances(assoc, cohort.ue_indices, cohort.bs_indices),
+                   MIN_DISTANCE_KM)
     zd = np.diag(z)
     if np.any(zd > z.min(axis=1) + 1e-12):
         raise ValueError("cohort violates nearest-BS association")
     k = cohort.k
     h = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * np.sqrt(0.5 / mu)
-    return ChannelMatrix(entries=h * z ** (-alpha / 2.0), alpha=float(alpha), mu=float(mu))
+    return ChannelMatrix(entries=h * z ** (-alpha / 2.0), alpha=float(alpha), mu=float(mu),
+                         distances=z)
 
 
 def take_partial_csi(H, l, distances=None) -> np.ndarray:
@@ -112,19 +138,21 @@ def take_partial_csi(H, l, distances=None) -> np.ndarray:
     return known
 
 
-def inter_cluster_interference(split: ClusterSplit, ue_index, assoc: Association,
-                               mu, alpha, rng) -> float:
-    """Received power at one UE from all out-of-cluster BSs, fresh fades.
+def inter_cluster_interference(split: ClusterSplit, ue_indices, assoc,
+                               mu, alpha, rng) -> np.ndarray:
+    """Received power at each UE of ue_indices from all out-of-cluster BSs.
 
     Out-of-cluster streams are not part of the cooperating channel matrix, so
-    their fades are drawn here; each carries unit transmit power.
+    their fades are drawn here, one row of fresh fades per UE in ue_indices
+    order; each stream carries unit transmit power.  assoc is an Association
+    or a distance matrix (see ue_bs_distances).
     """
     out = split.out_cluster
     if out.size == 0:
-        return 0.0
-    z = np.maximum(assoc.distances[ue_index, out], MIN_DISTANCE_KM)
-    fades = rng.exponential(1.0 / mu, size=out.size)
-    return float(np.sum(fades * z ** (-alpha)))
+        return np.zeros(len(ue_indices))
+    z = np.maximum(ue_bs_distances(assoc, ue_indices, out), MIN_DISTANCE_KM)
+    fades = rng.exponential(1.0 / mu, size=z.shape)
+    return np.sum(fades * z ** (-alpha), axis=1)
 
 
 def diagonal_dominance_fraction(H: ChannelMatrix) -> float:

@@ -3,11 +3,19 @@
 Everything here is deterministic given an explicit numpy Generator, so drops
 can run in parallel with per-drop substreams and no shared state.  Distances
 are in km throughout.
+
+No UE-by-BS distance matrix is ever built.  Association queries a k-d tree of
+the BS points for each UE's two nearest candidates and settles between them
+with the package's one distance expression, `point_distances`, so it picks
+exactly the BS a dense row argmin would.  Per-drop memory is therefore linear
+in the number of points; the channel layer computes only the cohort's k x k
+distance block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "Region",
@@ -19,6 +27,7 @@ __all__ = [
     "associate",
     "select_cohort",
     "split_cluster",
+    "point_distances",
 ]
 
 
@@ -64,20 +73,22 @@ class PointSet:
 class Association:
     """Nearest-BS association for a UE drop.
 
-    distances[u, b] is the distance (km) from UE u to BS b; primary_bs[u]
-    is the row argmin, i.e. the geographically closest BS of UE u.
+    primary_bs[u] is the geographically closest BS of UE u (the lowest BS
+    index on an exact tie); ue_points and bs_points are the drop's positions,
+    from which any distance block is computed on demand.
     """
 
     primary_bs: np.ndarray
-    distances: np.ndarray
+    ue_points: np.ndarray
+    bs_points: np.ndarray
 
     @property
     def n_ue(self):
-        return self.distances.shape[0]
+        return len(self.ue_points)
 
     @property
     def n_bs(self):
-        return self.distances.shape[1]
+        return len(self.bs_points)
 
 
 @dataclass
@@ -118,15 +129,31 @@ def sample_ppp(intensity, region: Region, rng) -> PointSet:
     return PointSet(points=pts, intensity=float(intensity))
 
 
+def point_distances(a, b) -> np.ndarray:
+    """Distances (km) between points a and b, broadcast over leading axes.
+
+    The last axis holds (x, y).  Every UE-to-BS distance of the package comes
+    from this one expression, so association and channel agree to the bit.
+    """
+    return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+
+
 def associate(bs: PointSet, ue: PointSet) -> Association:
-    """Full UE-to-BS distance matrix plus the nearest-BS index per UE."""
+    """Nearest BS of every UE, by a k-d tree query of its two best candidates.
+
+    The tree's own metric may differ from `point_distances` in the last bit,
+    so the two candidates are compared again with it, lowest BS index first:
+    the result equals the row argmin of the full distance matrix.
+    """
     if len(bs) == 0:
         raise ValueError("cannot associate against an empty BS set")
     if len(ue) == 0:
         raise ValueError("cannot associate an empty UE set")
-    diff = ue.points[:, None, :] - bs.points[None, :, :]
-    distances = np.hypot(diff[..., 0], diff[..., 1])
-    return Association(primary_bs=np.argmin(distances, axis=1), distances=distances)
+    _, cand = cKDTree(bs.points).query(ue.points, k=min(2, len(bs)))
+    cand = np.sort(cand.reshape(len(ue), -1), axis=1)
+    d = point_distances(ue.points[:, None, :], bs.points[cand])
+    primary = cand[np.arange(len(ue)), np.argmin(d, axis=1)]
+    return Association(primary_bs=primary, ue_points=ue.points, bs_points=bs.points)
 
 
 def select_cohort(assoc: Association, rng) -> Cohort:
@@ -134,15 +161,16 @@ def select_cohort(assoc: Association, rng) -> Cohort:
 
     BSs with no associated UE are skipped for the round, so k equals the
     number of occupied BSs.  BS order (hence stream order) is BS index order.
+    The draws are one `rng.integers` call over the occupied BSs' UE counts,
+    which consumes the stream as one scalar draw per occupied BS would.
     """
-    bs_sel, ue_sel = [], []
-    for b in range(assoc.n_bs):
-        mine = np.flatnonzero(assoc.primary_bs == b)
-        if mine.size:
-            bs_sel.append(b)
-            ue_sel.append(mine[rng.integers(mine.size)])
-    return Cohort(bs_indices=np.asarray(bs_sel, dtype=np.intp),
-                  ue_indices=np.asarray(ue_sel, dtype=np.intp))
+    counts = np.bincount(assoc.primary_bs, minlength=assoc.n_bs)
+    occupied = np.flatnonzero(counts)
+    picks = rng.integers(counts[occupied])
+    # UEs grouped by BS, ascending UE index within a group
+    by_bs = np.argsort(assoc.primary_bs, kind="stable")
+    first = np.cumsum(counts) - counts
+    return Cohort(bs_indices=occupied, ue_indices=by_bs[first[occupied] + picks])
 
 
 def split_cluster(bs: PointSet, center, radius) -> ClusterSplit:

@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from . import analytic, precoding, thp
 from .analytic import DEFAULT_CONFIG as _QUAD_DEFAULTS
 from .channel import (ChannelMatrix, NoiseModel, build_channel, inter_cluster_interference,
                       take_partial_csi)
-from .geometry import (Cohort, ClusterSplit, PointSet, Region, associate, sample_ppp,
-                       select_cohort, split_cluster)
+from .geometry import (Cohort, PointSet, Region, associate, sample_ppp, select_cohort,
+                       split_cluster)
 from .numerics import blas_threads, lq_factor
 from .stats import build_cdf, gain_percent
 
@@ -293,7 +294,7 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
         H.to_csv(f"{stem}_H.csv")
     cluster = None
     if any(s.startswith("clustered") for s in config.schemes):
-        cluster = _cluster_channel(config, region, bs, assoc, cohort, rng)
+        cluster = _cluster_channel(config, region, bs, cohort, H, rng)
 
     snrs = config.snr_list
     sigma_sq = np.array([NoiseModel.from_snr_db(snr).sigma_sq for snr in snrs])
@@ -303,20 +304,20 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
             for s, rates in per_scheme.items() if rates is not None}
 
 
-def _cluster_channel(config, region, bs, assoc, cohort, rng):
-    """(H_in, i_r) of the cohort streams inside the cluster disc; None if it has none."""
+def _cluster_channel(config, region, bs, cohort, H, rng):
+    """(H_in, i_r) of the cohort streams inside the cluster disc; None if it has none.
+
+    Stream i of the cohort is row and column i of H.distances, so the split of
+    the cohort's BSs indexes both blocks this needs straight from it.
+    """
     cohort_bs = PointSet(bs.points[cohort.bs_indices], config.lambda_b)
     local = split_cluster(cohort_bs, region.center, config.cluster_radius_km)
-    if not local.in_cluster.size:
+    inside = local.in_cluster
+    if not inside.size:
         return None
-    # indices back into assoc columns / cohort streams
-    split = ClusterSplit(in_cluster=cohort.bs_indices[local.in_cluster],
-                         out_cluster=cohort.bs_indices[local.out_cluster],
-                         radius=local.radius)
-    sub = Cohort(bs_indices=split.in_cluster, ue_indices=cohort.ue_indices[local.in_cluster])
-    H_in = build_channel(sub, assoc, config.mu, config.alpha, rng)
-    i_r = np.array([inter_cluster_interference(split, u, assoc, config.mu, config.alpha, rng)
-                    for u in sub.ue_indices])
+    H_in = build_channel(Cohort(bs_indices=inside, ue_indices=inside), H.distances,
+                         config.mu, config.alpha, rng)
+    i_r = inter_cluster_interference(local, inside, H.distances, config.mu, config.alpha, rng)
     return H_in, i_r
 
 
@@ -387,6 +388,8 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
     debug/.  with_crossval additionally runs the analytic comparison for any
     scheme that has one and attaches the sup gaps to the report.
     """
+    if workers < 1:
+        raise ConfigError("workers: must be at least 1")
     _require_valid(config)
     if with_crossval:
         _crossval_schemes(config)
@@ -458,11 +461,14 @@ def _snr_key(snr):
 
 
 def _write_rates_csv(path, chunks):
-    lines = ["drop_id,stream,rate"]
+    # one %-format call per drop formats all its rows; %.12g and f"{r:.12g}"
+    # print a float the same way
+    parts = ["drop_id,stream,rate\n"]
     for drop_id, rates in chunks:
-        for stream, r in enumerate(rates):
-            lines.append(f"{drop_id},{stream},{r:.12g}")
-    path.write_text("\n".join(lines) + "\n")
+        n = len(rates)
+        cells = chain.from_iterable(zip(range(n), rates.tolist()))
+        parts.append((f"{drop_id},%d,%.12g\n" * n) % tuple(cells))
+    path.write_text("".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,13 +74,38 @@ def test_laplace_trivial_cases():
     assert 0.0 < val < 1.0
 
 
+def laplace_exponent_quad(A, excl, alpha):
+    """Reference Laplace exponent: log-space quad up to V plus the tail bound.
+
+    The tail beyond V is A * V**(2-alpha)/(alpha-2), with its own error O(A^2).
+    """
+    config = QuadratureConfig()
+    V = max(excl, (A / ((alpha - 2.0) * 1e-9)) ** (1.0 / (alpha - 2.0)))
+    val, err = quad(lambda w: A * math.exp(2.0 * w) / (A + math.exp(alpha * w)),
+                    math.log(excl), math.log(V),
+                    epsabs=1e-13, epsrel=config.rel_tol, limit=200)
+    tail = A * V ** (2.0 - alpha) / (alpha - 2.0)
+    return _check_quad(val, err, config, "laplace exponent") + tail
+
+
 def test_laplace_alpha4_closed_form_vs_quadrature():
-    # generic-alpha path at alpha exactly 4 must agree with the arctan form
-    cfg = QuadratureConfig()
+    # the hypergeometric form next to alpha = 4 must reduce to the arctan form
     for A, excl in [(1.0, 1.0), (5.0, 2.0), (0.3, 0.5)]:
-        closed = _laplace_exponent_integral(A, excl, 4.0, cfg)
-        generic = _laplace_exponent_integral(A, excl, 4.0 + 1e-12, cfg)
-        assert closed == pytest.approx(generic, rel=1e-6)
+        closed = _laplace_exponent_integral(A, excl, 4.0)
+        generic = _laplace_exponent_integral(A, excl, 4.0 + 1e-12)
+        assert closed == pytest.approx(generic, rel=1e-10)
+        assert closed == pytest.approx(laplace_exponent_quad(A, excl, 4.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 5.0, 6.0])
+def test_laplace_generic_alpha_closed_form_vs_quadrature(alpha):
+    # the hypergeometric form, one vector call, against one quad per element
+    A = np.logspace(-6.0, 6.0, 25)
+    for excl in (0.05, 1.0, 3.0):
+        closed = _laplace_exponent_integral(A, excl, alpha)
+        ref = np.array([laplace_exponent_quad(a, excl, alpha) for a in A])
+        assert closed.shape == A.shape
+        assert np.max(np.abs(closed / ref - 1.0)) < 1e-6
 
 
 def test_laplace_monte_carlo_oracle(rng):
@@ -196,7 +223,7 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0,
     def F(x, excl):
         out = np.exp(-c * sigma_sq * x)
         if with_interference:
-            out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha, config))
+            out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
         return out
 
     def bracket(z1, z2):
@@ -223,7 +250,7 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0,
     (4.0, False, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0)),
     (4.0, True, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0)),
     (3.0, False, (0.5, 1.5, 3.0, 4.5, 6.0)),
-    (3.0, True, (0.2, 0.4, 0.6, 0.8, 1.0)),  # generic Laplace path: one quad per element
+    (3.0, True, (0.2, 0.4, 0.6, 0.8, 1.0)),  # generic-alpha Laplace exponent
 ])
 def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, thresholds):
     grid = np.array(thresholds)

@@ -4,6 +4,23 @@ from scipy.stats import chi2
 
 from cloudradio import (PointSet, Region, associate, sample_ppp, select_cohort,
                         split_cluster)
+from cloudradio.geometry import point_distances
+
+
+def dense_distances(assoc):
+    """The full UE-by-BS distance matrix that association no longer builds."""
+    return point_distances(assoc.ue_points[:, None, :], assoc.bs_points[None, :, :])
+
+
+def cohort_per_bs_loop(assoc, rng):
+    """Reference cohort: one scalar draw per occupied BS, in BS order."""
+    bs_sel, ue_sel = [], []
+    for b in range(assoc.n_bs):
+        mine = np.flatnonzero(assoc.primary_bs == b)
+        if mine.size:
+            bs_sel.append(b)
+            ue_sel.append(mine[rng.integers(mine.size)])
+    return np.asarray(bs_sel, dtype=np.intp), np.asarray(ue_sel, dtype=np.intp)
 
 
 def test_region_validation():
@@ -80,7 +97,7 @@ def test_associate_single_candidate():
     bs = PointSet(np.array([[0.0, 0.0]]), 1.0)
     ue = PointSet(np.array([[3.0, 4.0]]), 1.0)
     assoc = associate(bs, ue)
-    assert assoc.distances[0, 0] == pytest.approx(5.0)
+    assert dense_distances(assoc)[0, 0] == pytest.approx(5.0)
     assert assoc.primary_bs[0] == 0
 
 
@@ -101,8 +118,55 @@ def test_associate_empty_sets_rejected():
 
 def test_associate_primary_is_row_argmin(drop):
     _, _, assoc, _, _ = drop
+    d = dense_distances(assoc)
     for u in range(assoc.n_ue):
-        assert assoc.distances[u, assoc.primary_bs[u]] <= assoc.distances[u].min() + 1e-12
+        assert d[u, assoc.primary_bs[u]] <= d[u].min() + 1e-12
+
+
+@pytest.mark.parametrize("lambda_b", [0.02, 0.3, 2.0])
+def test_associate_tree_matches_dense_argmin(lambda_b):
+    rng = np.random.default_rng(int(lambda_b * 100))
+    region = Region(6.0, 4.0)
+    for _ in range(40):
+        bs = sample_ppp(lambda_b, region, rng)
+        ue = sample_ppp(3.0, region, rng)
+        if len(bs) and len(ue):
+            assoc = associate(bs, ue)
+            assert np.array_equal(assoc.primary_bs, np.argmin(dense_distances(assoc), axis=1))
+
+
+@pytest.mark.parametrize("bs_points, expected", [
+    ([[0.0, 0.0], [2.0, 0.0]], 0),
+    ([[2.0, 0.0], [0.0, 0.0]], 0),
+    ([[4.0, 4.0], [0.0, 0.0], [2.0, 0.0], [1.0, 3.0]], 1),
+    ([[1.0, 1.0], [1.0, -1.0], [9.0, 9.0]], 0),
+])
+def test_associate_exact_tie_picks_lowest_index(bs_points, expected):
+    # the UE at (1, 0) is exactly equidistant from its two nearest BSs
+    bs = PointSet(np.array(bs_points), 1.0)
+    ue = PointSet(np.array([[1.0, 0.0]]), 1.0)
+    assoc = associate(bs, ue)
+    assert assoc.primary_bs[0] == expected
+    assert assoc.primary_bs[0] == np.argmin(dense_distances(assoc)[0])
+
+
+@pytest.mark.parametrize("lambda_u", [0.3, 3.0])
+def test_select_cohort_matches_per_bs_loop(lambda_u):
+    geo = np.random.default_rng(17)
+    for trial in range(30):
+        bs = sample_ppp(0.3, Region(10.0, 10.0), geo)
+        ue = sample_ppp(lambda_u, Region(10.0, 10.0), geo)
+        if not (len(bs) and len(ue)):
+            continue
+        assoc = associate(bs, ue)
+        fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+        cohort = select_cohort(assoc, fast)
+        bs_sel, ue_sel = cohort_per_bs_loop(assoc, slow)
+        assert np.array_equal(cohort.bs_indices, bs_sel)
+        assert np.array_equal(cohort.ue_indices, ue_sel)
+        # the generator is left where the loop leaves it
+        assert fast.integers(1 << 40) == slow.integers(1 << 40)
+        assert fast.random() == slow.random()
 
 
 def test_cohort_forced_matching():

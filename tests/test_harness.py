@@ -121,6 +121,40 @@ def test_run_identical_bytes_and_worker_invariance(tmp_path):
     assert r1.summaries == r3.summaries
 
 
+def write_rates_csv_per_element(path, chunks):
+    """Reference writer: one f-string per numpy scalar."""
+    lines = ["drop_id,stream,rate"]
+    for drop_id, rates in chunks:
+        for stream, r in enumerate(rates):
+            lines.append(f"{drop_id},{stream},{r:.12g}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_write_rates_csv_matches_per_element_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    chunks = [
+        (0, np.array([0.0, 1e-300, 1e17, 1.0 / 3.0, -0.0, 5e-324, 2.5, 1e-5, 123456.789012345])),
+        (3, np.array([])),
+        (12, rng.exponential(3.0, 200)),
+        (1000, np.array([1.7976931348623157e308, 4.0])),
+    ]
+    harness._write_rates_csv(tmp_path / "fast.csv", chunks)
+    write_rates_csv_per_element(tmp_path / "slow.csv", chunks)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_run_rejects_workers_below_one(tmp_path, monkeypatch, capsys, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert main(["run", "--schemes", "tic", "--drops", "2", "--workers", workers,
+                 "--output-dir", str(tmp_path)]) == 2
+    assert "config error: workers: must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_report_contents(tmp_path):
     cfg = ExperimentConfig(**TINY)
     report = run(cfg, name="r", output_dir=tmp_path)
