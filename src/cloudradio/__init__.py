@@ -6,8 +6,8 @@ clustering, Tomlinson-Harashima precoding) and cross-validates the Monte
 Carlo rate statistics against analytic coverage integrals.
 """
 
-from .analytic import (CoverageCurve, QuadratureConfig, coverage_to_cdf, gamma_threshold,
-                       laplace_ir, tau_smf2, tau_smf2_curve, tau_tic, tau_tic_curve)
+from .analytic import (CoverageCurve, QuadratureConfig, gamma_threshold, laplace_ir, tau_smf2,
+                       tau_smf2_curve, tau_tic, tau_tic_curve)
 from .channel import (ChannelMatrix, NoiseModel, build_channel, inter_cluster_interference,
                       take_partial_csi)
 from .geometry import (Association, Cohort, ClusterSplit, PointSet, Region, associate,

@@ -15,19 +15,23 @@ scaled-erfcx form, both cross-checked against the quadrature on every call.
 The interference Laplace exponent is closed form at every alpha > 2: an
 arctan at alpha = 4 and a Gauss hypergeometric function otherwise.
 
-A two-branch curve is one nested scipy.integrate.quad_vec pass over the
-whole threshold grid rather than one nested quad per threshold.  The error
-gate stays per threshold: each threshold's error estimate must be within
-max(rel_tol*|value|, 1e-13) of its own double integral, or NumericalError is
-raised.  On 2 vCPUs a 241-point smf2 curve at 10 dB takes about 2.4 s and the
-interference-averaged one about 3.5 s, against 10.6 s and 22.5 s for one
-nested quad per threshold.
+A two-branch curve is one scipy.integrate.quad_vec pass over the nearest
+distance z1 for the whole threshold grid, rather than one nested quad per
+threshold.  The inner integral over the second-nearest distance z2 is a pair
+of fixed Gauss-Legendre rules in ln(z2/z1), evaluated at each outer node as
+one array over (nodes x thresholds).  The error gate stays per threshold:
+each threshold's outer error estimate plus the difference of the two inner
+rules must be within max(rel_tol*|value|, 1e-13) of its own double integral,
+or NumericalError is raised.  On 2 vCPUs a 241-point smf2 curve at 10 dB
+takes about 0.11 s and the interference-averaged one about 0.5 s, against
+1.4 s and 1.8 s with an adaptive inner quad_vec at every outer node.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
+from scipy.linalg import block_diag
 from scipy.special import erfcx, hyp2f1
 
 from .numerics import NumericalError
@@ -39,8 +43,6 @@ __all__ = [
     "tau_tic",
     "laplace_ir",
     "tau_smf2",
-    "coverage_to_cdf",
-    "hypoexp_tail",
 ]
 
 
@@ -67,31 +69,28 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
+# Gauss-Legendre node counts (low, high) of the smf2 inner integral; their
+# difference is the inner error estimate the per-threshold gate adds
+INNER_RULE_NODES = (32, 64)
+
 
 @dataclass
 class CoverageCurve:
     """tau(t) on a threshold grid, with the parameters that produced it.
 
-    increasing=True marks a complemented curve (a rate CDF), which must be
-    monotone the other way.
+    Coverage must lie in [0, 1] and not increase with the threshold.
     """
 
     thresholds: np.ndarray
     coverage: np.ndarray
     params: dict = field(default_factory=dict)
-    increasing: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coverage)
         if np.any(c < -1e-12) or np.any(c > 1 + 1e-12):
             raise ValueError("coverage values must lie in [0, 1]")
-        slope = np.diff(c) if self.increasing else -np.diff(c)
-        if np.any(slope < -1e-9):
-            raise ValueError("curve violates its monotonicity direction")
-
-    def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.thresholds, self.coverage]),
-                   fmt="%.9g", delimiter=",", header="t,coverage", comments="")
+        if np.any(np.diff(c) > 1e-9):
+            raise ValueError("coverage must not increase with the threshold")
 
 
 def gamma_threshold(t, base=2.0):
@@ -178,21 +177,6 @@ def laplace_ir(z, t, lam, alpha=4.0, mu=1.0, base=2.0) -> float:
     return float(np.exp(-2.0 * np.pi * lam * _laplace_exponent_integral(A, z, alpha)))
 
 
-def hypoexp_tail(z1, z2, s, mu=1.0, alpha=4.0):
-    """P[|h1|^2 z1^-alpha + |h2|^2 z2^-alpha > s] for exponential fade powers.
-
-    The two-branch combined power is hypoexponential; at z1 = z2 the
-    two-exponential form has a removable singularity and the Erlang tail
-    (1 + mu x s) e^(-mu x s) is used instead.
-    """
-    x1 = z1**alpha
-    x2 = z2**alpha
-    if abs(x2 - x1) < 1e-6 * max(x1, x2):
-        x = 0.5 * (x1 + x2)
-        return (1.0 + mu * x * s) * np.exp(-mu * x * s)
-    return (x2 * np.exp(-mu * x1 * s) - x1 * np.exp(-mu * x2 * s)) / (x2 - x1)
-
-
 def tau_smf2(lam, sigma_sq, mu, t, with_interference=False, config=None,
              alpha=4.0, base=2.0) -> float:
     """Coverage for two-branch matched-filter combining of the nearest BSs.
@@ -208,7 +192,7 @@ def tau_smf2(lam, sigma_sq, mu, t, with_interference=False, config=None,
 
 
 def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, config, alpha):
-    """tau_smf2 at every SINR threshold of the vector g in one nested quad_vec.
+    """tau_smf2 at every SINR threshold of the vector g in one quad_vec pass.
 
     Thresholds g <= 0 are covered with probability 1.  Each live threshold's
     double integral I = tau / (2*pi*lam)**2 must have an error estimate of at
@@ -217,7 +201,16 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, config, alpha):
     real pass integrates the integrand over scale = max(|coarse|,
     1e-13/rel_tol), which is each threshold's tolerance over rel_tol.  The
     max-norm error of that rescaled vector times each scale bounds each
-    threshold's own error.
+    threshold's own outer error.
+
+    The inner integral over z2 in [z1, zmax] is a fixed Gauss-Legendre rule
+    in v = ln(z2/z1), whose Jacobian is z2.  The log variable resolves both
+    the divided-difference bump next to z1, about z1 wide, and the broad PPP
+    and Laplace factor, about (pi*lam)**-0.5 wide.  Both rules of
+    INNER_RULE_NODES are evaluated on every outer node as one array over
+    (nodes x thresholds) and carried through the outer pass as one vector;
+    the higher-order value is reported, and |I_high - I_low| is added to the
+    outer error estimate before the gate.
     """
     if lam <= 0 or sigma_sq <= 0 or mu <= 0:
         raise ValueError("parameters must be positive")
@@ -231,48 +224,55 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, config, alpha):
     c = mu * g  # fade-rate scale: exponent arguments are c * z**alpha * (...)
     zmax = config.trunc_radius(lam)
     two_pi_lam = 2.0 * np.pi * lam
+    # the inner rules on [0, 1]: one node column, one weight row per rule
+    low, high = (np.polynomial.legendre.leggauss(n) for n in INNER_RULE_NODES)
+    nodes = 0.5 * (np.concatenate([high[0], low[0]]) + 1.0)[:, None]
+    weights = 0.5 * block_diag(high[1], low[1])
 
     def F(x, excl):
-        # per-branch factor for a column of x values, one row each: noise
-        # exponential times (optionally) the Laplace average over
-        # interference beyond the second-nearest BS
+        # per-branch factor, a row per row of the x or excl column and a
+        # column per threshold: noise exponential times (optionally) the
+        # Laplace average over interference beyond the second-nearest BS
         out = np.exp(-c * sigma_sq * x)
         if with_interference:
-            out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
+            out = out * np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
         return out
 
     def bracket(z1, z2):
+        # z2 is a column; rows with x2 next to x1 take the removable-singularity
+        # limit F(x) - x F'(x) by a central difference
         x1 = z1**alpha
         x2 = z2**alpha
-        if abs(x2 - x1) < 1e-6 * x2:
-            # removable singularity: limit F(x) - x F'(x), central difference
-            x = 0.5 * (x1 + x2)
+        near = (x2 - x1 < 1e-6 * x2)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (x2 * F(x1, z2) - x1 * F(x2, z2)) / (x2 - x1)
+        if near.any():
+            x = 0.5 * (x1 + x2[near])
             h = 1e-5 * x
-            below, at, above = F(np.array([[x - h], [x], [x + h]]), z2)
-            return at - x * ((above - below) / (2.0 * h))
-        f1, f2 = F(np.array([[x1], [x2]]), z2)
-        return (x2 * f1 - x1 * f2) / (x2 - x1)
+            e = z2[near]
+            out[near] = F(x, e) - x * ((F(x + h, e) - F(x - h, e)) / (2.0 * h))
+        return out
+
+    def inner(z1, scale):
+        # both rules' integrals over z2 in [z1, zmax], high order first
+        L = np.log(zmax / z1)
+        z2 = z1 * np.exp(L * nodes)
+        f = z2 * z2 * np.exp(-q * z2 * z2) * bracket(z1, z2)
+        return (L * (weights @ f) / scale).ravel()
 
     def integral(scale, epsrel):
-        # inner errors ride on the same epsrel; the outer error is the gate
-        def inner(z1):
-            return quad_vec(lambda z2: z2 * np.exp(-q * z2 * z2) * bracket(z1, z2) / scale,
-                            z1, zmax, epsrel=epsrel, norm="max", limit=200)[0]
-        return quad_vec(lambda z1: z1 * inner(z1), 0.0, zmax,
+        return quad_vec(lambda z1: z1 * inner(z1, scale), 0.0, zmax,
                         epsrel=epsrel, norm="max", limit=200)
 
+    m = g.size
     coarse, _ = integral(1.0, 1e-3)
-    scale = np.maximum(np.abs(coarse), 1e-13 / config.rel_tol)
+    scale = np.maximum(np.abs(coarse[:m]), 1e-13 / config.rel_tol)
     val, err = integral(scale, config.rel_tol)
-    val = _check_quad(val * scale, err * scale, config, "tau_smf2") * two_pi_lam**2
+    val_high, val_low = val[:m] * scale, val[m:] * scale
+    err = err * scale + np.abs(val_high - val_low)
+    val = _check_quad(val_high, err, config, "tau_smf2") * two_pi_lam**2
     cov[live] = np.clip(val, 0.0, 1.0)
     return cov
-
-
-def coverage_to_cdf(curve: CoverageCurve) -> CoverageCurve:
-    """Pointwise complement: rate CDF(t) = 1 - tau(t)."""
-    return CoverageCurve(curve.thresholds, 1.0 - np.asarray(curve.coverage),
-                         dict(curve.params, kind="cdf"), increasing=True)
 
 
 def tau_tic_curve(lam, sigma_sq, mu, thresholds, config=None, alpha=4.0, base=2.0):

@@ -78,10 +78,6 @@ class NoiseModel:
     def from_snr_db(cls, snr_db) -> "NoiseModel":
         return cls(sigma_sq=10.0 ** (-snr_db / 10.0), snr_db=float(snr_db))
 
-    def network_average_snr_db(self, lambda_b) -> float:
-        # diagnostic only: average SNR of the PPP framework, 1/(16 lam^2 sigma^2)
-        return -10.0 * np.log10(16.0 * lambda_b**2 * self.sigma_sq)
-
 
 def ue_bs_distances(assoc, ue_indices, bs_indices) -> np.ndarray:
     """Distances (km), row per UE of ue_indices and column per BS of bs_indices.
@@ -119,19 +115,17 @@ def build_channel(cohort: Cohort, assoc, mu, alpha, rng) -> ChannelMatrix:
                          distances=z)
 
 
-def take_partial_csi(H, l, distances=None) -> np.ndarray:
+def take_partial_csi(H, l) -> np.ndarray:
     """H as an array with the l best entries per row kept and the rest zeroed.
 
-    "Best" is largest instantaneous magnitude by default; pass the cohort
-    distance matrix to select the l nearest BSs per row instead (sensitivity
-    studies only).  Accepts a ChannelMatrix or a plain array.
+    "Best" is largest instantaneous magnitude.  Accepts a ChannelMatrix or a
+    plain array.
     """
     entries = getattr(H, "entries", H)
     k = entries.shape[0]
     if not 1 <= l <= k:
         raise ValueError(f"CSI budget l={l} outside 1..{k}")
-    score = -distances if distances is not None else np.abs(entries)
-    keep = np.argsort(-score, axis=1, kind="stable")[:, :l]
+    keep = np.argsort(-np.abs(entries), axis=1, kind="stable")[:, :l]
     known = np.zeros_like(entries)
     rows = np.repeat(np.arange(k), l)
     known[rows, keep.ravel()] = entries[rows, keep.ravel()]

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cloudradio import (CoverageCurve, NumericalError, QuadratureConfig, analytic,
-                        coverage_to_cdf, gamma_threshold, laplace_ir, tau_smf2, tau_smf2_curve,
-                        tau_tic, tau_tic_curve)
-from cloudradio.analytic import _check_quad, _laplace_exponent_integral, hypoexp_tail
+                        gamma_threshold, laplace_ir, tau_smf2, tau_smf2_curve, tau_tic,
+                        tau_tic_curve)
+from cloudradio.analytic import _check_quad, _laplace_exponent_integral
 
 
 def test_quadrature_config_invariants():
@@ -126,25 +126,6 @@ def test_laplace_monte_carlo_oracle(rng):
     assert laplace_ir(z, 1.0, lam) == pytest.approx(mc, rel=0.01)
 
 
-def test_hypoexp_tail_limit_against_series():
-    # z2 -> z1: the closed form must approach the Erlang tail (1 + mu x s)e^(-mu x s)
-    z, s, mu = 1.3, 0.7, 1.0
-    x = z**4
-    erlang = (1.0 + mu * x * s) * np.exp(-mu * x * s)
-    assert hypoexp_tail(z, z * (1.0 + 1e-9), s) == pytest.approx(erlang, rel=1e-7)
-    # two-term series in eps = x2 - x1 for moderate separation:
-    # G = Erlang(x) - (eps/2) x (mu s)^2 e^(-mu x s) + O(eps^2)
-    eps = 1e-3 * x
-    series = erlang - 0.5 * eps * (mu * s) ** 2 * x * np.exp(-mu * x * s)
-    assert hypoexp_tail(z, (x + eps) ** 0.25, s) == pytest.approx(series, rel=1e-4)
-
-
-def test_hypoexp_tail_is_probability():
-    for z1, z2, s in [(0.5, 1.0, 0.2), (1.0, 3.0, 1.5), (2.0, 2.00001, 0.4)]:
-        p = hypoexp_tail(z1, z2, s)
-        assert 0.0 <= p <= 1.0
-
-
 def test_tau_smf2_zero_threshold():
     assert tau_smf2(0.3, 0.1, 1.0, 0.0) == 1.0
 
@@ -178,19 +159,6 @@ def test_coverage_curve_validation():
         CoverageCurve(np.array([0.0]), np.array([1.5]))
 
 
-def test_coverage_to_cdf_complement():
-    curve = CoverageCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.8458, 0.2]))
-    cdf = coverage_to_cdf(curve)
-    assert cdf.increasing
-    assert cdf.coverage[1] == pytest.approx(0.1542)
-    assert np.all(np.diff(cdf.coverage) >= 0)
-
-
-def test_coverage_to_cdf_trivial():
-    curve = CoverageCurve(np.array([0.0, 5.0]), np.array([1.0, 1.0]))
-    assert np.all(coverage_to_cdf(curve).coverage == 0.0)
-
-
 @settings(max_examples=25, deadline=None)
 @given(t=st.floats(0.0, 6.0))
 def test_tau_tic_curve_values_in_range(t):
@@ -198,15 +166,11 @@ def test_tau_tic_curve_values_in_range(t):
     assert 0.0 <= v <= 1.0
 
 
-def test_curve_builders_and_csv(tmp_path):
+def test_curve_builders_and_csv():
     grid = np.linspace(0.0, 4.0, 9)
     tic = tau_tic_curve(0.3, 0.1, 1.0, grid)
     smf = tau_smf2_curve(0.3, 0.1, 1.0, grid)
     assert np.all(smf.coverage >= tic.coverage)
-    path = tmp_path / "curve.csv"
-    tic.to_csv(path)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(back[:, 1], tic.coverage)
 
 
 def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0, base=2.0):
@@ -246,16 +210,25 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0,
     return float(np.clip(val, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("alpha, with_interference, thresholds", [
-    (4.0, False, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0)),
-    (4.0, True, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0)),
-    (3.0, False, (0.5, 1.5, 3.0, 4.5, 6.0)),
-    (3.0, True, (0.2, 0.4, 0.6, 0.8, 1.0)),  # generic-alpha Laplace exponent
+@pytest.mark.parametrize("alpha, with_interference, lam, sigma_sq, thresholds", [
+    pytest.param(4.0, False, 0.3, 0.1, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0), id="4.0-False-thresholds0"),
+    pytest.param(4.0, True, 0.3, 0.1, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0), id="4.0-True-thresholds1"),
+    pytest.param(3.0, False, 0.3, 0.1, (0.5, 1.5, 3.0, 4.5, 6.0), id="3.0-False-thresholds2"),
+    # generic-alpha Laplace exponent
+    pytest.param(3.0, True, 0.3, 0.1, (0.2, 0.4, 0.6, 0.8, 1.0), id="3.0-True-thresholds3"),
+    pytest.param(5.0, False, 0.3, 0.1, (0.5, 1.5, 3.0, 4.5, 6.0), id="5.0-False"),
+    pytest.param(5.0, True, 0.3, 0.1, (0.5, 1.5, 3.0), id="5.0-True"),
+    pytest.param(4.0, False, 0.1, 10**0.6, (0.2, 0.5, 1.0, 2.0), id="lam0.1-minus6dB"),
+    pytest.param(4.0, True, 0.3, 1e-3, (0.5, 2.0, 5.0, 8.0), id="lam0.3-30dB-True"),
+    # the top of the crossval grid at 10 dB (it reaches t = 27.8), coverage ~1e-4
+    pytest.param(4.0, False, 0.3, 0.1, (20.0, 27.0), id="tail-False"),
+    pytest.param(4.0, True, 0.3, 0.1, (20.0, 27.0), id="tail-True"),
 ])
-def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, thresholds):
+def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, lam, sigma_sq,
+                                                   thresholds):
     grid = np.array(thresholds)
-    curve = tau_smf2_curve(0.3, 0.1, 1.0, grid, with_interference, alpha=alpha)
-    ref = [smf2_per_threshold(0.3, 0.1, 1.0, t, with_interference, alpha) for t in grid]
+    curve = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference, alpha=alpha)
+    ref = [smf2_per_threshold(lam, sigma_sq, 1.0, t, with_interference, alpha) for t in grid]
     assert np.max(np.abs(curve.coverage - ref)) < 1e-8
     assert np.all(curve.coverage[grid == 0.0] == 1.0)
 
@@ -276,6 +249,16 @@ def test_tau_smf2_curve_raises_on_over_tolerance_error(monkeypatch):
         return val, max(err, 1e-3)
 
     monkeypatch.setattr(analytic, "quad_vec", over_tolerance)
+    with pytest.raises(NumericalError):
+        tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
+    with pytest.raises(NumericalError):
+        tau_smf2(0.3, 0.1, 1.0, 2.0, with_interference=True)
+
+
+def test_tau_smf2_curve_gates_inner_rule_error(monkeypatch):
+    # a 4-node low-order rule leaves |I_high - I_low| far above the tolerance;
+    # the outer quad_vec error alone would pass
+    monkeypatch.setattr(analytic, "INNER_RULE_NODES", (4, 64))
     with pytest.raises(NumericalError):
         tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
     with pytest.raises(NumericalError):

@@ -116,17 +116,6 @@ def test_partial_csi_zero_pattern_matches_sort_oracle(rng):
     assert np.count_nonzero(known) == k * l
 
 
-def test_partial_csi_distance_based_selection(rng):
-    k = 4
-    i, j = np.indices((k, k))
-    z = 1.0 + np.abs(i - j) + 0.01 * j
-    H = build_channel(_cohort(k), z, 1.0, 4.0, rng)
-    known = take_partial_csi(H, 2, distances=z)
-    for i in range(k):
-        nearest_two = set(np.argsort(z[i])[:2].tolist())
-        assert set(np.flatnonzero(known[i]).tolist()) == nearest_two
-
-
 def test_partial_csi_budget_range(drop):
     *_, H = drop
     with pytest.raises(ValueError):
@@ -211,8 +200,6 @@ def test_noise_model():
     assert NoiseModel.from_snr_db(0.0).sigma_sq == pytest.approx(1.0)
     with pytest.raises(ValueError):
         NoiseModel(sigma_sq=0.0, snr_db=np.inf)
-    # network-average diagnostic: 1/(16 lam^2 sigma^2) in dB
-    assert n.network_average_snr_db(0.25) == pytest.approx(10.0)
 
 
 def test_channel_csv_shape(tmp_path, drop):
