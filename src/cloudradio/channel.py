@@ -43,8 +43,6 @@ class ChannelMatrix:
     """
 
     entries: np.ndarray
-    alpha: float
-    mu: float
     distances: np.ndarray | None = None
 
     @property
@@ -64,11 +62,11 @@ class ChannelMatrix:
 class NoiseModel:
     """Per-stream AWGN power under unit transmit power.
 
-    sigma_sq = 10^(-snr_db/10), i.e. snr_db is the transmitter SNR 1/sigma^2.
+    from_snr_db gives sigma_sq = 10^(-snr_db/10), i.e. snr_db is the
+    transmitter SNR 1/sigma^2.
     """
 
     sigma_sq: float
-    snr_db: float
 
     def __post_init__(self):
         if self.sigma_sq <= 0:
@@ -76,7 +74,7 @@ class NoiseModel:
 
     @classmethod
     def from_snr_db(cls, snr_db) -> "NoiseModel":
-        return cls(sigma_sq=10.0 ** (-snr_db / 10.0), snr_db=float(snr_db))
+        return cls(sigma_sq=10.0 ** (-snr_db / 10.0))
 
 
 def ue_bs_distances(assoc, ue_indices, bs_indices) -> np.ndarray:
@@ -111,8 +109,7 @@ def build_channel(cohort: Cohort, assoc, mu, alpha, rng) -> ChannelMatrix:
         raise ValueError("cohort violates nearest-BS association")
     k = cohort.k
     h = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * np.sqrt(0.5 / mu)
-    return ChannelMatrix(entries=h * z ** (-alpha / 2.0), alpha=float(alpha), mu=float(mu),
-                         distances=z)
+    return ChannelMatrix(entries=h * z ** (-alpha / 2.0), distances=z)
 
 
 def take_partial_csi(H, l) -> np.ndarray:

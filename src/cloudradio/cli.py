@@ -31,17 +31,22 @@ CROSSVAL_LIMITS = {"tic": 0.02, "smf2": 0.02, "smf2-interf": 0.03}
 def _add_overrides(p):
     p.add_argument("--preset", choices=sorted(PRESETS), help="figure preset to start from")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--drops", type=int)
+    p.add_argument("--drops")
     p.add_argument("--snr-db", help="scalar or comma list, e.g. '10' or '-6,0,10,20'")
-    p.add_argument("--lambda-b", type=float)
-    p.add_argument("--lambda-u", type=float)
-    p.add_argument("--csi-l", type=int)
-    p.add_argument("--cluster-radius-km", type=float)
-    p.add_argument("--smf-l", type=int)
+    p.add_argument("--lambda-b")
+    p.add_argument("--lambda-u")
+    p.add_argument("--csi-l")
+    p.add_argument("--cluster-radius-km")
+    p.add_argument("--smf-l")
     p.add_argument("--schemes", help="comma list of scheme names")
-    p.add_argument("--log-base", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--log-base")
+    p.add_argument("--seed")
     p.add_argument("--output-dir")
+
+
+# config fields the options above set, each parsed as a config file line is
+OVERRIDES = ("drops", "snr_db", "lambda_b", "lambda_u", "csi_l", "cluster_radius_km", "smf_l",
+             "schemes", "log_base", "seed", "output_dir")
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -51,19 +56,8 @@ def _build_config(args) -> ExperimentConfig:
         cfg = preset_config(args.preset)
     else:
         cfg = ExperimentConfig()
-    updates = {}
-    for field, attr in [("drops", "drops"), ("lambda_b", "lambda_b"),
-                        ("lambda_u", "lambda_u"), ("csi_l", "csi_l"),
-                        ("cluster_radius_km", "cluster_radius_km"), ("smf_l", "smf_l"),
-                        ("log_base", "log_base"), ("seed", "seed"),
-                        ("output_dir", "output_dir")]:
-        val = getattr(args, field)
-        if val is not None:
-            updates[attr] = val
-    for field in ("snr_db", "schemes"):
-        val = getattr(args, field)
-        if val is not None:
-            updates[field] = parse_field(field, val)
+    updates = {field: parse_field(field, getattr(args, field))
+               for field in OVERRIDES if getattr(args, field) is not None}
     if "output_dir" not in updates and cfg.output_dir is None:
         env = os.environ.get("CLOUDRADIO_OUTPUT_DIR")
         if env:

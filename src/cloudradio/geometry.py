@@ -53,13 +53,9 @@ class Region:
 
 @dataclass
 class PointSet:
-    """Planar points together with the intensity that generated them.
-
-    points has shape (n, 2); intensity is in points per km^2.
-    """
+    """Planar points (km), shape (n, 2)."""
 
     points: np.ndarray
-    intensity: float
 
     def __len__(self):
         return len(self.points)
@@ -112,7 +108,6 @@ class ClusterSplit:
 
     in_cluster: np.ndarray
     out_cluster: np.ndarray
-    radius: float
 
 
 def sample_ppp(intensity, region: Region, rng) -> PointSet:
@@ -126,7 +121,7 @@ def sample_ppp(intensity, region: Region, rng) -> PointSet:
     pts = np.empty((n, 2))
     pts[:, 0] = rng.uniform(0.0, region.width, n)
     pts[:, 1] = rng.uniform(0.0, region.height, n)
-    return PointSet(points=pts, intensity=float(intensity))
+    return PointSet(points=pts)
 
 
 def point_distances(a, b) -> np.ndarray:
@@ -180,4 +175,4 @@ def split_cluster(bs: PointSet, center, radius) -> ClusterSplit:
     d = np.hypot(bs.points[:, 0] - center[0], bs.points[:, 1] - center[1])
     inside = d <= radius
     idx = np.arange(len(bs))
-    return ClusterSplit(in_cluster=idx[inside], out_cluster=idx[~inside], radius=float(radius))
+    return ClusterSplit(in_cluster=idx[inside], out_cluster=idx[~inside])

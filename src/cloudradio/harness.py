@@ -9,6 +9,7 @@ the --dump-* files are written by the drop from what it drew.
 """
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, precoding, thp
-from .analytic import DEFAULT_CONFIG as _QUAD_DEFAULTS
 from .channel import (ChannelMatrix, NoiseModel, build_channel, inter_cluster_interference,
                       take_partial_csi)
 from .geometry import (Cohort, PointSet, Region, associate, sample_ppp, select_cohort,
@@ -88,6 +88,11 @@ class ExperimentConfig:
 def validate(config: ExperimentConfig):
     """Check every config invariant; returns (errors, warnings) naming fields."""
     errors, warnings = [], []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            errors.append(f"{f.name}: must be finite")
     w, h = config.region_km
     if not (w > 0 and h > 0):
         errors.append("region_km: dimensions must be positive")
@@ -107,7 +112,7 @@ def validate(config: ExperimentConfig):
         if s not in SCHEMES:
             errors.append(f"schemes: unknown scheme '{s}'")
     snrs = config.snr_list
-    if len(snrs) > 1 and np.any(np.diff(snrs) <= 0):
+    if any(b <= a for a, b in zip(snrs, snrs[1:])):
         errors.append("snr_db: sweep must be strictly increasing")
     if config.csi_l is not None and config.csi_l < 1:
         errors.append("csi_l: must be at least 1")
@@ -198,17 +203,20 @@ def load_config_file(path) -> ExperimentConfig:
 
 
 def parse_field(key, val):
-    """The typed value of config field `key` written as text; ConfigError names the key."""
+    """The typed value of config field `key` written as text; ConfigError names the key.
+
+    A number that is not finite (nan, inf) cannot be parsed.
+    """
     try:
         if key == "region_km":
-            dims = tuple(float(p) for p in val.replace("x", ",").split(","))
+            dims = tuple(_finite(p) for p in val.replace("x", ",").split(","))
             if len(dims) != 2:
                 raise ValueError("expected two dimensions, e.g. 10x10")
             return dims
         if key == "schemes":
             return tuple(s.strip() for s in val.split(",") if s.strip())
         if key == "snr_db":
-            parts = [float(p) for p in val.split(",")]
+            parts = [_finite(p) for p in val.split(",")]
             return parts if len(parts) > 1 else parts[0]
         if key in ("drops", "csi_l", "smf_l", "seed", "thp_vectors", "crossval_samples"):
             return int(val)
@@ -216,9 +224,16 @@ def parse_field(key, val):
             return val
         if key == "lambda_u" and val.lower() in ("none", ""):
             return None
-        return float(val)
+        return _finite(val)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse '{val}' ({exc})") from None
+
+
+def _finite(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +325,7 @@ def _cluster_channel(config, region, bs, cohort, H, rng):
     Stream i of the cohort is row and column i of H.distances, so the split of
     the cohort's BSs indexes both blocks this needs straight from it.
     """
-    cohort_bs = PointSet(bs.points[cohort.bs_indices], config.lambda_b)
+    cohort_bs = PointSet(bs.points[cohort.bs_indices])
     local = split_cluster(cohort_bs, region.center, config.cluster_radius_km)
     inside = local.in_cluster
     if not inside.size:
@@ -488,7 +503,7 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
     """
     if scheme not in CROSSVAL_SCHEMES:
         raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
-    radius = _QUAD_DEFAULTS.trunc_radius(lam) + 10.0
+    radius = analytic.trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
     out = np.empty(n)
     done = 0
@@ -543,8 +558,8 @@ def crossvalidate(config: ExperimentConfig) -> dict:
                                             with_interference=(scheme == "smf2-interf"),
                                             alpha=config.alpha, base=config.log_base)
         mc_cov = 1.0 - np.searchsorted(np.sort(samples), grid, side="right") / samples.size
-        gap = float(np.max(np.abs(mc_cov - curve.coverage)))
-        shift = _snr_shift_db(grid, mc_cov, curve.coverage, config.log_base)
+        gap = float(np.max(np.abs(mc_cov - curve)))
+        shift = _snr_shift_db(grid, mc_cov, curve, config.log_base)
         report[scheme] = {
             "samples": int(samples.size),
             "sup_gap": gap,

@@ -6,19 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cloudradio import (CoverageCurve, NumericalError, QuadratureConfig, analytic,
-                        gamma_threshold, laplace_ir, tau_smf2, tau_smf2_curve, tau_tic,
-                        tau_tic_curve)
-from cloudradio.analytic import _check_quad, _laplace_exponent_integral
+from cloudradio import (NumericalError, analytic, gamma_threshold, laplace_ir, tau_smf2,
+                        tau_smf2_curve, tau_tic, tau_tic_curve)
+from cloudradio.analytic import (REL_TOL, _check_quad, _laplace_exponent_integral,
+                                 trunc_radius)
 
 
-def test_quadrature_config_invariants():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(trunc_cutoff=1e-9)  # tail mass bound must be <= 1e-12
-    cfg = QuadratureConfig()
-    assert np.exp(-np.pi * 0.3 * cfg.trunc_radius(0.3) ** 2) <= 1e-12 * 1.0001
+def test_trunc_radius_tail_mass():
+    assert np.exp(-np.pi * 0.3 * trunc_radius(0.3) ** 2) <= 1e-12 * 1.0001
 
 
 def test_gamma_threshold_bases():
@@ -54,6 +49,30 @@ def test_tau_tic_alpha4_matches_quadrature_oracle():
     assert tau_tic(lam, s2, mu, t) == pytest.approx(oracle, rel=1e-5)
 
 
+@pytest.mark.parametrize("sigma_sq, t", [(0.1, 1.0), (0.1, 27.0), (0.1, 40.0), (0.1, 48.0),
+                                         (1e-3, 45.0), (1e-3, 50.0)])
+def test_tau_tic_deep_tail_returns_closed_form(sigma_sq, t):
+    # the quad cross-check must find the integrand's peak near
+    # z = (gamma*sigma^2)**(-1/4), far inside the PPP scale at deep thresholds
+    q = 0.3 * np.pi
+    c = gamma_threshold(t) * sigma_sq
+    closed = q * np.sqrt(np.pi / (4.0 * c)) * math.exp(q * q / (4.0 * c)) * math.erfc(
+        q / (2.0 * np.sqrt(c)))
+    assert tau_tic(0.3, sigma_sq, 1.0, t) == pytest.approx(closed, rel=1e-12)
+
+
+def test_tau_tic_generic_alpha_deep_tail_matches_log_grid_oracle():
+    # alpha = 3 has no closed form: trapezoid over a dense ln z grid at a
+    # threshold whose peak sits near z = 0.02 km, beside the PPP scale of 1.8 km
+    lam, s2, t, alpha = 0.1, 10**0.6, 22.355833333333333, 3.0
+    q = lam * np.pi
+    c = gamma_threshold(t) * s2
+    u = np.linspace(-40.0, np.log(trunc_radius(lam)), 20001)
+    oracle = np.trapezoid(2 * q * np.exp(2 * u - q * np.exp(2 * u) - c * np.exp(alpha * u)), u)
+    assert oracle == pytest.approx(3.68295e-6, rel=1e-5)
+    assert tau_tic(lam, s2, 1.0, t, alpha=alpha) == pytest.approx(oracle, rel=1e-8)
+
+
 def test_tau_tic_monotone_in_threshold_and_noise():
     taus = [tau_tic(0.3, 0.1, 1.0, t) for t in (0.5, 1.0, 2.0, 4.0)]
     assert np.all(np.diff(taus) < 0)
@@ -79,13 +98,12 @@ def laplace_exponent_quad(A, excl, alpha):
 
     The tail beyond V is A * V**(2-alpha)/(alpha-2), with its own error O(A^2).
     """
-    config = QuadratureConfig()
     V = max(excl, (A / ((alpha - 2.0) * 1e-9)) ** (1.0 / (alpha - 2.0)))
     val, err = quad(lambda w: A * math.exp(2.0 * w) / (A + math.exp(alpha * w)),
                     math.log(excl), math.log(V),
-                    epsabs=1e-13, epsrel=config.rel_tol, limit=200)
+                    epsabs=1e-13, epsrel=REL_TOL, limit=200)
     tail = A * V ** (2.0 - alpha) / (alpha - 2.0)
-    return _check_quad(val, err, config, "laplace exponent") + tail
+    return _check_quad(val, err, "laplace exponent") + tail
 
 
 def test_laplace_alpha4_closed_form_vs_quadrature():
@@ -152,11 +170,17 @@ def test_tau_smf2_monte_carlo_oracle(rng):
         assert abs(emp - tau_smf2(lam, s2, 1.0, t)) < 0.02
 
 
-def test_coverage_curve_validation():
-    with pytest.raises(ValueError):
-        CoverageCurve(np.array([0.0, 1.0]), np.array([0.5, 0.9]))  # increasing tau
-    with pytest.raises(ValueError):
-        CoverageCurve(np.array([0.0]), np.array([1.5]))
+def test_coverage_check_raises_numerical_error(monkeypatch):
+    # every curve goes through one check: coverage in [0, 1], not increasing
+    # with the threshold; at alpha = 3 tau_tic returns quad's own value
+    assert np.all(np.diff(tau_tic_curve(0.3, 0.1, 1.0, [2.0, 1.0])) > 0)  # descending grid
+    values = iter([0.5, 0.9])
+    monkeypatch.setattr(analytic, "quad", lambda *args, **kw: (next(values), 0.0))
+    with pytest.raises(NumericalError, match="increase"):
+        tau_tic_curve(0.3, 0.1, 1.0, [0.5, 1.0], alpha=3.0)
+    monkeypatch.setattr(analytic, "quad", lambda *args, **kw: (1.5, 0.0))
+    with pytest.raises(NumericalError, match="must lie in"):
+        tau_tic(0.3, 0.1, 1.0, 1.0, alpha=3.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,18 +194,21 @@ def test_curve_builders_and_csv():
     grid = np.linspace(0.0, 4.0, 9)
     tic = tau_tic_curve(0.3, 0.1, 1.0, grid)
     smf = tau_smf2_curve(0.3, 0.1, 1.0, grid)
-    assert np.all(smf.coverage >= tic.coverage)
+    assert np.all(smf >= tic)
 
 
 def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0, base=2.0):
-    """Reference tau_smf2: one nested scalar quad per threshold, outer error gated."""
-    config = QuadratureConfig()
+    """Reference tau_smf2: one nested scalar quad per threshold, outer error gated.
+
+    The outer quad runs over u = ln z1, so it finds the integrand's peak at a
+    deep threshold, where it sits far inside the PPP scale.
+    """
     g = gamma_threshold(t, base)
     if g <= 0:
         return 1.0
     q = lam * np.pi
     c = mu * g
-    zmax = config.trunc_radius(lam)
+    zmax = trunc_radius(lam)
     two_pi_lam = 2.0 * np.pi * lam
 
     def F(x, excl):
@@ -202,11 +229,12 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0,
 
     def inner(z1):
         return quad(lambda z2: z2 * np.exp(-q * z2 * z2) * bracket(z1, z2),
-                    z1, zmax, epsabs=1e-14, epsrel=config.rel_tol, limit=200)[0]
+                    z1, zmax, epsabs=1e-14, epsrel=REL_TOL, limit=200)[0]
 
-    val, err = quad(lambda z1: z1 * inner(z1), 0.0, zmax,
-                    epsabs=1e-13, epsrel=config.rel_tol, limit=200)
-    val = _check_quad(val, err, config, "tau_smf2") * two_pi_lam**2
+    hi = np.log(zmax)
+    val, err = quad(lambda u: np.exp(2.0 * u) * inner(np.exp(u)), hi - 40.0, hi,
+                    epsabs=1e-13, epsrel=REL_TOL, limit=200)
+    val = _check_quad(val, err, "tau_smf2") * two_pi_lam**2
     return float(np.clip(val, 0.0, 1.0))
 
 
@@ -223,22 +251,36 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0,
     # the top of the crossval grid at 10 dB (it reaches t = 27.8), coverage ~1e-4
     pytest.param(4.0, False, 0.3, 0.1, (20.0, 27.0), id="tail-False"),
     pytest.param(4.0, True, 0.3, 0.1, (20.0, 27.0), id="tail-True"),
+    # I < 1e-7, where the gate's absolute floor of 1e-13 binds
+    pytest.param(4.0, False, 0.3, 0.1, (48.0,), id="deep-False"),
+    pytest.param(4.0, True, 0.3, 0.1, (48.0,), id="deep-True"),
 ])
 def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, lam, sigma_sq,
                                                    thresholds):
     grid = np.array(thresholds)
     curve = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference, alpha=alpha)
     ref = [smf2_per_threshold(lam, sigma_sq, 1.0, t, with_interference, alpha) for t in grid]
-    assert np.max(np.abs(curve.coverage - ref)) < 1e-8
-    assert np.all(curve.coverage[grid == 0.0] == 1.0)
+    assert np.max(np.abs(curve - ref)) < 1e-8
+    assert np.all(curve[grid == 0.0] == 1.0)
+    assert np.all(curve > 0.0)
+
+
+@pytest.mark.parametrize("with_interference", [False, True])
+def test_tau_smf2_threshold_value_does_not_depend_on_grid(with_interference):
+    # the outer pass must find a deep threshold's peak whatever else is on the grid
+    full = tau_smf2_curve(0.3, 0.1, 1.0, np.linspace(0.0, 48.0, 241), with_interference)[-1]
+    assert full > 1e-8
+    for grid in ([48.0], [0.0, 48.0], [1.0, 48.0], [27.0, 48.0]):
+        got = tau_smf2_curve(0.3, 0.1, 1.0, np.array(grid), with_interference)[-1]
+        assert got == pytest.approx(full, rel=REL_TOL)
+    assert tau_smf2(0.3, 0.1, 1.0, 48.0, with_interference) == pytest.approx(full, rel=REL_TOL)
 
 
 def test_quadrature_gate_is_per_threshold():
     # a max-norm gate would pass the tail entry: 5e-11 is far below 1e-6 * 1.0
-    cfg = QuadratureConfig()
-    _check_quad(np.array([1.0, 1e-5]), np.array([5e-7, 5e-12]), cfg, "ok")
+    _check_quad(np.array([1.0, 1e-5]), np.array([5e-7, 5e-12]), "ok")
     with pytest.raises(NumericalError):
-        _check_quad(np.array([1.0, 1e-5]), np.array([5e-7, 5e-11]), cfg, "tail")
+        _check_quad(np.array([1.0, 1e-5]), np.array([5e-7, 5e-11]), "tail")
 
 
 def test_tau_smf2_curve_raises_on_over_tolerance_error(monkeypatch):

@@ -138,8 +138,7 @@ def interference_per_ue(split, ue_indices, distances, mu, alpha, rng):
 
 
 def test_inter_cluster_empty_out_set(rng):
-    split = ClusterSplit(in_cluster=np.array([0, 1]), out_cluster=np.array([], dtype=int),
-                         radius=5.0)
+    split = ClusterSplit(in_cluster=np.array([0, 1]), out_cluster=np.array([], dtype=int))
     state = rng.bit_generator.state
     val = inter_cluster_interference(split, [0], np.ones((1, 2)), 1.0, 4.0, rng)
     assert np.array_equal(val, [0.0])
@@ -148,7 +147,7 @@ def test_inter_cluster_empty_out_set(rng):
 
 def test_inter_cluster_single_interferer_mean(rng):
     # one interferer at 1 km: E[I_r] = 1/mu
-    split = ClusterSplit(in_cluster=np.array([0]), out_cluster=np.array([1]), radius=1.0)
+    split = ClusterSplit(in_cluster=np.array([0]), out_cluster=np.array([1]))
     samples = inter_cluster_interference(split, np.zeros(20000, dtype=int),
                                          np.array([[0.5, 1.0]]), 1.0, 4.0, rng)
     assert samples.shape == (20000,)
@@ -168,7 +167,7 @@ def test_inter_cluster_monotone_in_radius(rng):
         last = np.inf
         for radius in (2.0, 4.0, 6.0, 8.0):
             inside = center_d <= radius
-            split = ClusterSplit(np.flatnonzero(inside), np.flatnonzero(~inside), radius)
+            split = ClusterSplit(np.flatnonzero(inside), np.flatnonzero(~inside))
             val = inter_cluster_interference(split, [0], distances, 1.0, 4.0,
                                              np.random.default_rng(seed))[0]
             assert val <= last + 1e-12
@@ -183,7 +182,7 @@ def test_inter_cluster_batch_matches_per_ue_loop(n_bs, radius):
     assoc = Association(primary_bs=np.zeros(40, dtype=np.intp),
                         ue_points=geo.uniform(0.0, 10.0, (40, 2)), bs_points=bs)
     inside = np.hypot(bs[:, 0] - 5.0, bs[:, 1] - 5.0) <= radius
-    split = ClusterSplit(np.flatnonzero(inside), np.flatnonzero(~inside), radius)
+    split = ClusterSplit(np.flatnonzero(inside), np.flatnonzero(~inside))
     ues = np.arange(0, assoc.n_ue, 3)
     dense = point_distances(assoc.ue_points[:, None, :], bs[None, :, :])
     for mu, alpha in [(1.0, 4.0), (2.5, 3.0)]:
@@ -199,7 +198,7 @@ def test_noise_model():
     assert n.sigma_sq == pytest.approx(0.1)
     assert NoiseModel.from_snr_db(0.0).sigma_sq == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        NoiseModel(sigma_sq=0.0, snr_db=np.inf)
+        NoiseModel(sigma_sq=0.0)
 
 
 def test_channel_csv_shape(tmp_path, drop):

@@ -94,22 +94,22 @@ def test_nearest_distance_density_ks(rng):
 
 
 def test_associate_single_candidate():
-    bs = PointSet(np.array([[0.0, 0.0]]), 1.0)
-    ue = PointSet(np.array([[3.0, 4.0]]), 1.0)
+    bs = PointSet(np.array([[0.0, 0.0]]))
+    ue = PointSet(np.array([[3.0, 4.0]]))
     assoc = associate(bs, ue)
     assert dense_distances(assoc)[0, 0] == pytest.approx(5.0)
     assert assoc.primary_bs[0] == 0
 
 
 def test_associate_strict_ordering():
-    bs = PointSet(np.array([[0.0, 0.0], [10.0, 0.0]]), 1.0)
-    ue = PointSet(np.array([[1.0, 0.0]]), 1.0)
+    bs = PointSet(np.array([[0.0, 0.0], [10.0, 0.0]]))
+    ue = PointSet(np.array([[1.0, 0.0]]))
     assert associate(bs, ue).primary_bs[0] == 0
 
 
 def test_associate_empty_sets_rejected():
-    empty = PointSet(np.empty((0, 2)), 0.0)
-    full = PointSet(np.array([[1.0, 1.0]]), 1.0)
+    empty = PointSet(np.empty((0, 2)))
+    full = PointSet(np.array([[1.0, 1.0]]))
     with pytest.raises(ValueError):
         associate(empty, full)
     with pytest.raises(ValueError):
@@ -143,8 +143,8 @@ def test_associate_tree_matches_dense_argmin(lambda_b):
 ])
 def test_associate_exact_tie_picks_lowest_index(bs_points, expected):
     # the UE at (1, 0) is exactly equidistant from its two nearest BSs
-    bs = PointSet(np.array(bs_points), 1.0)
-    ue = PointSet(np.array([[1.0, 0.0]]), 1.0)
+    bs = PointSet(np.array(bs_points))
+    ue = PointSet(np.array([[1.0, 0.0]]))
     assoc = associate(bs, ue)
     assert assoc.primary_bs[0] == expected
     assert assoc.primary_bs[0] == np.argmin(dense_distances(assoc)[0])
@@ -170,8 +170,8 @@ def test_select_cohort_matches_per_bs_loop(lambda_u):
 
 
 def test_cohort_forced_matching():
-    bs = PointSet(np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]), 1.0)
-    ue = PointSet(np.array([[0.1, 0.0], [5.1, 0.0], [9.9, 0.0]]), 1.0)
+    bs = PointSet(np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]))
+    ue = PointSet(np.array([[0.1, 0.0], [5.1, 0.0], [9.9, 0.0]]))
     cohort = select_cohort(associate(bs, ue), np.random.default_rng(0))
     assert cohort.bs_indices.tolist() == [0, 1, 2]
     assert cohort.ue_indices.tolist() == [0, 1, 2]
@@ -179,8 +179,8 @@ def test_cohort_forced_matching():
 
 def test_cohort_uniform_choice_chi_square(rng):
     # one BS, five UEs: the served UE must be uniform over the five
-    bs = PointSet(np.array([[0.0, 0.0]]), 1.0)
-    ue = PointSet(np.array([[1.0 + 0.1 * i, 0.0] for i in range(5)]), 1.0)
+    bs = PointSet(np.array([[0.0, 0.0]]))
+    ue = PointSet(np.array([[1.0 + 0.1 * i, 0.0] for i in range(5)]))
     assoc = associate(bs, ue)
     picks = np.array([select_cohort(assoc, rng).ue_indices[0] for _ in range(10000)])
     observed = np.bincount(picks, minlength=5)
@@ -199,8 +199,8 @@ def test_cohort_indices_distinct(drop):
 
 
 def test_cohort_skips_unoccupied_bs():
-    bs = PointSet(np.array([[0.0, 0.0], [9.0, 9.0]]), 1.0)
-    ue = PointSet(np.array([[0.2, 0.0]]), 1.0)
+    bs = PointSet(np.array([[0.0, 0.0], [9.0, 9.0]]))
+    ue = PointSet(np.array([[0.2, 0.0]]))
     cohort = select_cohort(associate(bs, ue), np.random.default_rng(0))
     assert cohort.k == 1  # unoccupied BS skipped
 

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cloudradio import (ConfigError, ExperimentConfig, PRESETS, QuadratureConfig, crossvalidate,
+from cloudradio import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
                         load_config_file, preset_config, run, simulate_drop,
                         tagged_rate_samples, validate)
 from cloudradio import harness, qam_constellation
+from cloudradio.analytic import trunc_radius
 from cloudradio.channel import ChannelMatrix
 from cloudradio.cli import main
 from cloudradio.harness import SCHEMES, Drop
@@ -36,6 +37,16 @@ def test_validate_names_fields():
     assert any(e.startswith("csi_l") for e in errors)
     errors, _ = validate(ExperimentConfig(snr_db=[10.0, 5.0]))
     assert any(e.startswith("snr_db") for e in errors)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", math.inf), ("snr_db", [0.0, math.nan]), ("lambda_b", math.nan),
+    ("lambda_b", math.inf), ("log_base", math.nan), ("region_km", (10.0, math.inf)),
+    ("cluster_radius_km", math.inf),
+])
+def test_validate_rejects_non_finite_floats(field, value):
+    errors, _ = validate(replace(ExperimentConfig(), **{field: value}))
+    assert f"{field}: must be finite" in errors
 
 
 def test_validate_occupancy_warning():
@@ -264,7 +275,7 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=2
     Same draws as tagged_rate_samples; the smf2-interf field beyond the two
     nearest BSs is summed exactly with math.fsum.
     """
-    radius = QuadratureConfig().trunc_radius(lam) + 10.0
+    radius = trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
     out = []
     for done in range(0, n, batch):
@@ -392,6 +403,14 @@ def test_cli_dumped_channels_are_the_drops_own(tmp_path):
     ("seed = 3\nregion_km = 10\n", [], "line 2: region_km"),
     (None, ["--snr-db", "abc"], "snr_db"),
     (None, ["--config", "missing.cfg"], "missing.cfg"),
+    # non-finite numbers, which would otherwise reach the drop pipeline
+    (None, ["--snr-db", "inf"], "snr_db"),
+    (None, ["--snr-db=-inf"], "snr_db"),
+    (None, ["--lambda-b", "nan"], "lambda_b"),
+    (None, ["--lambda-b", "inf"], "lambda_b"),
+    (None, ["--snr-db", "nan"], "snr_db"),
+    (None, ["--log-base", "nan"], "log_base"),
+    ("region_km = 10xinf\n", [], "line 1: region_km"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -434,7 +453,7 @@ def test_cli_run_degenerate_stream_exits_0(tmp_path, monkeypatch, capsys):
         H = np.eye(cohort.k, dtype=complex)
         if cohort.k > 1:
             H[-1] = H[-2]
-        return ChannelMatrix(entries=H, alpha=alpha, mu=mu)
+        return ChannelMatrix(entries=H)
 
     monkeypatch.setattr(harness, "build_channel", repeated_row_channel)
     assert main(["run", "--schemes", "zfdpc,thp-adaptive,thp-fixed4", "--drops", "3",
