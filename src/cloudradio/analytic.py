@@ -20,11 +20,12 @@ grid, with the inner integral over the second-nearest distance a pair of
 fixed Gauss-Legendre rules in ln(z2/z1).  The interference Laplace exponent
 is closed form: an arctan at alpha = 4, a Gauss hypergeometric otherwise.
 
-Every curve takes one checked path, _coverage: a threshold with gamma <= 0
-is covered with probability exactly 1, the formula runs on the others as one
-vector, and the result must lie in [0, 1] and not increase with the
-threshold, or NumericalError is raised.  tau_tic and tau_smf2 are
-one-element calls of tau_tic_curve and tau_smf2_curve.
+Every curve takes one checked path, _coverage: a NaN threshold raises
+ValueError, a threshold with gamma <= 0 is covered with probability exactly
+1, the formula runs on the others as one vector, and the result must lie in
+[0, 1] and not increase with the threshold, or NumericalError is raised.
+tau_tic and tau_smf2 are one-element calls of tau_tic_curve and
+tau_smf2_curve.
 """
 
 import math
@@ -78,13 +79,18 @@ def _check_quad(value, abserr, what):
 def _coverage(lam, sigma_sq, mu, thresholds, base, formula):
     """Coverage at each rate threshold, through the one checked path.
 
-    formula maps the vector of SINR thresholds gamma > 0 to their coverage;
-    a threshold with gamma <= 0 is covered with probability 1.  The result
-    must lie in [0, 1] and not increase with the threshold.
+    A NaN threshold raises ValueError.  formula maps the vector of SINR
+    thresholds gamma > 0 to their coverage; a threshold with gamma <= 0 is
+    covered with probability 1.  The result must lie in [0, 1] and not
+    increase with the threshold.
     """
     if lam <= 0 or sigma_sq <= 0 or mu <= 0:
         raise ValueError("lam, sigma_sq and mu must be positive")
     t = np.asarray(thresholds, dtype=float)
+    nan = np.flatnonzero(np.isnan(t))
+    if nan.size:
+        # a NaN would fail `gamma > 0` and pass as covered with probability 1
+        raise ValueError(f"threshold {nan[0]} of {t.size} is NaN")
     g = gamma_threshold(t, base)
     cov = np.ones(t.shape)
     live = g > 0

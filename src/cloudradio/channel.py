@@ -108,8 +108,16 @@ def build_channel(cohort: Cohort, assoc, mu, alpha, rng) -> ChannelMatrix:
     if np.any(zd > z.min(axis=1) + 1e-12):
         raise ValueError("cohort violates nearest-BS association")
     k = cohort.k
-    h = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * np.sqrt(0.5 / mu)
-    return ChannelMatrix(entries=h * z ** (-alpha / 2.0), distances=z)
+    # one complex array filled in place, real part drawn first; each part
+    # scaled as (x * sqrt(0.5/mu)) * z^(-alpha/2), the bits of the complex formula
+    h = np.empty((k, k), dtype=complex)
+    h.real = rng.standard_normal((k, k))
+    h.imag = rng.standard_normal((k, k))
+    amplitude = z ** (-alpha / 2.0)
+    for part in (h.real, h.imag):
+        part *= np.sqrt(0.5 / mu)
+        part *= amplitude
+    return ChannelMatrix(entries=h, distances=z)
 
 
 def take_partial_csi(H, l) -> np.ndarray:

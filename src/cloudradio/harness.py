@@ -14,7 +14,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +260,7 @@ class Drop:
 
     @cached_property
     def lq(self):
-        # one factorization shared by the THP schemes; zfdpc factors on its own
+        # one factorization shared by zfdpc and the THP schemes
         return lq_factor(self.H)
 
     @cached_property
@@ -344,7 +343,7 @@ _THP_MODES = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
 # None when the drop has no streams for the scheme
 SCHEMES = {
     "conventional": lambda d: precoding.conventional_rates(d.H, d.sigma_sq, d.base),
-    "zfdpc": lambda d: precoding.zfdpc_rates(d.H, d.sigma_sq, d.base),
+    "zfdpc": lambda d: precoding.zfdpc_rates(d.lq, d.sigma_sq, d.base),
     "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq, d.base),
     "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq, d.base),
     "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq, d.base),
@@ -437,14 +436,14 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
     out_root.mkdir(parents=True, exist_ok=True)
 
     sweep = len(config.snr_list) > 1
-    summaries, cdfs = {}, {}
+    summaries, cdfs, templates = {}, {}, {}
     for (scheme, snr), chunks in sorted(collected.items()):
         samples = np.concatenate([r for _, r in chunks])
         cdf = build_cdf(samples)
         cdfs[(scheme, snr)] = cdf
         summaries.setdefault(scheme, {})[_snr_key(snr)] = cdf.summary()
         fname = f"{scheme}_snr{_snr_key(snr)}.csv" if sweep else f"{scheme}.csv"
-        _write_rates_csv(out_root / fname, chunks)
+        _write_rates_csv(out_root / fname, chunks, templates)
 
     gains = {}
     for (scheme, snr), cdf in cdfs.items():
@@ -475,14 +474,19 @@ def _snr_key(snr):
     return f"{snr:g}"
 
 
-def _write_rates_csv(path, chunks):
+def _write_rates_csv(path, chunks, templates):
     # one %-format call per drop formats all its rows; %.12g and f"{r:.12g}"
-    # print a float the same way
+    # print a float the same way.  templates maps (drop_id, stream count) to
+    # the drop's row template; the caller shares it across the files of a run,
+    # since every SNR point and most schemes of a drop have the same streams
     parts = ["drop_id,stream,rate\n"]
     for drop_id, rates in chunks:
         n = len(rates)
-        cells = chain.from_iterable(zip(range(n), rates.tolist()))
-        parts.append((f"{drop_id},%d,%.12g\n" * n) % tuple(cells))
+        template = templates.get((drop_id, n))
+        if template is None:
+            template = "".join(f"{drop_id},{s},%.12g\n" for s in range(n))
+            templates[drop_id, n] = template
+        parts.append(template % tuple(rates.tolist()))
     path.write_text("".join(parts))
 
 

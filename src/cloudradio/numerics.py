@@ -4,7 +4,8 @@ lq_factor produces H = L Q with L lower triangular (real non-negative
 diagonal) and Q unitary, via Householder QR of the conjugate transpose:
 H^dagger = Q~ R~  =>  H = R~^dagger Q~^dagger.  The phase convention makes
 the factorization unique for full-rank H, so downstream rate formulas depend
-only on |l_ii|.
+only on |l_ii|.  stream_gains gives those |l_ii| alone, from the same
+Householder QR without forming Q.
 
 blas_threads limits the loaded OpenBLAS libraries to a thread count for the
 span of a block: on k ~ 30 matrices their thread start-up costs more than the
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 __all__ = ["NumericalError", "TriangularFactorization", "blas_threads", "lq_factor",
-           "hpd_inverse"]
+           "stream_gains", "hpd_inverse"]
 
 # streams with |l_ii| below this times ||H||_F are flagged degenerate
 DEGENERATE_RTOL = 1e-12
@@ -55,13 +56,24 @@ class TriangularFactorization:
         return g
 
 
-def lq_factor(H) -> TriangularFactorization:
-    """Factor a square complex matrix as H = L Q (see module docstring)."""
+def _checked(H):
+    """H as a C-contiguous square matrix with finite entries; ValueError otherwise."""
     H = np.ascontiguousarray(getattr(H, "entries", H))
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
-        raise ValueError("lq_factor expects a square matrix with k >= 1")
+        raise ValueError("factorization expects a square matrix with k >= 1")
     if not np.all(np.isfinite(H)):
-        raise ValueError("lq_factor requires finite entries")
+        raise ValueError("factorization requires finite entries")
+    return H
+
+
+def _degenerate(mag, H):
+    """Streams whose diagonal magnitude vanishes relative to ||H||_F."""
+    return mag < DEGENERATE_RTOL * max(np.linalg.norm(H), 1e-300)
+
+
+def lq_factor(H) -> TriangularFactorization:
+    """Factor a square complex matrix as H = L Q (see module docstring)."""
+    H = _checked(H)
     Qt, Rt = np.linalg.qr(H.conj().T)
     L = np.tril(Rt.conj().T)
     Q = Qt.conj().T
@@ -72,8 +84,19 @@ def lq_factor(H) -> TriangularFactorization:
     L = L * phase[None, :]
     Q = phase.conj()[:, None] * Q
     np.fill_diagonal(L, mag)
-    degenerate = mag < DEGENERATE_RTOL * max(np.linalg.norm(H), 1e-300)
-    return TriangularFactorization(L=L, Q=Q, degenerate=degenerate)
+    return TriangularFactorization(L=L, Q=Q, degenerate=_degenerate(mag, H))
+
+
+def stream_gains(H) -> np.ndarray:
+    """lq_factor(H).stream_gains, bit for bit, without forming L or Q.
+
+    The R-only mode of the QR runs the same Householder reduction of H^dagger
+    as lq_factor, so |r_ii| are the same bits as |l_ii|.
+    """
+    H = _checked(H)
+    mag = np.abs(np.diag(np.linalg.qr(H.conj().T, mode="r")))
+    mag[_degenerate(mag, H)] = 0.0
+    return mag
 
 
 def hpd_inverse(A) -> np.ndarray:

@@ -8,13 +8,14 @@ Every rate function takes the noise power as a NoiseModel, a scalar sigma^2,
 or a 1-D array of m sigma^2 values.  A scalar gives k per-stream rates; an
 array gives shape (m, k), row j at sigma^2[j], bit-identical to the scalar
 call.  Factorizations, partial-CSI selection and sorts run once per call, so
-a whole SNR sweep of one drop shares them.
+a whole SNR sweep of one drop shares them.  Schemes that read only the
+stream gains |l_ii| take them from numerics.stream_gains, which never forms Q.
 """
 
 import numpy as np
 
 from .channel import ChannelMatrix, NoiseModel, take_partial_csi
-from .numerics import hpd_inverse, lq_factor
+from .numerics import TriangularFactorization, hpd_inverse, lq_factor, stream_gains
 
 __all__ = [
     "conventional_rates",
@@ -54,8 +55,15 @@ def conventional_rates(H, noise, base=2.0) -> np.ndarray:
 
 
 def zfdpc_rates(H, noise, base=2.0) -> np.ndarray:
-    """Downlink ZF-DPC: factor H = L Q, rate_i = log(1 + l_ii^2 / sigma^2)."""
-    g = lq_factor(_entries(H)).stream_gains
+    """Downlink ZF-DPC: factor H = L Q, rate_i = log(1 + l_ii^2 / sigma^2).
+
+    H may also be given as its TriangularFactorization, whose gains are then
+    read instead of factoring again.
+    """
+    if isinstance(H, TriangularFactorization):
+        g = H.stream_gains
+    else:
+        g = stream_gains(_entries(H))
     return _rate(g**2 / _sigma(noise), base)
 
 
@@ -65,7 +73,7 @@ def uplink_sic_rates(H, noise, base=2.0) -> np.ndarray:
     Cancellation of previously decoded streams is assumed ideal, so the rates
     are log(1 + m_ii^2 / sigma^2) with H^T = M Q'.
     """
-    g = lq_factor(_entries(H).T).stream_gains
+    g = stream_gains(_entries(H).T)
     return _rate(g**2 / _sigma(noise), base)
 
 
@@ -108,8 +116,7 @@ def clustered_rates(H_in, interference, noise, base=2.0, csi_l=None) -> np.ndarr
     noise_eff = _sigma(noise) + np.asarray(interference, dtype=float)
     He = _entries(H_in)
     if csi_l is None:
-        g = lq_factor(He).stream_gains
-        return _rate(g**2 / noise_eff, base)
+        return _rate(stream_gains(He) ** 2 / noise_eff, base)
     known = take_partial_csi(He, min(csi_l, He.shape[0]))
     return _partial_rates(He, known, noise_eff, base)
 

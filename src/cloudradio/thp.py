@@ -6,6 +6,11 @@ constellations normalized to unit average energy; the modulo base tau of each
 stream is tied to its constellation so the modulo is transparent whenever no
 interference has to be pre-subtracted.  drop_power_samples evaluates every
 mode of a drop over a whole SNR sweep in one precode pass.
+
+precode_batch runs the k sequential steps over a whole batch of data vectors
+at once, on (batch, k) complex symbols in C order: that layout fixes how the
+feedback product rounds.  The modulo bases are laid out once as
+(k, batch, 2), the (re, im) layout of the symbols, so no step broadcasts.
 """
 
 from dataclasses import dataclass
@@ -112,21 +117,41 @@ def precode_batch(L, data, taus, off=None):
     data vector, shape (batch, k).  Streams marked in the boolean mask `off`
     (degenerate ones) transmit nothing: their u is 0 and their diagonal may
     vanish.
+
+    u is a C-ordered (batch, k) complex array.  The bases and their halves
+    are expanded once to the (k, batch, 2) layout of (re, im) parts, and the
+    feedback coefficients l_ij / l_ii are divided once, so a step broadcasts
+    nothing.  A step is the feedback product, then, each in place: subtract
+    it, add tau/2, take mod tau on the (batch, 2) float view, and subtract
+    tau/2 straight into u's column.  The result is bit-identical to one
+    symmetric_modulo call per stream.
     """
     k = L.shape[0]
     off = np.zeros(k, dtype=bool) if off is None else np.asarray(off)
     diag = np.real(np.diag(L))
     if np.any(diag[~off] <= 0):
         raise ValueError("THP needs a strictly positive triangular diagonal")
-    taus = np.asarray(taus).T  # taus[i]: stream i's base, shared or per vector
     # C order whatever the input's: the layout of u[:, :i] decides how the
     # feedback product rounds
     u = np.array(data, dtype=complex, order="C")
+    batch = u.shape[0]
     u[:, off] = 0.0
-    for i in range(1, k):
-        if not off[i]:
-            feedback = u[:, :i] @ (L[i, :i] / diag[i])
-            u[:, i] = symmetric_modulo(u[:, i] - feedback, taus[i])
+    live = np.flatnonzero(~off[1:]) + 1  # stream 0 has no feedback and no modulo
+    # divided for live rows only: a degenerate row's diagonal may be 0
+    coef = np.zeros(L.shape, dtype=complex)
+    coef[live] = L[live] / diag[live, None]
+    tau = np.empty((k, batch, 2))
+    tau[...] = np.atleast_2d(taus).T[..., None]
+    # tau/2 in both parts of a complex: adding or subtracting it is the float
+    # operation on each part, and the complex result writes a column of u
+    half = (tau / 2.0).view(complex)[..., 0]
+    x = np.empty(batch, dtype=complex)
+    parts = x.view(np.float64).reshape(batch, 2)
+    for i in live.tolist():
+        np.subtract(u[:, i], u[:, :i] @ coef[i, :i], out=x)
+        np.add(x, half[i], out=x)
+        np.mod(parts, tau[i], out=parts)
+        np.subtract(x, half[i], out=u[:, i])
     return u
 
 

@@ -148,6 +148,21 @@ def test_tau_smf2_zero_threshold():
     assert tau_smf2(0.3, 0.1, 1.0, 0.0) == 1.0
 
 
+def test_nan_threshold_raises():
+    # a NaN used to take the gamma <= 0 branch and come back as coverage 1
+    nan = float("nan")
+    for call in (lambda: tau_tic(0.3, 0.1, 1.0, nan),
+                 lambda: tau_smf2(0.3, 0.1, 1.0, nan),
+                 lambda: tau_smf2(0.3, 0.1, 1.0, nan, with_interference=True)):
+        with pytest.raises(ValueError, match="threshold 0 of 1 is NaN"):
+            call()
+    grid = [0.0, 0.5, nan, 2.0]
+    with pytest.raises(ValueError, match="threshold 2 of 4 is NaN"):
+        tau_tic_curve(0.3, 0.1, 1.0, grid)
+    with pytest.raises(ValueError, match="threshold 2 of 4 is NaN"):
+        tau_smf2_curve(0.3, 0.1, 1.0, grid)
+
+
 def test_tau_smf2_dominates_tau_tic():
     for t in (0.5, 1.0, 2.0, 4.0):
         assert tau_smf2(0.3, 0.1, 1.0, t) > tau_tic(0.3, 0.1, 1.0, t)

@@ -80,6 +80,30 @@ def test_drop_memory_does_not_grow_as_ue_times_bs():
     assert peak < 12e6
 
 
+def build_channel_two_temporaries(z, mu, alpha, rng):
+    """Reference channel: the complex formula over full k x k temporaries."""
+    k = z.shape[0]
+    h = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * np.sqrt(0.5 / mu)
+    return h * z ** (-alpha / 2.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 30, 441])
+def test_build_channel_matches_complex_formula(k):
+    # filled in place, the channel must keep the complex formula's bits and
+    # leave the generator where the formula leaves it
+    for seed in range(200):
+        gen = np.random.default_rng(seed)
+        z = gen.uniform(0.0, 20.0, (k, k))
+        np.fill_diagonal(z, z.min(axis=1) * gen.uniform(0.0, 1.0, k))
+        mu, alpha = (1.0, 4.0) if seed % 2 else (gen.uniform(0.5, 3.0), gen.uniform(2.5, 6.0))
+        got_rng, want_rng = (np.random.default_rng(seed + 1000) for _ in range(2))
+        H = build_channel(_cohort(k), z, mu, alpha, got_rng)
+        want = build_channel_two_temporaries(np.maximum(z, MIN_DISTANCE_KM), mu, alpha,
+                                             want_rng)
+        assert H.entries.tobytes() == want.tobytes(), seed
+        assert got_rng.random() == want_rng.random()
+
+
 def test_magnitude_dominance_is_only_statistical(rng, drop):
     _, _, _, _, H = drop
     frac = diagonal_dominance_fraction(H)

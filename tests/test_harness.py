@@ -9,7 +9,7 @@ import pytest
 from cloudradio import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
                         load_config_file, preset_config, run, simulate_drop,
                         tagged_rate_samples, validate)
-from cloudradio import harness, qam_constellation
+from cloudradio import harness, precoding, qam_constellation
 from cloudradio.analytic import trunc_radius
 from cloudradio.channel import ChannelMatrix
 from cloudradio.cli import main
@@ -142,16 +142,25 @@ def write_rates_csv_per_element(path, chunks):
 
 
 def test_write_rates_csv_matches_per_element_writer(tmp_path):
+    # a two-scheme sweep over three SNR points sharing one template cache, as
+    # run() writes it: the second scheme has fewer streams in drops 0 and 12,
+    # so a drop's template must be keyed by its stream count as well
     rng = np.random.default_rng(4)
-    chunks = [
-        (0, np.array([0.0, 1e-300, 1e17, 1.0 / 3.0, -0.0, 5e-324, 2.5, 1e-5, 123456.789012345])),
-        (3, np.array([])),
-        (12, rng.exponential(3.0, 200)),
-        (1000, np.array([1.7976931348623157e308, 4.0])),
-    ]
-    harness._write_rates_csv(tmp_path / "fast.csv", chunks)
-    write_rates_csv_per_element(tmp_path / "slow.csv", chunks)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+    edge = np.array([0.0, 1e-300, 1e17, 1.0 / 3.0, -0.0, 5e-324, 2.5, 1e-5, 123456.789012345])
+    templates = {}
+    for scheme in ("a", "b"):
+        for snr in (0, 10, 20):
+            chunks = [
+                (0, edge[:9 - 4 * (scheme == "b")] * (1 + snr)),
+                (3, np.array([])),
+                (12, rng.exponential(3.0, 200 - 31 * (scheme == "b"))),
+                (1000, np.array([1.7976931348623157e308, 4.0 + snr])),
+            ]
+            fast, slow = tmp_path / f"{scheme}{snr}.csv", tmp_path / f"{scheme}{snr}_ref.csv"
+            harness._write_rates_csv(fast, chunks, templates)
+            write_rates_csv_per_element(slow, chunks)
+            assert fast.read_bytes() == slow.read_bytes(), (scheme, snr)
+    assert len(templates) == 6
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -249,6 +258,23 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
             sub = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(5, 1)))
             want = _per_stream_thp_power(L, s2, mode, sub, 37, 2.0)
             assert rows[j, 0] == want, (scheme, s2)
+
+
+def test_zfdpc_scheme_reads_the_shared_factorization():
+    # zfdpc takes its gains from Drop.lq, which the THP schemes factor anyway;
+    # the rates must be the bits of the standalone kernel on the channel
+    cfg = ExperimentConfig(schemes=("zfdpc", "thp-adaptive"), snr_db=[0.0, 10.0, 30.0])
+    sigma_sq = np.array([1.0, 0.1, 0.001])
+    gen = np.random.default_rng(6)
+    for k in (1, 2, 9, 30):
+        H = random_complex(gen, k) * np.geomspace(0.3, 30.0, k)[:, None]
+        if k > 2:
+            H[2] = H[1]  # a degenerate stream
+        drop = Drop(cfg, 0, ChannelMatrix(H), None, sigma_sq)
+        got = SCHEMES["zfdpc"](drop)
+        assert "lq" in vars(drop)
+        want = precoding.zfdpc_rates(H, sigma_sq)
+        assert got.tobytes() == want.tobytes(), k
 
 
 def test_run_thp_sweep_identical_bytes_at_any_workers(tmp_path):

@@ -71,10 +71,29 @@ def test_degenerate_stream_flagged():
 
 
 def test_lq_factor_input_validation():
-    with pytest.raises(ValueError):
-        lq_factor(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        lq_factor(np.array([[np.nan, 0], [0, 1]]))
+    for factor in (lq_factor, numerics.stream_gains):
+        with pytest.raises(ValueError):
+            factor(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            factor(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_stream_gains_are_the_bits_of_lq_factor(rng):
+    # the gains-only path (R of the QR alone) against the full factorization,
+    # of H and of H^T as the uplink uses it; rows repeated to make degenerate
+    # streams, and scaled rows so the gains span many orders of magnitude
+    for k in (1, 2, 3, 8, 30, 60):
+        for trial in range(10):
+            H = random_complex(rng, k) * np.geomspace(1e-3, 1e3, k)[:, None]
+            if k > 1 and trial % 2:
+                H[-1] = H[0]
+            for M in (H, H.T):
+                want = lq_factor(M).stream_gains
+                got = numerics.stream_gains(M)
+                assert got.tobytes() == want.tobytes(), (k, trial)
+    H = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)  # rank 1
+    assert numerics.stream_gains(H)[1] == 0.0
+    assert numerics.stream_gains(np.array([[3j]])).tolist() == [3.0]
 
 
 def test_hpd_inverse_scalar_matrix():

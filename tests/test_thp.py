@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cloudradio import (NoiseModel, lq_factor, qam_constellation, select_modulation,
                         thp_loopback, thp_power_cdf, thp_precode)
 from cloudradio.thp import (SUPPORTED_ORDERS, draw_symbols, drop_power_sample,
-                            drop_power_samples, symmetric_modulo)
+                            drop_power_samples, precode_batch, symmetric_modulo)
 
 from conftest import random_complex
 
@@ -134,6 +134,41 @@ def test_degenerate_stream_transmits_nothing(rng):
     powers = drop_power_samples(fact, [1.0, 0.01], ["adaptive", 4, 64], seed=3, vectors=9)
     assert np.allclose(powers[4], 2.0, atol=1e-12)
     assert all(np.all(np.isfinite(p)) for p in powers.values())
+
+
+def precode_batch_by_symmetric_modulo(L, data, taus, off):
+    """Reference THP: the feedback product and one symmetric_modulo call per stream."""
+    k = L.shape[0]
+    diag = np.real(np.diag(L))
+    taus = np.asarray(taus).T
+    u = np.array(data, dtype=complex, order="C")
+    u[:, off] = 0.0
+    for i in range(1, k):
+        if not off[i]:
+            feedback = u[:, :i] @ (L[i, :i] / diag[i])
+            u[:, i] = symmetric_modulo(u[:, i] - feedback, taus[i])
+    return u
+
+
+def test_precode_batch_matches_symmetric_modulo_steps():
+    # every k from 1 to 40, odd and even batches, shared and per-vector bases,
+    # and streams with an exactly zero diagonal: the bits of every output
+    gen = np.random.default_rng(11)
+    bases = np.array([qam_constellation(M).modulo_base for M in SUPPORTED_ORDERS])
+    for k in range(1, 41):
+        for batch in (0, 1, 2, 37, 200):
+            L = np.tril(random_complex(gen, k)) * np.geomspace(1.0, 30.0, k)
+            diag = np.abs(np.diag(L)) + 0.05
+            off = gen.uniform(size=k) < 0.15
+            diag[off] = 0.0
+            np.fill_diagonal(L, diag)
+            data = 3.0 * (gen.standard_normal((batch, k)) + 1j * gen.standard_normal((batch, k)))
+            shared = bases[gen.integers(len(bases), size=k)]
+            per_vector = bases[gen.integers(len(bases), size=(batch, k))]
+            for taus in (shared, per_vector):
+                got = precode_batch(L, data, taus, off)
+                want = precode_batch_by_symmetric_modulo(L, data, taus, off)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, batch)
 
 
 def test_loopback_diagonal_trivial(rng):
