@@ -13,8 +13,11 @@ threshold the integrand peaks near z = (mu*gamma*sigma**2)**(-1/alpha), far
 inside the PPP scale (4e-4 km at t = 48 and 10 dB), where an adaptive rule
 over z in [0, zmax] can step over it; one over u cannot.  The single-branch
 integrand is 2*pi*lam * z**2 * exp(-pi*lam*z**2 - mu*gamma*sigma**2*z**alpha),
-one quad per threshold; at alpha = 2 (harmonic) and alpha = 4 (scaled erfcx)
-its closed form is returned after a cross-check against that quad.  A
+one quad per threshold that starts from the breaks OUTER_BREAKS below ln zmax;
+at alpha = 2 (harmonic) and alpha = 4 (scaled erfcx) its closed form is
+returned after a cross-check against that quad.  Without the breaks, quad
+under-resolves the mass at a few thresholds and under-reports its error by a
+factor of about 1e3, and the cross-check raises on a correct closed form.  A
 two-branch curve is one scipy.integrate.quad_vec pass over u for the whole
 grid, with the inner integral over the second-nearest distance a pair of
 fixed Gauss-Legendre rules in ln(z2/z1).  The interference Laplace exponent
@@ -45,8 +48,9 @@ REL_TOL = 1e-6
 # tail mass of exp(-pi*lam*z**2) neglected beyond the truncation radius
 TRUNC_CUTOFF = 1e-12
 # the nearest-distance variable u = ln z spans [ln zmax - LOG_SPAN, ln zmax];
-# the smf2 outer pass starts from breaks at OUTER_BREAKS below ln zmax, one
-# interval per octave of depth, so it starts resolved at every threshold's mass
+# the tic quad and the smf2 outer pass start from breaks at OUTER_BREAKS below
+# ln zmax, one interval per octave of depth, so they start resolved at every
+# threshold's mass
 LOG_SPAN = 40.0
 OUTER_BREAKS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -112,7 +116,8 @@ def _tic_coverage(lam, sigma_sq, mu, g, alpha):
     for i, ci in enumerate(c.tolist()):
         v, err = quad(lambda u: 2 * q * math.exp(2 * u - q * math.exp(2 * u)
                                                  - ci * math.exp(alpha * u)),
-                      hi - LOG_SPAN, hi, epsabs=1e-13, epsrel=REL_TOL, limit=200)
+                      hi - LOG_SPAN, hi, epsabs=1e-13, epsrel=REL_TOL, limit=200,
+                      points=[hi - b for b in OUTER_BREAKS])
         val[i] = _check_quad(v, err, "tau_tic")
     if alpha == 2.0:
         closed = q / (q + c)

@@ -495,6 +495,10 @@ def _write_rates_csv(path, chunks, templates):
 # ---------------------------------------------------------------------------
 
 
+# rows of a batch that the tagged sampler holds in one block
+_BLOCK_ROWS = 2048
+
+
 def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
     """Rate samples for a tagged user centred in its own interference field.
 
@@ -504,39 +508,73 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
     'tic' (nearest branch only), 'smf2' (two nearest combined, no residual
     interference) and 'smf2-interf' (two nearest combined over noise plus the
     remaining field).
+
+    Each batch of up to `batch` samples draws, in this order: the BS count of
+    every sample, then every BS's uniform, then every BS's fade, each in
+    sample order and, within a sample, nearest BS first for the fades.  The
+    batch runs in two passes over blocks of _BLOCK_ROWS samples, so every
+    uniform of the batch is drawn before its first fade.  Pass 1 draws a
+    block's uniforms and keeps what the scheme reads: the two nearest unfaded
+    powers of each sample for 'tic' and 'smf2', every power in sample order
+    for 'smf2-interf'.  Pass 2 draws a block's fades and forms its rates.  The
+    field beyond the two nearest BSs is summed over a zero-padded row as wide
+    as the batch's largest count, because numpy's pairwise sum rounds by the
+    row length; the samples do not depend on the block size.
     """
     if scheme not in CROSSVAL_SCHEMES:
         raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
     radius = analytic.trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
+    every_power = scheme == "smf2-interf"
     out = np.empty(n)
-    done = 0
-    while done < n:
-        m = min(batch, n - done)
-        counts = rng.poisson(lam * np.pi * radius**2, size=m)
+    row = 0
+    for done in range(0, n, batch):
+        counts = rng.poisson(lam * np.pi * radius**2, size=min(batch, n - done))
         counts = np.maximum(counts, 3)  # P[count < 3] is astronomically small
-        total = int(counts.sum())
-        # one row per sample, distances ascending; the inf padding has power 0
-        filled = np.arange(counts.max()) < counts[:, None]
-        p = np.full(filled.shape, np.inf)
-        p[filled] = radius * np.sqrt(rng.uniform(size=total))
-        # a float array without NaN or -0.0 has one sorted order, so the
-        # sort kind cannot change a bit of the result
-        p.sort(axis=1)
-        np.power(p, -alpha, out=p)
-        p[filled] *= rng.exponential(1.0 / mu, size=total)
-        z1p = p[:, 0]
-        z2p = p[:, 1]
-        if scheme == "tic":
-            sinr = z1p / sigma_sq
-        elif scheme == "smf2":
-            sinr = (z1p + z2p) / sigma_sq
-        else:
-            i_r = p[:, 2:].sum(axis=1) + tail_mean
-            sinr = (z1p + z2p) / (sigma_sq + i_r)
-        out[done:done + m] = np.log1p(sinr) / np.log(base)
-        done += m
+        blocks = [counts[a:a + _BLOCK_ROWS] for a in range(0, counts.size, _BLOCK_ROWS)]
+        powers = [_unfaded_powers(c, radius, alpha, every_power, rng) for c in blocks]
+        width = int(counts.max())
+        for c, p in zip(blocks, powers):
+            fades = rng.exponential(1.0 / mu, size=int(c.sum()))
+            if every_power:
+                # a padding entry is a BS that is not there, of power 0
+                faded = np.zeros((c.size, width))
+                faded[np.arange(width) < c[:, None]] = p * fades
+                i_r = faded[:, 2:].sum(axis=1) + tail_mean
+                sinr = (faded[:, 0] + faded[:, 1]) / (sigma_sq + i_r)
+            else:
+                first = np.cumsum(c) - c  # each sample's first fade, its nearest BS's
+                z1p = p[:, 0] * fades[first]
+                if scheme == "tic":
+                    sinr = z1p / sigma_sq
+                else:
+                    sinr = (z1p + p[:, 1] * fades[first + 1]) / sigma_sq
+            out[row:row + c.size] = np.log1p(sinr) / np.log(base)
+            row += c.size
     return out
+
+
+def _unfaded_powers(counts, radius, alpha, every_power, rng):
+    """(radius * sqrt(u))**-alpha of one block's uniforms u, nearest BS first.
+
+    Each row of an inf-padded block holds one sample's uniforms.  The distance
+    is monotone in u, so ordering u orders the distances, and a float array
+    without NaN or -0.0 has one sorted order, so the sort kind cannot change a
+    bit.  every_power returns every power in sample order as one flat array;
+    otherwise a (samples, 2) array of the two nearest.
+    """
+    filled = np.arange(counts.max()) < counts[:, None]
+    u = np.full(filled.shape, np.inf)
+    u[filled] = rng.uniform(size=int(counts.sum()))
+    if every_power:
+        u.sort(axis=1)
+        p = u[filled]
+    else:
+        u.partition(1, axis=1)
+        p = u[:, :2].copy()
+    np.sqrt(p, out=p)
+    p *= radius
+    return np.power(p, -alpha, out=p)
 
 
 def crossvalidate(config: ExperimentConfig) -> dict:

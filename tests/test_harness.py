@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -338,6 +339,79 @@ def test_tagged_samples_match_lexsort_reference(scheme):
         assert np.max(np.abs(got - ref)) < 1e-12
     else:
         assert np.array_equal(got, ref)
+
+
+def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
+    """Reference tagged sampler: each whole batch as one inf-padded, row-sorted array."""
+    radius = trunc_radius(lam) + 10.0
+    tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
+    out = np.empty(n)
+    done = 0
+    while done < n:
+        m = min(batch, n - done)
+        counts = rng.poisson(lam * np.pi * radius**2, size=m)
+        counts = np.maximum(counts, 3)
+        total = int(counts.sum())
+        filled = np.arange(counts.max()) < counts[:, None]
+        p = np.full(filled.shape, np.inf)
+        p[filled] = radius * np.sqrt(rng.uniform(size=total))
+        p.sort(axis=1)
+        np.power(p, -alpha, out=p)
+        p[filled] *= rng.exponential(1.0 / mu, size=total)
+        z1p = p[:, 0]
+        z2p = p[:, 1]
+        if scheme == "tic":
+            sinr = z1p / sigma_sq
+        elif scheme == "smf2":
+            sinr = (z1p + z2p) / sigma_sq
+        else:
+            i_r = p[:, 2:].sum(axis=1) + tail_mean
+            sinr = (z1p + z2p) / (sigma_sq + i_r)
+        out[done:done + m] = np.log1p(sinr) / np.log(base)
+        done += m
+    return out
+
+
+ALPHA_MU_GRID = [(a, m) for a in (3.0, 4.0, 5.0) for m in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
+@pytest.mark.parametrize("n, batch, alpha_mu", [
+    (333, 20000, ALPHA_MU_GRID),  # below one block
+    (5001, 2000, ALPHA_MU_GRID),  # a partial last batch
+    (22000, 20000, [(4.0, 1.0)]),  # ten blocks, the last partial, then a partial batch
+], ids=["below-one-block", "partial-batch", "ten-blocks"])
+def test_tagged_samples_match_padded_sort_bits(scheme, n, batch, alpha_mu):
+    # the generator must also end where the reference leaves it, so that the
+    # next scheme of a crossvalidate run draws the same numbers
+    for alpha, mu in alpha_mu:
+        args = (scheme, n, 0.3, 0.1, mu, alpha, 2.0)
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = tagged_rate_samples(*args, rng, batch=batch)
+        want = padded_sort_rate_samples(*args, ref_rng, batch=batch)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.uniform() == ref_rng.uniform()
+
+
+@pytest.mark.parametrize("scheme", ["tic", "smf2-interf"])
+def test_tagged_samples_memory_is_per_block(scheme):
+    # budget, set from the layout: a block of 2,048 samples at up to 300 BSs
+    # each holds at most four block-sized float arrays at once (padded
+    # uniforms, their draw, kept or faded powers, fades), 19.7 MB.
+    # smf2-interf also keeps every unfaded power of the batch across both
+    # passes, 8 B per BS: 20,000 * lam*pi*R**2 = 4.48M BSs, 35.8 MB.  Sorting
+    # the whole batch as one padded array peaked at 124 MB for every scheme
+    per_block = 4 * 2048 * 300 * 8
+    kept = 8 * 20000 * 0.3 * np.pi * (trunc_radius(0.3) + 10.0) ** 2
+    budget = per_block + (kept if scheme == "smf2-interf" else 0.0)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        tagged_rate_samples(scheme, 20000, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 def test_crossvalidate_requires_counterpart():
