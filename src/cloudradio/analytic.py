@@ -20,8 +20,12 @@ under-resolves the mass at a few thresholds and under-reports its error by a
 factor of about 1e3, and the cross-check raises on a correct closed form.  A
 two-branch curve is one scipy.integrate.quad_vec pass over u for the whole
 grid, with the inner integral over the second-nearest distance a pair of
-fixed Gauss-Legendre rules in ln(z2/z1).  The interference Laplace exponent
-is closed form: an arctan at alpha = 4, a Gauss hypergeometric otherwise.
+fixed Gauss-Legendre rules in ln(z2/z1); a coarse pass that sets each
+threshold's error scale comes first, and each outer node is evaluated once
+for both.  The interference Laplace exponent is closed form: an arctan at
+alpha = 4, a Gauss hypergeometric otherwise.  Beyond the second-nearest BS
+its argument is gamma whatever z2, so that branch's exponent is z2**2 times
+one value per threshold, computed once per curve.
 
 Every curve takes one checked path, _coverage: a NaN threshold raises
 ValueError, a threshold with gamma <= 0 is covered with probability exactly
@@ -193,7 +197,11 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
     estimates each I, and the real pass integrates the integrand over
     scale = max(|coarse|, 1e-13/REL_TOL), which is each threshold's tolerance
     over REL_TOL.  The max-norm error of that rescaled vector times each scale
-    bounds each threshold's own outer error.
+    bounds each threshold's own outer error.  Both passes split the same
+    interval at the same breaks, so the real pass requests every node of the
+    coarse one again: each coarse node's unscaled vector is kept in a dict
+    local to the call until the real pass takes it and divides it by its
+    scale, so every node is computed once.
 
     The outer variable is u = ln z1, whose Jacobian turns z1 dz1 into
     exp(2u) du.  The inner integral over z2 in [z1, zmax] is a fixed
@@ -204,24 +212,30 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
     array over (nodes x thresholds) and carried through the outer pass as one
     vector; the higher-order value is reported, and |I_high - I_low| is added
     to the outer error estimate before the gate.
+
+    Each branch's factor is one exponential of its noise exponent plus, with
+    interference, its Laplace exponent.  The second branch's Laplace argument
+    is gamma * z2**alpha / z2**alpha = gamma whatever z2, so its exponent is
+    z2**2 * psi(gamma), with psi computed once per curve.
     """
     q = lam * np.pi
-    c = mu * g  # fade-rate scale: exponent arguments are c * z**alpha * (...)
+    noise = -(mu * g) * sigma_sq  # noise exponent per unit z**alpha
     hi = math.log(trunc_radius(lam))
     two_pi_lam = 2.0 * np.pi * lam
     # the inner rules on [0, 1]: one node column, one weight row per rule
     low, high = (np.polynomial.legendre.leggauss(n) for n in INNER_RULE_NODES)
     nodes = 0.5 * (np.concatenate([high[0], low[0]]) + 1.0)[:, None]
     weights = 0.5 * block_diag(high[1], low[1])
+    if with_interference:
+        psi = two_pi_lam * _laplace_exponent_integral(g, 1.0, alpha)
 
     def F(x, excl):
         # per-branch factor, a row per row of the x or excl column and a
         # column per threshold: noise exponential times (optionally) the
         # Laplace average over interference beyond the second-nearest BS
-        out = np.exp(-c * sigma_sq * x)
         if with_interference:
-            out = out * np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
-        return out
+            return np.exp(noise * x - two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
+        return np.exp(noise * x)
 
     def bracket(z1, z2):
         # z2 is a column; rows with x2 next to x1 take the removable-singularity
@@ -229,8 +243,9 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
         x1 = z1**alpha
         x2 = z2**alpha
         near = (x2 - x1 < 1e-6 * x2)[:, 0]
+        F2 = np.exp(noise * x2 - z2 * z2 * psi) if with_interference else np.exp(noise * x2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (x2 * F(x1, z2) - x1 * F(x2, z2)) / (x2 - x1)
+            out = (x2 * F(x1, z2) - x1 * F2) / (x2 - x1)
         if near.any():
             x = 0.5 * (x1 + x2[near])
             h = 1e-5 * x
@@ -238,23 +253,32 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
             out[near] = F(x, e) - x * ((F(x + h, e) - F(x - h, e)) / (2.0 * h))
         return out
 
-    def outer(u, scale):
+    def outer(u):
         # exp(2u) times both rules' integrals over z2 in [z1, zmax], high first
         z1 = math.exp(u)
         L = hi - u
         z2 = z1 * np.exp(L * nodes)
         f = z2 * z2 * np.exp(-q * z2 * z2) * bracket(z1, z2)
-        return (z1 * z1 * L * (weights @ f) / scale).ravel()
+        return z1 * z1 * L * (weights @ f)
 
-    def integral(scale, epsrel):
-        return quad_vec(lambda u: outer(u, scale), hi - LOG_SPAN, hi,
-                        epsrel=epsrel, norm="max", limit=200,
+    def integral(f, epsrel):
+        return quad_vec(f, hi - LOG_SPAN, hi, epsrel=epsrel, norm="max", limit=200,
                         points=[hi - b for b in OUTER_BREAKS])
 
+    raw = {}  # u -> outer(u) of the coarse pass's nodes, until the real pass takes it
+
+    def coarse_node(u):
+        raw[u] = r = outer(u)
+        return r.ravel()
+
+    def real_node(u):
+        r = raw.pop(u) if u in raw else outer(u)
+        return (r / scale).ravel()
+
     m = g.size
-    coarse, _ = integral(1.0, 1e-3)
+    coarse, _ = integral(coarse_node, 1e-3)
     scale = np.maximum(np.abs(coarse[:m]), 1e-13 / REL_TOL)
-    val, err = integral(scale, REL_TOL)
+    val, err = integral(real_node, REL_TOL)
     val_high, val_low = val[:m] * scale, val[m:] * scale
     err = err * scale + np.abs(val_high - val_low)
     val = _check_quad(val_high, err, "tau_smf2") * two_pi_lam**2

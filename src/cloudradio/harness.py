@@ -260,7 +260,7 @@ class Drop:
 
     @cached_property
     def lq(self):
-        # one factorization shared by zfdpc and the THP schemes
+        # one factorization shared by the THP schemes and, with them, zfdpc
         return lq_factor(self.H)
 
     @cached_property
@@ -343,7 +343,9 @@ _THP_MODES = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
 # None when the drop has no streams for the scheme
 SCHEMES = {
     "conventional": lambda d: precoding.conventional_rates(d.H, d.sigma_sq, d.base),
-    "zfdpc": lambda d: precoding.zfdpc_rates(d.lq, d.sigma_sq, d.base),
+    # the THP schemes factor H anyway; without them the R-only QR gives the gains
+    "zfdpc": lambda d: precoding.zfdpc_rates(
+        d.lq if _THP_MODES.keys() & set(d.config.schemes) else d.H, d.sigma_sq, d.base),
     "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq, d.base),
     "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq, d.base),
     "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq, d.base),

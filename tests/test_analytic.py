@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
+from scipy.linalg import block_diag
 
 from cloudradio import (NumericalError, analytic, gamma_threshold, laplace_ir, tau_smf2,
                         tau_smf2_curve, tau_tic, tau_tic_curve)
@@ -127,6 +128,17 @@ def test_laplace_generic_alpha_closed_form_vs_quadrature(alpha):
         ref = np.array([laplace_exponent_quad(a, excl, alpha) for a in A])
         assert closed.shape == A.shape
         assert np.max(np.abs(closed / ref - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0, 6.0])
+def test_laplace_exponent_scales_out_of_the_exclusion_radius(alpha):
+    # with the exclusion radius at the hazard distance, b = A / z**alpha = g
+    # whatever z: the smf2 second branch computes its exponent as z**2 * psi(g)
+    g = np.logspace(-6.0, 8.0, 57)
+    psi = _laplace_exponent_integral(g, 1.0, alpha)
+    for z in np.logspace(-4.0, 2.0, 25):
+        direct = _laplace_exponent_integral(g * z**alpha, z, alpha)
+        assert np.max(np.abs(direct / (z**2 * psi) - 1.0)) < 1e-13, z
 
 
 def test_laplace_monte_carlo_oracle(rng):
@@ -256,7 +268,7 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0,
     return float(np.clip(val, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("alpha, with_interference, lam, sigma_sq, thresholds", [
+SMF2_ROWS = [
     pytest.param(4.0, False, 0.3, 0.1, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0), id="4.0-False-thresholds0"),
     pytest.param(4.0, True, 0.3, 0.1, (0.0, 0.5, 1.5, 3.0, 4.5, 6.0), id="4.0-True-thresholds1"),
     pytest.param(3.0, False, 0.3, 0.1, (0.5, 1.5, 3.0, 4.5, 6.0), id="3.0-False-thresholds2"),
@@ -272,7 +284,10 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0,
     # I < 1e-7, where the gate's absolute floor of 1e-13 binds
     pytest.param(4.0, False, 0.3, 0.1, (48.0,), id="deep-False"),
     pytest.param(4.0, True, 0.3, 0.1, (48.0,), id="deep-True"),
-])
+]
+
+
+@pytest.mark.parametrize("alpha, with_interference, lam, sigma_sq, thresholds", SMF2_ROWS)
 def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, lam, sigma_sq,
                                                    thresholds):
     grid = np.array(thresholds)
@@ -281,6 +296,131 @@ def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, lam
     assert np.max(np.abs(curve - ref)) < 1e-8
     assert np.all(curve[grid == 0.0] == 1.0)
     assert np.all(curve > 0.0)
+
+
+def smf2_coverage_per_request(lam, sigma_sq, mu, g, with_interference, alpha):
+    """Reference analytic._smf2_coverage: every node computed at every request.
+
+    The same two quad_vec passes, inner rules and gate, with each branch's
+    noise and Laplace factors as two exponentials and the second branch's
+    Laplace exponent evaluated over the whole (nodes x thresholds) array.
+    """
+    q = lam * np.pi
+    c = mu * g
+    hi = math.log(trunc_radius(lam))
+    two_pi_lam = 2.0 * np.pi * lam
+    low, high = (np.polynomial.legendre.leggauss(n) for n in analytic.INNER_RULE_NODES)
+    nodes = 0.5 * (np.concatenate([high[0], low[0]]) + 1.0)[:, None]
+    weights = 0.5 * block_diag(high[1], low[1])
+
+    def F(x, excl):
+        out = np.exp(-c * sigma_sq * x)
+        if with_interference:
+            out = out * np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
+        return out
+
+    def bracket(z1, z2):
+        x1 = z1**alpha
+        x2 = z2**alpha
+        near = (x2 - x1 < 1e-6 * x2)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (x2 * F(x1, z2) - x1 * F(x2, z2)) / (x2 - x1)
+        if near.any():
+            x = 0.5 * (x1 + x2[near])
+            h = 1e-5 * x
+            e = z2[near]
+            out[near] = F(x, e) - x * ((F(x + h, e) - F(x - h, e)) / (2.0 * h))
+        return out
+
+    def outer(u, scale):
+        z1 = math.exp(u)
+        L = hi - u
+        z2 = z1 * np.exp(L * nodes)
+        f = z2 * z2 * np.exp(-q * z2 * z2) * bracket(z1, z2)
+        return (z1 * z1 * L * (weights @ f) / scale).ravel()
+
+    def integral(scale, epsrel):
+        return quad_vec(lambda u: outer(u, scale), hi - analytic.LOG_SPAN, hi,
+                        epsrel=epsrel, norm="max", limit=200,
+                        points=[hi - b for b in analytic.OUTER_BREAKS])
+
+    m = g.size
+    coarse, _ = integral(1.0, 1e-3)
+    scale = np.maximum(np.abs(coarse[:m]), 1e-13 / REL_TOL)
+    val, err = integral(scale, REL_TOL)
+    val_high, val_low = val[:m] * scale, val[m:] * scale
+    err = err * scale + np.abs(val_high - val_low)
+    return np.clip(_check_quad(val_high, err, "tau_smf2") * two_pi_lam**2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha, with_interference, lam, sigma_sq, thresholds", SMF2_ROWS)
+def test_tau_smf2_curve_matches_per_request_integrand(alpha, with_interference, lam, sigma_sq,
+                                                      thresholds):
+    # one evaluation per node and the hoisted second-branch exponent change
+    # what a node costs, not its value beyond rounding
+    curve = tau_smf2_curve(lam, sigma_sq, 1.0, thresholds, with_interference, alpha=alpha)
+    ref = analytic._coverage(lam, sigma_sq, 1.0, thresholds, 2.0,
+                             lambda g: smf2_coverage_per_request(lam, sigma_sq, 1.0, g,
+                                                                 with_interference, alpha))
+    assert np.max(np.abs(curve - ref)) < 1e-13
+    if not with_interference:
+        assert curve.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+def test_tau_smf2_curve_computes_each_outer_node_once(monkeypatch, alpha):
+    # with interference, a node's work calls _laplace_exponent_integral once,
+    # for the first branch; the second branch's exponent is one call per curve
+    requested, work = [], []
+    real_quad_vec, real_exponent = analytic.quad_vec, analytic._laplace_exponent_integral
+
+    def recording_quad_vec(f, a, b, **kw):
+        return real_quad_vec(lambda u: requested.append(u) or f(u), a, b, **kw)
+
+    def counting_exponent(*args):
+        work.append(args)
+        return real_exponent(*args)
+
+    monkeypatch.setattr(analytic, "quad_vec", recording_quad_vec)
+    monkeypatch.setattr(analytic, "_laplace_exponent_integral", counting_exponent)
+    tau_smf2_curve(0.3, 0.1, 1.0, np.linspace(0.0, 27.8, 241), True, alpha=alpha)
+    distinct = set(requested)
+    assert len(requested) > len(distinct)  # the real pass asks for the coarse pass's nodes
+    assert len(work) == 1 + len(distinct)
+
+
+@pytest.mark.parametrize("with_interference", [False, True])
+def test_tau_smf2_removable_singularity_rows(monkeypatch, with_interference):
+    # a break 1e-9 below ln zmax puts 21 outer nodes where z2 - z1 is so small
+    # that every inner row takes the central-difference limit F(x) - x F'(x)
+    lam, sigma_sq = 0.3, 1e-3
+    grid = np.array([0.5, 1.5, 3.0, 6.0])
+    default = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference)
+    integrands, requested = [], []
+    real = analytic.quad_vec
+
+    def capturing_quad_vec(f, a, b, **kw):
+        integrands.append(f)
+        return real(lambda u: requested.append(u) or f(u), a, b, **kw)
+
+    monkeypatch.setattr(analytic, "quad_vec", capturing_quad_vec)
+    monkeypatch.setattr(analytic, "OUTER_BREAKS", (1e-9,) + analytic.OUTER_BREAKS)
+    curve = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference)
+    assert np.all(np.isfinite(curve))
+    assert np.max(np.abs(curve - default)) < 1e-12
+    hi = math.log(trunc_radius(lam))
+    assert len({u for u in requested if hi - u < 1e-9}) == 21
+    # the coarse pass's integrand per unit L = ln zmax - u is smooth across the
+    # switch: its near-row value at L = 1e-9 and 1e-7 matches the straight
+    # line through L = 1e-6 and 1e-5, where most rows take the divided
+    # difference.  The residual, at most 4e-6, is the line's own error plus
+    # the central difference's O(h**2)
+    g = {L: integrands[0](hi - L) / L for L in (1e-9, 1e-7, 1e-6, 1e-5)}
+    assert np.all(g[1e-9] > 0.0)
+    slope = (g[1e-5] - g[1e-6]) / (1e-5 - 1e-6)
+    for L in (1e-9, 1e-7):
+        line = g[1e-6] - slope * (1e-6 - L)
+        assert np.max(np.abs(g[L] / line - 1.0)) < 1e-5, L
 
 
 @pytest.mark.parametrize("with_interference", [False, True])

@@ -262,20 +262,23 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
 
 
 def test_zfdpc_scheme_reads_the_shared_factorization():
-    # zfdpc takes its gains from Drop.lq, which the THP schemes factor anyway;
+    # with a THP scheme, zfdpc takes its gains from Drop.lq, which THP factors
+    # anyway; without one, from the R-only QR, and no Q is formed.  Either way
     # the rates must be the bits of the standalone kernel on the channel
-    cfg = ExperimentConfig(schemes=("zfdpc", "thp-adaptive"), snr_db=[0.0, 10.0, 30.0])
     sigma_sq = np.array([1.0, 0.1, 0.001])
+    snr_db = [0.0, 10.0, 30.0]
     gen = np.random.default_rng(6)
-    for k in (1, 2, 9, 30):
-        H = random_complex(gen, k) * np.geomspace(0.3, 30.0, k)[:, None]
-        if k > 2:
-            H[2] = H[1]  # a degenerate stream
-        drop = Drop(cfg, 0, ChannelMatrix(H), None, sigma_sq)
-        got = SCHEMES["zfdpc"](drop)
-        assert "lq" in vars(drop)
-        want = precoding.zfdpc_rates(H, sigma_sq)
-        assert got.tobytes() == want.tobytes(), k
+    for schemes, shared in [(("zfdpc", "thp-adaptive"), True), (("conventional", "zfdpc"), False)]:
+        cfg = ExperimentConfig(schemes=schemes, snr_db=snr_db)
+        for k in (1, 2, 9, 30):
+            H = random_complex(gen, k) * np.geomspace(0.3, 30.0, k)[:, None]
+            if k > 2:
+                H[2] = H[1]  # a degenerate stream
+            drop = Drop(cfg, 0, ChannelMatrix(H), None, sigma_sq)
+            got = SCHEMES["zfdpc"](drop)
+            assert ("lq" in vars(drop)) == shared, (schemes, k)
+            want = precoding.zfdpc_rates(H, sigma_sq)
+            assert got.tobytes() == want.tobytes(), (schemes, k)
 
 
 def test_run_thp_sweep_identical_bytes_at_any_workers(tmp_path):
