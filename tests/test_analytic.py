@@ -133,8 +133,9 @@ def test_laplace_generic_alpha_closed_form_vs_quadrature(alpha):
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0, 6.0])
 def test_laplace_exponent_scales_out_of_the_exclusion_radius(alpha):
     # with the exclusion radius at the hazard distance, b = A / z**alpha = g
-    # whatever z: the smf2 second branch computes its exponent as z**2 * psi(g)
-    g = np.logspace(-6.0, 8.0, 57)
+    # whatever z: the smf2 second branch computes its exponent as z**2 * psi(g).
+    # g reaches 1e9, past the crossval grid's top, 2**27.8 - 1 = 2.3e8
+    g = np.logspace(-6.0, 9.0, 61)
     psi = _laplace_exponent_integral(g, 1.0, alpha)
     for z in np.logspace(-4.0, 2.0, 25):
         direct = _laplace_exponent_integral(g * z**alpha, z, alpha)
