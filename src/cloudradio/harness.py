@@ -8,6 +8,7 @@ each configured scheme of the SCHEMES registry once over the whole SNR sweep;
 the --dump-* files are written by the drop from what it drew.
 """
 
+import copy
 import json
 import math
 import time
@@ -498,7 +499,7 @@ def _write_rates_csv(path, chunks, templates):
 
 
 # rows of a batch that the tagged sampler holds in one block
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 512
 
 
 def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
@@ -514,17 +515,23 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
     Each batch of up to `batch` samples draws, in this order: the BS count of
     every sample, then every BS's uniform, then every BS's fade, each in
     sample order and, within a sample, nearest BS first for the fades.  The
-    batch runs in two passes over blocks of _BLOCK_ROWS samples, so every
-    uniform of the batch is drawn before its first fade.  Pass 1 draws a
-    block's uniforms and keeps what the scheme reads: the two nearest unfaded
-    powers of each sample for 'tic' and 'smf2', every power in sample order
-    for 'smf2-interf'.  Pass 2 draws a block's fades and forms its rates.  The
-    field beyond the two nearest BSs is summed over a zero-padded row as wide
-    as the batch's largest count, because numpy's pairwise sum rounds by the
-    row length; the samples do not depend on the block size.
+    batch runs in one pass over blocks of _BLOCK_ROWS samples, so only a block
+    is held.  A uniform double is one 64-bit output of PCG64, so after the
+    counts a copy of the generator draws the uniforms while the generator
+    itself jumps past them (PCG64.advance) to where the fades begin.  Each
+    block then takes its uniforms from the copy and its fades from the
+    generator; the draws, every sample's bits and the generator's end state
+    are those of drawing each batch's uniforms before its fades.  The field
+    beyond the two nearest BSs is summed over a zero-padded row as wide as the
+    batch's largest count, because numpy's pairwise sum rounds by the row
+    length; the samples do not depend on the block size.  rng must be a PCG64
+    Generator (np.random.default_rng); any other raises TypeError before a draw.
     """
     if scheme not in CROSSVAL_SCHEMES:
         raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError("tagged_rate_samples needs a PCG64 generator, got "
+                        + type(rng.bit_generator).__name__)
     radius = analytic.trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
     every_power = scheme == "smf2-interf"
@@ -533,10 +540,12 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
     for done in range(0, n, batch):
         counts = rng.poisson(lam * np.pi * radius**2, size=min(batch, n - done))
         counts = np.maximum(counts, 3)  # P[count < 3] is astronomically small
-        blocks = [counts[a:a + _BLOCK_ROWS] for a in range(0, counts.size, _BLOCK_ROWS)]
-        powers = [_unfaded_powers(c, radius, alpha, every_power, rng) for c in blocks]
+        uniforms = copy.deepcopy(rng)
+        _skip_draws(rng, int(counts.sum()))
         width = int(counts.max())
-        for c, p in zip(blocks, powers):
+        for a in range(0, counts.size, _BLOCK_ROWS):
+            c = counts[a:a + _BLOCK_ROWS]
+            p = _unfaded_powers(c, radius, alpha, every_power, uniforms)
             fades = rng.exponential(1.0 / mu, size=int(c.sum()))
             if every_power:
                 # a padding entry is a BS that is not there, of power 0
@@ -554,6 +563,20 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
             out[row:row + c.size] = np.log1p(sinr) / np.log(base)
             row += c.size
     return out
+
+
+def _skip_draws(rng, draws):
+    """Move a PCG64 generator past `draws` 64-bit outputs, as if it had drawn them.
+
+    advance clears the buffered half of a 32-bit draw, which drawing doubles
+    leaves alone, so it is put back.
+    """
+    bitgen = rng.bit_generator
+    buffered = bitgen.state
+    bitgen.advance(draws)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
+    bitgen.state = state
 
 
 def _unfaded_powers(counts, radius, alpha, every_power, rng):

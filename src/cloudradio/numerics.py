@@ -17,12 +17,11 @@ magnitude preserved to 1e-8 relative.
 """
 
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 __all__ = ["NumericalError", "TriangularFactorization", "blas_threads", "lq_factor",
            "stream_gains", "hpd_inverse"]
@@ -110,13 +109,13 @@ def hpd_inverse(A) -> np.ndarray:
     scale = max(np.linalg.norm(A), 1.0)
     if np.max(np.abs(A - A.conj().T)) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    try:
-        c, low = cho_factor(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        m = re.search(r"(\d+)", str(exc))
-        pivot = int(m.group(1)) if m else -1
-        raise NumericalError(f"matrix not positive definite at pivot {pivot}") from exc
-    return cho_solve((c, low), np.eye(A.shape[0], dtype=A.dtype), check_finite=False)
+    # the LAPACK routines cho_factor and cho_solve wrap, without their checks
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (A,))
+    c, info = potrf(A, lower=True, clean=False)
+    if info > 0:
+        raise NumericalError(f"matrix not positive definite at pivot {info}")
+    inv, _ = potrs(c, np.eye(A.shape[0], dtype=A.dtype), lower=True)
+    return inv
 
 
 # (setter, getter) symbol pairs, tried in order: numpy's 64-bit-index build,

@@ -396,17 +396,17 @@ def test_tagged_samples_match_padded_sort_bits(scheme, n, batch, alpha_mu):
         assert rng.uniform() == ref_rng.uniform()
 
 
-@pytest.mark.parametrize("scheme", ["tic", "smf2-interf"])
+@pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
 def test_tagged_samples_memory_is_per_block(scheme):
-    # budget, set from the layout: a block of 2,048 samples at up to 300 BSs
-    # each holds at most four block-sized float arrays at once (padded
-    # uniforms, their draw, kept or faded powers, fades), 19.7 MB.
-    # smf2-interf also keeps every unfaded power of the batch across both
-    # passes, 8 B per BS: 20,000 * lam*pi*R**2 = 4.48M BSs, 35.8 MB.  Sorting
-    # the whole batch as one padded array peaked at 124 MB for every scheme
-    per_block = 4 * 2048 * 300 * 8
-    kept = 8 * 20000 * 0.3 * np.pi * (trunc_radius(0.3) + 10.0) ** 2
-    budget = per_block + (kept if scheme == "smf2-interf" else 0.0)
+    # budget, set from the layout: a block is 512 samples at up to 320 BSs
+    # each (the mean is lam*pi*R**2 = 224 with a standard deviation of 15),
+    # and at most five block-sized float arrays are held at once: the
+    # previous block's powers, fades and zero-padded faded row while this
+    # block's padded uniforms and their draw exist.  The batch's counts and
+    # the output add 8 B per sample each.  Holding every unfaded power of the
+    # batch took smf2-interf to 49 MB, and sorting the whole batch as one
+    # padded array took every scheme to 124 MB
+    budget = 5 * 512 * 320 * 8 + 2 * 20000 * 8
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
@@ -415,6 +415,31 @@ def test_tagged_samples_memory_is_per_block(scheme):
     finally:
         tracemalloc.stop()
     assert peak < budget
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+def test_tagged_samples_need_pcg64(bit_generator):
+    # the sampler jumps a copy of the stream ahead, which only PCG64 can do
+    rng = np.random.Generator(bit_generator(3))
+    before = rng.bit_generator.state
+    with pytest.raises(TypeError, match=bit_generator.__name__):
+        tagged_rate_samples("tic", 100, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+    np.testing.assert_equal(rng.bit_generator.state, before)  # MT19937's key is an array
+
+
+@pytest.mark.parametrize("scheme", ["tic", "smf2-interf"])
+def test_tagged_samples_keep_a_buffered_uint32(scheme):
+    # a uint32 draw leaves half a 64-bit output buffered; the jump past the
+    # uniforms must hand it back, as drawing them does
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for g in (rng, ref_rng):
+        g.integers(2**32, dtype=np.uint32)
+    args = (scheme, 5001, 0.3, 0.1, 1.0, 4.0, 2.0)
+    got = tagged_rate_samples(*args, rng, batch=2000)
+    want = padded_sort_rate_samples(*args, ref_rng, batch=2000)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.bit_generator.state["has_uint32"] == 1
 
 
 def test_crossvalidate_requires_counterpart():

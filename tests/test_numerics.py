@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from cloudradio import NumericalError, hpd_inverse, lq_factor, numerics
 
@@ -119,6 +120,20 @@ def test_hpd_inverse_reports_failing_pivot():
     A = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(NumericalError, match=r"pivot 2"):
         hpd_inverse(A)
+
+
+def test_hpd_inverse_is_cho_solve_bit_for_bit(rng):
+    # the same LAPACK potrf/potrs as scipy's cho_factor/cho_solve, so the
+    # same bits on every real and complex HPD matrix
+    for k in range(1, 41):
+        for dtype in (float, complex):
+            B = random_complex(rng, k)
+            B = B if dtype is complex else B.real
+            A = B.conj().T @ B + 0.1 * np.eye(k)
+            A = 0.5 * (A + A.conj().T)
+            want = cho_solve(cho_factor(A, lower=True), np.eye(k, dtype=A.dtype))
+            got = hpd_inverse(A)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, dtype)
 
 
 def _thread_counts():
