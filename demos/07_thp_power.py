@@ -11,6 +11,7 @@ import numpy as np
 from cloudradio import (ExperimentConfig, NoiseModel, Region, associate, build_channel,
                         lq_factor, sample_ppp, select_cohort, select_modulation,
                         thp_loopback, thp_power_cdf, thp_precode)
+from cloudradio.geometry import distance_block
 from cloudradio.thp import draw_symbols
 
 rng = np.random.default_rng(3)
@@ -27,7 +28,8 @@ while len(facts) < 150:
     cohort = select_cohort(assoc, rng)
     if cohort.k < 2:
         continue
-    facts.append(lq_factor(build_channel(cohort, assoc, 1.0, 4.0, rng)))
+    z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
+    facts.append(lq_factor(build_channel(z, 1.0, 4.0, rng)))
     sizes.append(cohort.k)
 
 noise = NoiseModel.from_snr_db(10.0)

@@ -8,8 +8,7 @@ Carlo rate statistics against analytic coverage integrals.
 
 from .analytic import (gamma_threshold, laplace_ir, tau_smf2, tau_smf2_curve, tau_tic,
                        tau_tic_curve)
-from .channel import (ChannelMatrix, NoiseModel, build_channel, inter_cluster_interference,
-                      take_partial_csi)
+from .channel import NoiseModel, build_channel, inter_cluster_interference, take_partial_csi
 from .geometry import (Association, Cohort, ClusterSplit, PointSet, Region, associate,
                        sample_ppp, select_cohort, split_cluster)
 from .harness import (ConfigError, ExperimentConfig, ExperimentReport, PRESETS,

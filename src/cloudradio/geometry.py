@@ -8,8 +8,9 @@ No UE-by-BS distance matrix is ever built.  Association queries a k-d tree of
 the BS points for each UE's two nearest candidates and settles between them
 with the package's one distance expression, `point_distances`, so it picks
 exactly the BS a dense row argmin would.  Per-drop memory is therefore linear
-in the number of points; the channel layer computes only the cohort's k x k
-distance block.
+in the number of points.  Every other distance comes from `distance_block`,
+which computes only the UE-by-BS block a caller asks for: the cohort's k x k
+block, from which the channel layer takes everything it needs.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ __all__ = [
     "select_cohort",
     "split_cluster",
     "point_distances",
+    "distance_block",
 ]
 
 
@@ -131,6 +133,12 @@ def point_distances(a, b) -> np.ndarray:
     from this one expression, so association and channel agree to the bit.
     """
     return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+
+
+def distance_block(assoc: Association, ue_indices, bs_indices) -> np.ndarray:
+    """Distances (km), row per UE of ue_indices and column per BS of bs_indices."""
+    return point_distances(assoc.ue_points[ue_indices, None, :],
+                           assoc.bs_points[None, bs_indices, :])
 
 
 def associate(bs: PointSet, ue: PointSet) -> Association:

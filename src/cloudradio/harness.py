@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, precoding, thp
-from .channel import (ChannelMatrix, NoiseModel, build_channel, inter_cluster_interference,
-                      take_partial_csi)
-from .geometry import (Cohort, PointSet, Region, associate, sample_ppp, select_cohort,
+from .channel import NoiseModel, build_channel, inter_cluster_interference, take_partial_csi
+from .geometry import (PointSet, Region, associate, distance_block, sample_ppp, select_cohort,
                        split_cluster)
 from .numerics import blas_threads, lq_factor
 from .stats import build_cdf, gain_percent
@@ -251,7 +250,7 @@ class Drop:
 
     config: ExperimentConfig
     index: int
-    H: ChannelMatrix
+    H: np.ndarray  # the cohort channel, k x k
     cluster: tuple | None  # (H_in, i_r); None without clustered schemes or in-cluster BSs
     sigma_sq: np.ndarray  # noise power of each SNR point
 
@@ -304,12 +303,13 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     cohort = select_cohort(assoc, rng)
     if cohort.k == 0:
         return {}
-    H = build_channel(cohort, assoc, config.mu, config.alpha, rng)
+    z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
+    H = build_channel(z, config.mu, config.alpha, rng)
     if stem and dump_channels:
-        H.to_csv(f"{stem}_H.csv")
+        _write_channel_csv(f"{stem}_H.csv", H)
     cluster = None
     if any(s.startswith("clustered") for s in config.schemes):
-        cluster = _cluster_channel(config, region, bs, cohort, H, rng)
+        cluster = _cluster_channel(config, region, bs, cohort, z, rng)
 
     snrs = config.snr_list
     sigma_sq = np.array([NoiseModel.from_snr_db(snr).sigma_sq for snr in snrs])
@@ -319,21 +319,31 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
             for s, rates in per_scheme.items() if rates is not None}
 
 
-def _cluster_channel(config, region, bs, cohort, H, rng):
+def _cluster_channel(config, region, bs, cohort, z, rng):
     """(H_in, i_r) of the cohort streams inside the cluster disc; None if it has none.
 
-    Stream i of the cohort is row and column i of H.distances, so the split of
-    the cohort's BSs indexes both blocks this needs straight from it.
+    Stream i of the cohort is row and column i of the cohort distance block z,
+    so the split of the cohort's BSs indexes both blocks this needs straight
+    from it.
     """
     cohort_bs = PointSet(bs.points[cohort.bs_indices])
     local = split_cluster(cohort_bs, region.center, config.cluster_radius_km)
     inside = local.in_cluster
     if not inside.size:
         return None
-    H_in = build_channel(Cohort(bs_indices=inside, ue_indices=inside), H.distances,
-                         config.mu, config.alpha, rng)
-    i_r = inter_cluster_interference(local, inside, H.distances, config.mu, config.alpha, rng)
+    H_in = build_channel(z[np.ix_(inside, inside)], config.mu, config.alpha, rng)
+    i_r = inter_cluster_interference(z[np.ix_(inside, local.out_cluster)], config.mu,
+                                     config.alpha, rng)
     return H_in, i_r
+
+
+def _write_channel_csv(path, H):
+    """The --dump-channels file: one row per stream, re/im interleaved, at %.9g."""
+    k = H.shape[0]
+    out = np.empty((k, 2 * k))
+    out[:, 0::2] = H.real
+    out[:, 1::2] = H.imag
+    np.savetxt(path, out, fmt="%.9g", delimiter=",")
 
 
 _THP_MODES = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
@@ -350,11 +360,11 @@ SCHEMES = {
     "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq, d.base),
     "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq, d.base),
     "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq, d.base),
-    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(d.config.smf_l or d.H.k, d.H.k),
+    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(d.config.smf_l or len(d.H), len(d.H)),
                                         d.base),
-    "smf2": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, d.H.k), d.base),
+    "smf2": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, len(d.H)), d.base),
     "zfdpc-partial": lambda d: precoding.zfdpc_partial_rates(
-        d.H, take_partial_csi(d.H, min(d.config.csi_l, d.H.k)), d.sigma_sq, d.base),
+        d.H, take_partial_csi(d.H, min(d.config.csi_l, len(d.H))), d.sigma_sq, d.base),
     "clustered": lambda d: d.cluster and precoding.clustered_rates(*d.cluster, d.sigma_sq,
                                                                    d.base),
     "clustered-partial": lambda d: d.cluster and precoding.clustered_rates(
@@ -535,6 +545,23 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
     radius = analytic.trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
     every_power = scheme == "smf2-interf"
+
+    def block_sinr(c, width, uniforms):
+        # a call per block, so one block's arrays are freed before the next's
+        p = _unfaded_powers(c, radius, alpha, every_power, uniforms)
+        fades = rng.exponential(1.0 / mu, size=int(c.sum()))
+        if every_power:
+            # a padding entry is a BS that is not there, of power 0
+            faded = np.zeros((c.size, width))
+            faded[np.arange(width) < c[:, None]] = p * fades
+            i_r = faded[:, 2:].sum(axis=1) + tail_mean
+            return (faded[:, 0] + faded[:, 1]) / (sigma_sq + i_r)
+        first = np.cumsum(c) - c  # each sample's first fade, its nearest BS's
+        z1p = p[:, 0] * fades[first]
+        if scheme == "tic":
+            return z1p / sigma_sq
+        return (z1p + p[:, 1] * fades[first + 1]) / sigma_sq
+
     out = np.empty(n)
     row = 0
     for done in range(0, n, batch):
@@ -545,22 +572,7 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
         width = int(counts.max())
         for a in range(0, counts.size, _BLOCK_ROWS):
             c = counts[a:a + _BLOCK_ROWS]
-            p = _unfaded_powers(c, radius, alpha, every_power, uniforms)
-            fades = rng.exponential(1.0 / mu, size=int(c.sum()))
-            if every_power:
-                # a padding entry is a BS that is not there, of power 0
-                faded = np.zeros((c.size, width))
-                faded[np.arange(width) < c[:, None]] = p * fades
-                i_r = faded[:, 2:].sum(axis=1) + tail_mean
-                sinr = (faded[:, 0] + faded[:, 1]) / (sigma_sq + i_r)
-            else:
-                first = np.cumsum(c) - c  # each sample's first fade, its nearest BS's
-                z1p = p[:, 0] * fades[first]
-                if scheme == "tic":
-                    sinr = z1p / sigma_sq
-                else:
-                    sinr = (z1p + p[:, 1] * fades[first + 1]) / sigma_sq
-            out[row:row + c.size] = np.log1p(sinr) / np.log(base)
+            out[row:row + c.size] = np.log1p(block_sinr(c, width, uniforms)) / np.log(base)
             row += c.size
     return out
 

@@ -57,7 +57,7 @@ class TriangularFactorization:
 
 def _checked(H):
     """H as a C-contiguous square matrix with finite entries; ValueError otherwise."""
-    H = np.ascontiguousarray(getattr(H, "entries", H))
+    H = np.ascontiguousarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
         raise ValueError("factorization expects a square matrix with k >= 1")
     if not np.all(np.isfinite(H)):

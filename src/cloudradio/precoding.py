@@ -4,17 +4,19 @@ Rates are log_base(1 + SINR) in bps/Hz (base 2 unless configured otherwise),
 with unit transmit power per stream throughout: no water-filling, no uplink
 power control.  Degenerate factorization streams get rate 0.
 
-Every rate function takes the noise power as a NoiseModel, a scalar sigma^2,
-or a 1-D array of m sigma^2 values.  A scalar gives k per-stream rates; an
-array gives shape (m, k), row j at sigma^2[j], bit-identical to the scalar
-call.  Factorizations, partial-CSI selection and sorts run once per call, so
-a whole SNR sweep of one drop shares them.  Schemes that read only the
-stream gains |l_ii| take them from numerics.stream_gains, which never forms Q.
+Every rate function takes the channel as a k x k complex array and the noise
+power as a scalar sigma^2 or a 1-D array of m sigma^2 values.  A scalar gives
+k per-stream rates; an array gives shape (m, k), row j at sigma^2[j],
+bit-identical to the scalar call.  The noise level of a config becomes
+sigma^2 before it reaches a kernel (NoiseModel.from_snr_db).  Factorizations,
+partial-CSI selection and sorts run once per call, so a whole SNR sweep of one
+drop shares them.  Schemes that read only the stream gains |l_ii| take them
+from numerics.stream_gains, which never forms Q.
 """
 
 import numpy as np
 
-from .channel import ChannelMatrix, NoiseModel, take_partial_csi
+from .channel import take_partial_csi
 from .numerics import TriangularFactorization, hpd_inverse, lq_factor, stream_gains
 
 __all__ = [
@@ -35,12 +37,8 @@ def _rate(sinr, base):
 
 def _sigma(noise):
     # a vector of noise powers becomes an (m, 1) column that broadcasts over streams
-    s2 = np.asarray(noise.sigma_sq if isinstance(noise, NoiseModel) else noise, dtype=float)
+    s2 = np.asarray(noise, dtype=float)
     return s2[:, None] if s2.ndim else s2
-
-
-def _entries(H):
-    return H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
 
 
 def conventional_rates(H, noise, base=2.0) -> np.ndarray:
@@ -48,7 +46,7 @@ def conventional_rates(H, noise, base=2.0) -> np.ndarray:
 
     rate_i = log(1 + |H_ii|^2 / (sigma^2 + sum_{j != i} |H_ij|^2))
     """
-    P = np.abs(_entries(H)) ** 2
+    P = np.abs(H) ** 2
     sig = np.diag(P)
     interf = P.sum(axis=1) - sig
     return _rate(sig / (_sigma(noise) + interf), base)
@@ -58,12 +56,12 @@ def zfdpc_rates(H, noise, base=2.0) -> np.ndarray:
     """Downlink ZF-DPC: factor H = L Q, rate_i = log(1 + l_ii^2 / sigma^2).
 
     H may also be given as its TriangularFactorization, whose gains are then
-    read instead of factoring again.
+    read instead of factoring again: a drop with a THP scheme factors H anyway.
     """
     if isinstance(H, TriangularFactorization):
         g = H.stream_gains
     else:
-        g = stream_gains(_entries(H))
+        g = stream_gains(H)
     return _rate(g**2 / _sigma(noise), base)
 
 
@@ -73,7 +71,7 @@ def uplink_sic_rates(H, noise, base=2.0) -> np.ndarray:
     Cancellation of previously decoded streams is assumed ideal, so the rates
     are log(1 + m_ii^2 / sigma^2) with H^T = M Q'.
     """
-    g = stream_gains(_entries(H).T)
+    g = stream_gains(H.T)
     return _rate(g**2 / _sigma(noise), base)
 
 
@@ -103,7 +101,7 @@ def zfdpc_partial_rates(H, known, noise, base=2.0) -> np.ndarray:
 
         SINR_i = |E_ii|^2 / (sigma^2 + sum_{j<i} |Z_ij|^2 + sum_{j>i} |E_ij|^2)
     """
-    return _partial_rates(_entries(H), known, _sigma(noise), base)
+    return _partial_rates(H, known, _sigma(noise), base)
 
 
 def clustered_rates(H_in, interference, noise, base=2.0, csi_l=None) -> np.ndarray:
@@ -114,11 +112,10 @@ def clustered_rates(H_in, interference, noise, base=2.0, csi_l=None) -> np.ndarr
     in-cluster precoder itself runs on partial CSI.
     """
     noise_eff = _sigma(noise) + np.asarray(interference, dtype=float)
-    He = _entries(H_in)
     if csi_l is None:
-        return _rate(stream_gains(He) ** 2 / noise_eff, base)
-    known = take_partial_csi(He, min(csi_l, He.shape[0]))
-    return _partial_rates(He, known, noise_eff, base)
+        return _rate(stream_gains(H_in) ** 2 / noise_eff, base)
+    known = take_partial_csi(H_in, min(csi_l, H_in.shape[0]))
+    return _partial_rates(H_in, known, noise_eff, base)
 
 
 def mmse_rates(H, noise, base=2.0) -> np.ndarray:
@@ -133,10 +130,9 @@ def mmse_rates(H, noise, base=2.0) -> np.ndarray:
     The MSE is not separable in sigma^2, so a vector of noise powers costs one
     inverse each; conj(H) H^T is formed once.
     """
-    He = _entries(H)
     s2 = _sigma(noise)
-    k = He.shape[0]
-    gram = He.conj() @ He.T
+    k = H.shape[0]
+    gram = H.conj() @ H.T
 
     def rates_at(s):
         A = gram + s * np.eye(k)
@@ -149,7 +145,7 @@ def mmse_rates(H, noise, base=2.0) -> np.ndarray:
 
 def tic_rate(H, noise, base=2.0) -> np.ndarray:
     """Total interference cancellation: interference removed, not reused."""
-    sig = np.abs(np.diag(_entries(H))) ** 2
+    sig = np.abs(np.diag(H)) ** 2
     return _rate(sig / _sigma(noise), base)
 
 
@@ -163,7 +159,7 @@ def smf_rate(H, noise, l, base=2.0) -> np.ndarray:
     Entries follow the system model's z^(-alpha/2) amplitude convention, so
     combining reuses exactly the received powers the other schemes see.
     """
-    P = np.abs(_entries(H)) ** 2
+    P = np.abs(H) ** 2
     k = P.shape[0]
     if not 1 <= l <= k:
         raise ValueError(f"combining order l={l} outside 1..{k}")

@@ -103,7 +103,11 @@ class ThpOutput:
 
 
 def _lower(L):
-    """The triangular matrix, and the mask of its streams that carry no data."""
+    """The triangular matrix, and the mask of its streams that carry no data.
+
+    L is a TriangularFactorization, whose degenerate streams carry no data,
+    or a bare lower-triangular array, all of whose streams do.
+    """
     if isinstance(L, TriangularFactorization):
         return L.L, L.degenerate
     L = np.asarray(L)
@@ -215,15 +219,14 @@ def _mean_power(u):
     return float(np.mean(np.sum(np.abs(u) ** 2, axis=1)))
 
 
-def drop_power_sample(fact, noise, mode, rng, vectors=100, base=2.0) -> float:
+def drop_power_sample(fact, sigma_sq, mode, rng, vectors=100, base=2.0) -> float:
     """Total transmit power of one drop, averaged over random data vectors.
 
-    noise is a NoiseModel or a scalar sigma^2.  mode is "adaptive"
-    (constellations from the per-stream ZF-DPC capacity) or a fixed order in
-    {4, 16, 64}.
+    sigma_sq is the scalar noise power.  mode is "adaptive" (constellations
+    from the per-stream ZF-DPC capacity) or a fixed order in {4, 16, 64}.
     """
     L, off = _lower(fact)
-    orders = _orders(L, getattr(noise, "sigma_sq", noise), mode, base)[0]
+    orders = _orders(L, sigma_sq, mode, base)[0]
     u = precode_batch(L, _draw(orders, rng, vectors), _BASES[_rows(orders)], off)
     return _mean_power(u)
 
@@ -257,5 +260,5 @@ def thp_power_cdf(factorizations, noise: NoiseModel, mode, rng,
 
     if len(factorizations) < 100:
         raise ValueError("need at least 100 drops for a power CDF")
-    return build_cdf([drop_power_sample(f, noise, mode, rng, vectors_per_drop, base)
+    return build_cdf([drop_power_sample(f, noise.sigma_sq, mode, rng, vectors_per_drop, base)
                       for f in factorizations])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cloudradio import (NoiseModel, Region, associate, build_channel, sample_ppp,
-                        select_cohort)
+from cloudradio import Region, associate, build_channel, sample_ppp, select_cohort
+from cloudradio.geometry import distance_block
 
 # every Tier-1 run tries the same examples: derandomize seeds each test's
 # generator from the test itself and implies no example database
@@ -14,11 +14,6 @@ settings.load_profile("tier1")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-@pytest.fixture
-def noise_10db():
-    return NoiseModel.from_snr_db(10.0)
 
 
 def standard_drop(rng, lambda_b=0.3, side=10.0, mu=1.0, alpha=4.0):
@@ -32,7 +27,8 @@ def standard_drop(rng, lambda_b=0.3, side=10.0, mu=1.0, alpha=4.0):
             cohort = select_cohort(assoc, rng)
             if cohort.k >= 2:
                 break
-    H = build_channel(cohort, assoc, mu, alpha, rng)
+    H = build_channel(distance_block(assoc, cohort.ue_indices, cohort.bs_indices), mu, alpha,
+                      rng)
     return bs, ue, assoc, cohort, H
 
 

@@ -280,7 +280,7 @@ def test_criterion_11_thp():
         from conftest import standard_drop
         *_, H = standard_drop(drop_rng)
         facts.append(lq_factor(H))
-        sizes.append(H.k)
+        sizes.append(len(H))
     noise = NoiseModel.from_snr_db(10.0)
     fixed = thp_power_cdf(facts, noise, 4, np.random.default_rng(SEED + 2))
     adaptive = thp_power_cdf(facts, noise, "adaptive", np.random.default_rng(SEED + 2))

@@ -3,61 +3,56 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cloudradio import (Association, ClusterSplit, Cohort, NoiseModel, Region, associate,
+from cloudradio import (Association, ClusterSplit, NoiseModel, Region, associate,
                         build_channel, inter_cluster_interference, sample_ppp, select_cohort,
                         take_partial_csi)
-from cloudradio.channel import MIN_DISTANCE_KM, diagonal_dominance_fraction, ue_bs_distances
-from cloudradio.geometry import point_distances
-
-
-def _cohort(k):
-    return Cohort(bs_indices=np.arange(k), ue_indices=np.arange(k))
+from cloudradio.channel import MIN_DISTANCE_KM, diagonal_dominance_fraction
+from cloudradio.geometry import distance_block, point_distances
+from cloudradio.harness import _write_channel_csv
 
 
 def test_pathloss_exponent_law(rng):
     # doubling every distance divides each |entry| by 2^(alpha/2) = 4 at alpha=4
     z = np.array([[1.0, 2.0], [2.5, 1.5]])
-    h1 = build_channel(_cohort(2), z, 1.0, 4.0, np.random.default_rng(9))
-    h2 = build_channel(_cohort(2), 2 * z, 1.0, 4.0, np.random.default_rng(9))
-    assert np.allclose(np.abs(h1.entries) / np.abs(h2.entries), 4.0)
+    h1 = build_channel(z, 1.0, 4.0, np.random.default_rng(9))
+    h2 = build_channel(2 * z, 1.0, 4.0, np.random.default_rng(9))
+    assert np.allclose(np.abs(h1) / np.abs(h2), 4.0)
 
 
 def test_fade_power_normalization(rng):
     # unit distances strip the path loss, leaving E|h|^2 = 1/mu
     for mu in (1.0, 2.5):
-        H = build_channel(_cohort(100), np.ones((100, 100)), mu, 4.0, rng)
-        assert abs(np.mean(np.abs(H.entries) ** 2) - 1.0 / mu) < 0.03 / mu
+        H = build_channel(np.ones((100, 100)), mu, 4.0, rng)
+        assert abs(np.mean(np.abs(H) ** 2) - 1.0 / mu) < 0.03 / mu
 
 
 def test_zero_distance_clamped():
     z = np.array([[0.0, 3.0], [3.0, 1.0]])
-    H = build_channel(_cohort(2), z, 1.0, 4.0, np.random.default_rng(1))
-    assert np.all(np.isfinite(H.entries))
+    H = build_channel(z, 1.0, 4.0, np.random.default_rng(1))
+    assert np.all(np.isfinite(H))
     # clamped magnitude corresponds to 1 m, not infinity
-    assert np.abs(H.entries[0, 0]) < 2.0 * MIN_DISTANCE_KM ** -2
+    assert np.abs(H[0, 0]) < 2.0 * MIN_DISTANCE_KM ** -2
 
 
 def test_build_channel_parameter_errors(rng):
     z = np.eye(2) + 1.0
     with pytest.raises(ValueError):
-        build_channel(_cohort(2), z, 1.0, 2.0, rng)  # alpha must exceed 2
+        build_channel(z, 1.0, 2.0, rng)  # alpha must exceed 2
     with pytest.raises(ValueError):
-        build_channel(_cohort(2), z, 0.0, 4.0, rng)
+        build_channel(z, 0.0, 4.0, rng)
     # diagonal not the row minimum: cohort contradicts nearest-BS association
     bad = np.array([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
-        build_channel(_cohort(2), bad, 1.0, 4.0, rng)
+        build_channel(bad, 1.0, 4.0, rng)
 
 
 def test_distance_dominance_of_diagonal(drop):
     _, _, assoc, cohort, H = drop
-    z = ue_bs_distances(assoc, cohort.ue_indices, cohort.bs_indices)
+    z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
     assert np.all(np.diag(z) <= z.min(axis=1) + 1e-12)
-    # the channel keeps the clamped block it was drawn over, equal to the
-    # same block of the full distance matrix
+    # the block equals the same block of the full distance matrix, bit for bit
     dense = point_distances(assoc.ue_points[:, None, :], assoc.bs_points[None, :, :])
-    block = np.maximum(dense[np.ix_(cohort.ue_indices, cohort.bs_indices)], MIN_DISTANCE_KM)
-    assert np.array_equal(H.distances, block)
+    assert np.array_equal(z, dense[np.ix_(cohort.ue_indices, cohort.bs_indices)])
 
 
 def test_drop_memory_does_not_grow_as_ue_times_bs():
@@ -72,11 +67,12 @@ def test_drop_memory_does_not_grow_as_ue_times_bs():
     try:
         assoc = associate(bs, ue)
         cohort = select_cohort(assoc, rng)
-        H = build_channel(cohort, assoc, 1.0, 4.0, rng)
+        z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
+        H = build_channel(z, 1.0, 4.0, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert H.k == cohort.k > 400
+    assert len(H) == cohort.k > 400
     assert peak < 12e6
 
 
@@ -97,10 +93,10 @@ def test_build_channel_matches_complex_formula(k):
         np.fill_diagonal(z, z.min(axis=1) * gen.uniform(0.0, 1.0, k))
         mu, alpha = (1.0, 4.0) if seed % 2 else (gen.uniform(0.5, 3.0), gen.uniform(2.5, 6.0))
         got_rng, want_rng = (np.random.default_rng(seed + 1000) for _ in range(2))
-        H = build_channel(_cohort(k), z, mu, alpha, got_rng)
+        H = build_channel(z, mu, alpha, got_rng)
         want = build_channel_two_temporaries(np.maximum(z, MIN_DISTANCE_KM), mu, alpha,
                                              want_rng)
-        assert H.entries.tobytes() == want.tobytes(), seed
+        assert H.tobytes() == want.tobytes(), seed
         assert got_rng.random() == want_rng.random()
 
 
@@ -112,31 +108,31 @@ def test_magnitude_dominance_is_only_statistical(rng, drop):
 
 def test_partial_csi_full_budget_is_identity(drop):
     _, _, _, _, H = drop
-    known = take_partial_csi(H, H.k)
-    assert np.array_equal(known, H.entries)
+    known = take_partial_csi(H, len(H))
+    assert np.array_equal(known, H)
 
 
 def test_partial_csi_single_budget_keeps_row_argmax(rng):
-    H = build_channel(_cohort(4), np.ones((4, 4)) + np.eye(4) * -0.5, 1.0, 4.0, rng)
+    H = build_channel(np.ones((4, 4)) + np.eye(4) * -0.5, 1.0, 4.0, rng)
     known = take_partial_csi(H, 1)
     for i in range(4):
-        j = np.argmax(np.abs(H.entries[i]))
+        j = np.argmax(np.abs(H[i]))
         row = known[i].copy()
-        assert row[j] == H.entries[i, j]
+        assert row[j] == H[i, j]
         row[j] = 0
         assert np.all(row == 0)
 
 
 def test_partial_csi_zero_pattern_matches_sort_oracle(rng):
     k, l = 5, 3
-    H = build_channel(_cohort(k), np.ones((k, k)) - 0.5 * np.eye(k), 1.0, 4.0, rng)
+    H = build_channel(np.ones((k, k)) - 0.5 * np.eye(k), 1.0, 4.0, rng)
     known = take_partial_csi(H, l)
     for i in range(k):
-        keep = set(np.argsort(np.abs(H.entries[i]))[::-1][:l].tolist())
+        keep = set(np.argsort(np.abs(H[i]))[::-1][:l].tolist())
         nz = set(np.flatnonzero(known[i]).tolist())
         assert nz == keep
         for j in nz:
-            assert known[i, j] == H.entries[i, j]
+            assert known[i, j] == H[i, j]
     assert np.count_nonzero(known) == k * l
 
 
@@ -145,7 +141,7 @@ def test_partial_csi_budget_range(drop):
     with pytest.raises(ValueError):
         take_partial_csi(H, 0)
     with pytest.raises(ValueError):
-        take_partial_csi(H, H.k + 1)
+        take_partial_csi(H, len(H) + 1)
 
 
 def interference_per_ue(split, ue_indices, distances, mu, alpha, rng):
@@ -162,18 +158,15 @@ def interference_per_ue(split, ue_indices, distances, mu, alpha, rng):
 
 
 def test_inter_cluster_empty_out_set(rng):
-    split = ClusterSplit(in_cluster=np.array([0, 1]), out_cluster=np.array([], dtype=int))
     state = rng.bit_generator.state
-    val = inter_cluster_interference(split, [0], np.ones((1, 2)), 1.0, 4.0, rng)
+    val = inter_cluster_interference(np.ones((1, 0)), 1.0, 4.0, rng)
     assert np.array_equal(val, [0.0])
     assert rng.bit_generator.state == state  # nothing drawn
 
 
 def test_inter_cluster_single_interferer_mean(rng):
     # one interferer at 1 km: E[I_r] = 1/mu
-    split = ClusterSplit(in_cluster=np.array([0]), out_cluster=np.array([1]))
-    samples = inter_cluster_interference(split, np.zeros(20000, dtype=int),
-                                         np.array([[0.5, 1.0]]), 1.0, 4.0, rng)
+    samples = inter_cluster_interference(np.ones((20000, 1)), 1.0, 4.0, rng)
     assert samples.shape == (20000,)
     assert abs(np.mean(samples) - 1.0) < 0.03
 
@@ -191,8 +184,7 @@ def test_inter_cluster_monotone_in_radius(rng):
         last = np.inf
         for radius in (2.0, 4.0, 6.0, 8.0):
             inside = center_d <= radius
-            split = ClusterSplit(np.flatnonzero(inside), np.flatnonzero(~inside))
-            val = inter_cluster_interference(split, [0], distances, 1.0, 4.0,
+            val = inter_cluster_interference(distances[:, ~inside], 1.0, 4.0,
                                              np.random.default_rng(seed))[0]
             assert val <= last + 1e-12
             last = val
@@ -211,7 +203,8 @@ def test_inter_cluster_batch_matches_per_ue_loop(n_bs, radius):
     dense = point_distances(assoc.ue_points[:, None, :], bs[None, :, :])
     for mu, alpha in [(1.0, 4.0), (2.5, 3.0)]:
         fast, slow = np.random.default_rng(11), np.random.default_rng(11)
-        got = inter_cluster_interference(split, ues, assoc, mu, alpha, fast)
+        got = inter_cluster_interference(distance_block(assoc, ues, split.out_cluster), mu,
+                                         alpha, fast)
         ref = interference_per_ue(split, ues, dense, mu, alpha, slow)
         assert np.array_equal(got, ref)
         assert fast.random() == slow.random()
@@ -228,7 +221,7 @@ def test_noise_model():
 def test_channel_csv_shape(tmp_path, drop):
     *_, H = drop
     path = tmp_path / "H.csv"
-    H.to_csv(path)
+    _write_channel_csv(path, H)
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    assert raw.shape == (H.k, 2 * H.k)
-    assert np.allclose(raw[:, 0::2] + 1j * raw[:, 1::2], H.entries)
+    assert raw.shape == (len(H), 2 * len(H))
+    assert np.allclose(raw[:, 0::2] + 1j * raw[:, 1::2], H)

@@ -12,7 +12,6 @@ from cloudradio import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
                         tagged_rate_samples, validate)
 from cloudradio import harness, precoding, qam_constellation
 from cloudradio.analytic import trunc_radius
-from cloudradio.channel import ChannelMatrix
 from cloudradio.cli import main
 from cloudradio.harness import SCHEMES, Drop
 
@@ -274,7 +273,7 @@ def test_zfdpc_scheme_reads_the_shared_factorization():
             H = random_complex(gen, k) * np.geomspace(0.3, 30.0, k)[:, None]
             if k > 2:
                 H[2] = H[1]  # a degenerate stream
-            drop = Drop(cfg, 0, ChannelMatrix(H), None, sigma_sq)
+            drop = Drop(cfg, 0, H, None, sigma_sq)
             got = SCHEMES["zfdpc"](drop)
             assert ("lq" in vars(drop)) == shared, (schemes, k)
             want = precoding.zfdpc_rates(H, sigma_sq)
@@ -400,13 +399,14 @@ def test_tagged_samples_match_padded_sort_bits(scheme, n, batch, alpha_mu):
 def test_tagged_samples_memory_is_per_block(scheme):
     # budget, set from the layout: a block is 512 samples at up to 320 BSs
     # each (the mean is lam*pi*R**2 = 224 with a standard deviation of 15),
-    # and at most five block-sized float arrays are held at once: the
-    # previous block's powers, fades and zero-padded faded row while this
-    # block's padded uniforms and their draw exist.  The batch's counts and
-    # the output add 8 B per sample each.  Holding every unfaded power of the
-    # batch took smf2-interf to 49 MB, and sorting the whole batch as one
-    # padded array took every scheme to 124 MB
-    budget = 5 * 512 * 320 * 8 + 2 * 20000 * 8
+    # and at most four block-sized float arrays are held at once: a block's
+    # powers, fades, their product and its zero-padded faded row.  A block's
+    # arrays are freed before the next block draws.  The batch's counts and
+    # the output add 8 B per sample each.  Keeping the previous block's
+    # arrays while the next one drew took smf2-interf to 5.59 MB, holding
+    # every unfaded power of the batch to 49 MB, and sorting the whole batch
+    # as one padded array took every scheme to 124 MB
+    budget = 4 * 512 * 320 * 8 + 2 * 20000 * 8
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
@@ -577,11 +577,11 @@ def test_cli_snr_db_help_example_runs(tmp_path, capsys):
 def test_cli_run_degenerate_stream_exits_0(tmp_path, monkeypatch, capsys):
     # the last cohort row repeats the one before, so its stream is degenerate
     # with an exactly zero diagonal: zero rate for zfdpc, zero power for THP
-    def repeated_row_channel(cohort, assoc, mu, alpha, rng):
-        H = np.eye(cohort.k, dtype=complex)
-        if cohort.k > 1:
+    def repeated_row_channel(z, mu, alpha, rng):
+        H = np.eye(len(z), dtype=complex)
+        if len(z) > 1:
             H[-1] = H[-2]
-        return ChannelMatrix(entries=H)
+        return H
 
     monkeypatch.setattr(harness, "build_channel", repeated_row_channel)
     assert main(["run", "--schemes", "zfdpc,thp-adaptive,thp-fixed4", "--drops", "3",

@@ -26,7 +26,7 @@ def brute_force_det(H):
 
 def test_conventional_no_interferer():
     H = np.eye(1, dtype=complex)
-    r = conventional_rates(H, NoiseModel.from_snr_db(10.0))
+    r = conventional_rates(H, NoiseModel.from_snr_db(10.0).sigma_sq)
     assert r[0] == pytest.approx(LOG2_11, abs=1e-12)
 
 
@@ -37,7 +37,7 @@ def test_conventional_unit_sir_limit():
 
 
 def test_zfdpc_identity_channel():
-    r = zfdpc_rates(np.eye(5, dtype=complex), NoiseModel.from_snr_db(10.0))
+    r = zfdpc_rates(np.eye(5, dtype=complex), NoiseModel.from_snr_db(10.0).sigma_sq)
     assert np.allclose(r, LOG2_11)
 
 
@@ -90,13 +90,13 @@ def test_partial_mean_rate_monotone_in_budget(rng):
     for _ in range(60):
         *_, H = standard_drop(rng)
         for l in sums:
-            view = take_partial_csi(H, min(l, H.k))
+            view = take_partial_csi(H, min(l, len(H)))
             sums[l] += zfdpc_partial_rates(H, view, 0.1).mean()
     assert sums[2] < sums[6] < sums[30]
 
 
 def test_mmse_identity_channel():
-    r = mmse_rates(np.eye(3, dtype=complex), NoiseModel.from_snr_db(10.0))
+    r = mmse_rates(np.eye(3, dtype=complex), NoiseModel.from_snr_db(10.0).sigma_sq)
     assert np.allclose(r, LOG2_11, atol=1e-10)
 
 
@@ -151,10 +151,10 @@ def test_scheme_ordering_invariant(rng):
     # conventional <= tic <= smf(l=k), stream by stream, every drop
     for _ in range(5):
         *_, H = standard_drop(rng)
-        noise = NoiseModel.from_snr_db(10.0)
+        noise = NoiseModel.from_snr_db(10.0).sigma_sq
         conv = conventional_rates(H, noise)
         tic = tic_rate(H, noise)
-        smf = smf_rate(H, noise, H.k)
+        smf = smf_rate(H, noise, len(H))
         assert np.all(conv <= tic + 1e-12)
         assert np.all(tic <= smf + 1e-12)
 
@@ -184,7 +184,7 @@ def test_zfdpc_scale_response(seed, c):
 
 def test_rates_non_negative_finite(rng):
     *_, H = standard_drop(rng)
-    noise = NoiseModel.from_snr_db(10.0)
+    noise = NoiseModel.from_snr_db(10.0).sigma_sq
     for fn in (conventional_rates, zfdpc_rates, uplink_sic_rates, mmse_rates, tic_rate):
         r = fn(H, noise)
         assert np.all(r >= 0) and np.all(np.isfinite(r))
@@ -205,13 +205,13 @@ def test_log_base_configurable():
     tic_rate,
     lambda H, s2: smf_rate(H, s2, 2),
     lambda H, s2: zfdpc_partial_rates(H, take_partial_csi(H, 2), s2),
-    lambda H, s2: clustered_rates(H, np.linspace(0.0, 0.3, H.k), s2),
-    lambda H, s2: clustered_rates(H, np.linspace(0.0, 0.3, H.k), s2, csi_l=2),
+    lambda H, s2: clustered_rates(H, np.linspace(0.0, 0.3, len(H)), s2),
+    lambda H, s2: clustered_rates(H, np.linspace(0.0, 0.3, len(H)), s2, csi_l=2),
 ])
 def test_noise_vector_rows_equal_scalar_calls(rng, rates):
     *_, H = standard_drop(rng)
     sigma_sq = np.array([NoiseModel.from_snr_db(s).sigma_sq for s in (-6.0, 0.0, 10.0, 45.0)])
     sweep = rates(H, sigma_sq)
-    assert sweep.shape == (sigma_sq.size, H.k)
+    assert sweep.shape == (sigma_sq.size, len(H))
     for j, s2 in enumerate(sigma_sq):
         assert np.array_equal(sweep[j], rates(H, float(s2)))
