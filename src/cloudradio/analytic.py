@@ -11,34 +11,23 @@ Both formulas integrate over the log of the nearest distance, u = ln z on
 [ln zmax - LOG_SPAN, ln zmax] with zmax = trunc_radius(lam).  At a deep
 threshold the integrand peaks near z = (mu*gamma*sigma**2)**(-1/alpha), far
 inside the PPP scale (4e-4 km at t = 48 and 10 dB), where an adaptive rule
-over z in [0, zmax] can step over it; one over u cannot.  The single-branch
-integrand is 2*pi*lam * z**2 * exp(-pi*lam*z**2 - mu*gamma*sigma**2*z**alpha),
-one quad per threshold that starts from the breaks OUTER_BREAKS below ln zmax;
-at alpha = 2 (harmonic) and alpha = 4 (scaled erfcx) its closed form is
-returned after a cross-check against that quad.  Without the breaks, quad
-under-resolves the mass at a few thresholds and under-reports its error by a
-factor of about 1e3, and the cross-check raises on a correct closed form.  A
-two-branch curve is one scipy.integrate.quad_vec pass over u for the whole
-grid, with the inner integral over the second-nearest distance a pair of
-fixed Gauss-Legendre rules in ln(z2/z1); a coarse pass that sets each
-threshold's error scale comes first, and each outer node is evaluated once
-for both.  The interference Laplace exponent is closed form: an arctan at
-alpha = 4, a Gauss hypergeometric otherwise.  Beyond the second-nearest BS
-its argument is gamma whatever z2, so that branch's exponent is z2**2 times
-one value per threshold, computed once per curve.
+over z in [0, zmax] can step over it; one over u cannot.  Every curve is one
+call of quad, the one outer integrator: a scipy.integrate.quad_vec pass over
+u for the whole threshold grid, gated per threshold.  At alpha = 2
+(harmonic) and alpha = 4 (scaled erfcx) the single-branch curve is a closed
+form, returned after a cross-check against quad.  The two-branch inner
+integral over the second-nearest distance is a pair of fixed Gauss-Legendre
+rules in ln(z2/z1).  The interference Laplace exponent is closed form: an
+arctan at alpha = 4, a Gauss hypergeometric otherwise.
 
-Every curve takes one checked path, _coverage: a NaN threshold raises
-ValueError, a threshold with gamma <= 0 is covered with probability exactly
-1, the formula runs on the others as one vector, and the result must lie in
-[0, 1] and not increase with the threshold, or NumericalError is raised.
-tau_tic and tau_smf2 are one-element calls of tau_tic_curve and
-tau_smf2_curve.
+Every curve takes one checked path, _coverage, which checks the parameters
+and the result.  tau_tic and tau_smf2 are one-element calls of their curves.
 """
 
 import math
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad_vec
 from scipy.linalg import block_diag
 from scipy.special import erfcx, hyp2f1
 
@@ -52,9 +41,8 @@ REL_TOL = 1e-6
 # tail mass of exp(-pi*lam*z**2) neglected beyond the truncation radius
 TRUNC_CUTOFF = 1e-12
 # the nearest-distance variable u = ln z spans [ln zmax - LOG_SPAN, ln zmax];
-# the tic quad and the smf2 outer pass start from breaks at OUTER_BREAKS below
-# ln zmax, one interval per octave of depth, so they start resolved at every
-# threshold's mass
+# quad starts from breaks at OUTER_BREAKS below ln zmax, one interval per
+# octave of depth, so it starts resolved at every threshold's mass
 LOG_SPAN = 40.0
 OUTER_BREAKS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -84,16 +72,60 @@ def _check_quad(value, abserr, what):
     return value
 
 
-def _coverage(lam, sigma_sq, mu, thresholds, base, formula):
+def _check_params(alpha, alpha_min, base, **positive):
+    """ValueError unless alpha > alpha_min, base > 1, each keyword > 0, all finite."""
+    bounds = {name: (0.0, v) for name, v in positive.items()}
+    bounds.update(alpha=(alpha_min, alpha), base=(1.0, base))
+    for name, (low, v) in bounds.items():
+        if not low < v < math.inf:
+            raise ValueError(f"{name} must lie in ({low:g}, inf), not {v}")
+
+
+def quad(hi, outer, m, what):
+    """Integral over u in [hi - LOG_SPAN, hi] of outer(u), gated per threshold.
+
+    outer(u) is an (r, m) array, a column per threshold; row 0 is the
+    integrand.  With r = 2, row 1 is a lower-order inner rule whose distance
+    from row 0 is added to the error.  Row 0's integral I is returned once
+    each threshold's error is at most max(REL_TOL*|I|, 1e-13).  quad_vec's
+    max-norm error is relative to the largest component, so a coarse pass
+    estimates each I and the real pass integrates outer over scale =
+    max(|coarse|, 1e-13/REL_TOL): its max-norm error times each scale bounds
+    that threshold's error.  The real pass requests every coarse node again,
+    so each coarse node's array is kept until it does: every node is computed
+    once.  cloudbench/layers.py counts calls by this name.
+    """
+    def integral(f, epsrel):
+        return quad_vec(f, hi - LOG_SPAN, hi, epsrel=epsrel, norm="max", limit=200,
+                        points=[hi - b for b in OUTER_BREAKS])
+
+    raw = {}  # u -> outer(u) of the coarse pass's nodes, until the real pass takes it
+
+    def coarse_node(u):
+        raw[u] = r = outer(u)
+        return r.ravel()
+
+    def real_node(u):
+        r = raw.pop(u) if u in raw else outer(u)
+        return (r / scale).ravel()
+
+    coarse, _ = integral(coarse_node, 1e-3)
+    scale = np.maximum(np.abs(coarse[:m]), 1e-13 / REL_TOL)
+    val, err = integral(real_node, REL_TOL)
+    val = val.reshape(-1, m) * scale
+    return _check_quad(val[0], err * scale + np.abs(val[0] - val[-1]), what)
+
+
+def _coverage(lam, sigma_sq, mu, thresholds, alpha, base, formula, with_interference=False):
     """Coverage at each rate threshold, through the one checked path.
 
-    A NaN threshold raises ValueError.  formula maps the vector of SINR
-    thresholds gamma > 0 to their coverage; a threshold with gamma <= 0 is
-    covered with probability 1.  The result must lie in [0, 1] and not
-    increase with the threshold.
+    Parameters out of range (alpha must exceed 2 with interference) and a NaN
+    threshold raise ValueError.  formula maps the SINR thresholds gamma > 0
+    to their coverage; gamma <= 0 is covered with probability 1.  The result
+    must lie in [0, 1] and not increase with the threshold.
     """
-    if lam <= 0 or sigma_sq <= 0 or mu <= 0:
-        raise ValueError("lam, sigma_sq and mu must be positive")
+    _check_params(alpha, 2.0 if with_interference else -math.inf, base,
+                  lam=lam, sigma_sq=sigma_sq, mu=mu)
     t = np.asarray(thresholds, dtype=float)
     nan = np.flatnonzero(np.isnan(t))
     if nan.size:
@@ -112,22 +144,18 @@ def _coverage(lam, sigma_sq, mu, thresholds, base, formula):
 
 
 def _tic_coverage(lam, sigma_sq, mu, g, alpha):
-    """tau_tic at every SINR threshold of the vector g > 0, one quad over u each."""
+    """tau_tic at every SINR threshold of the vector g > 0, one quad over u."""
     q = lam * np.pi
     c = mu * g * sigma_sq
-    hi = math.log(trunc_radius(lam))
-    val = np.empty(c.shape)
-    for i, ci in enumerate(c.tolist()):
-        v, err = quad(lambda u: 2 * q * math.exp(2 * u - q * math.exp(2 * u)
-                                                 - ci * math.exp(alpha * u)),
-                      hi - LOG_SPAN, hi, epsabs=1e-13, epsrel=REL_TOL, limit=200,
-                      points=[hi - b for b in OUTER_BREAKS])
-        val[i] = _check_quad(v, err, "tau_tic")
+
+    def outer(u):  # one row, a column per threshold
+        return np.exp(2 * u - q * math.exp(2 * u) - c * math.exp(alpha * u))[None]
+
+    val = 2 * q * quad(math.log(trunc_radius(lam)), outer, g.size, "tau_tic")
     if alpha == 2.0:
         closed = q / (q + c)
     elif alpha == 4.0:
-        x = q / (2.0 * np.sqrt(c))
-        closed = q * np.sqrt(np.pi / (4.0 * c)) * erfcx(x)
+        closed = q * np.sqrt(np.pi / (4.0 * c)) * erfcx(q / (2.0 * np.sqrt(c)))
     else:
         return val
     bad = np.flatnonzero(np.abs(closed - val) > 1e-6 * np.maximum(closed, 1e-12))
@@ -144,9 +172,9 @@ def tau_tic_curve(lam, sigma_sq, mu, thresholds, alpha=4.0, base=2.0) -> np.ndar
     Evaluates 2*pi*lam * integral of z * exp(-z**2*lam*pi
     - mu*gamma*sigma**2*z**alpha) dz at each threshold of the grid.  For
     alpha in {2, 4} the closed form is returned after asserting agreement
-    with each threshold's quadrature to 1e-6.
+    with the quadrature to 1e-6 at each threshold.
     """
-    return _coverage(lam, sigma_sq, mu, thresholds, base,
+    return _coverage(lam, sigma_sq, mu, thresholds, alpha, base,
                      lambda g: _tic_coverage(lam, sigma_sq, mu, g, alpha))
 
 
@@ -176,11 +204,13 @@ def laplace_ir(z, t, lam, alpha=4.0, mu=1.0, base=2.0) -> float:
     E[exp(-s I_r)] over PPP interferer positions (all farther than z) and
     exponential fades:
         exp(-2*pi*lam * integral_z^inf gamma*v / (gamma + (v/z)**alpha) dv).
+    lam may be 0; a parameter out of range or a NaN t raises ValueError.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2 for a finite interference field")
+    _check_params(alpha, 2.0, base, z=z, mu=mu)
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and not negative, not {lam}")
+    if np.isnan(t):
+        raise ValueError("threshold is NaN")
     g = gamma_threshold(t, base)
     if g <= 0 or lam == 0:
         return 1.0
@@ -189,29 +219,17 @@ def laplace_ir(z, t, lam, alpha=4.0, mu=1.0, base=2.0) -> float:
 
 
 def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
-    """tau_smf2 at every SINR threshold of the vector g > 0 in one quad_vec pass.
+    """tau_smf2 at every SINR threshold of the vector g > 0, one quad over u.
 
-    Each threshold's double integral I = tau / (2*pi*lam)**2 must have an
-    error estimate of at most max(REL_TOL*|I|, 1e-13).  quad_vec's max-norm
-    error is relative to the largest component, so a coarse pass first
-    estimates each I, and the real pass integrates the integrand over
-    scale = max(|coarse|, 1e-13/REL_TOL), which is each threshold's tolerance
-    over REL_TOL.  The max-norm error of that rescaled vector times each scale
-    bounds each threshold's own outer error.  Both passes split the same
-    interval at the same breaks, so the real pass requests every node of the
-    coarse one again: each coarse node's unscaled vector is kept in a dict
-    local to the call until the real pass takes it and divides it by its
-    scale, so every node is computed once.
-
-    The outer variable is u = ln z1, whose Jacobian turns z1 dz1 into
+    Each threshold's double integral I = tau / (2*pi*lam)**2 goes through
+    quad.  The outer variable is u = ln z1, whose Jacobian turns z1 dz1 into
     exp(2u) du.  The inner integral over z2 in [z1, zmax] is a fixed
     Gauss-Legendre rule in v = ln(z2/z1), whose Jacobian is z2.  The log
     variable resolves both the divided-difference bump next to z1, about z1
     wide, and the broad PPP and Laplace factor, about (pi*lam)**-0.5 wide.
     Both rules of INNER_RULE_NODES are evaluated on every outer node as one
-    array over (nodes x thresholds) and carried through the outer pass as one
-    vector; the higher-order value is reported, and |I_high - I_low| is added
-    to the outer error estimate before the gate.
+    array over (nodes x thresholds), and outer(u) gives quad the higher-order
+    rule as row 0 and the lower-order one as row 1.
 
     Each branch's factor is one exponential of its noise exponent plus, with
     interference, its Laplace exponent.  The second branch's Laplace argument
@@ -261,28 +279,7 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
         f = z2 * z2 * np.exp(-q * z2 * z2) * bracket(z1, z2)
         return z1 * z1 * L * (weights @ f)
 
-    def integral(f, epsrel):
-        return quad_vec(f, hi - LOG_SPAN, hi, epsrel=epsrel, norm="max", limit=200,
-                        points=[hi - b for b in OUTER_BREAKS])
-
-    raw = {}  # u -> outer(u) of the coarse pass's nodes, until the real pass takes it
-
-    def coarse_node(u):
-        raw[u] = r = outer(u)
-        return r.ravel()
-
-    def real_node(u):
-        r = raw.pop(u) if u in raw else outer(u)
-        return (r / scale).ravel()
-
-    m = g.size
-    coarse, _ = integral(coarse_node, 1e-3)
-    scale = np.maximum(np.abs(coarse[:m]), 1e-13 / REL_TOL)
-    val, err = integral(real_node, REL_TOL)
-    val_high, val_low = val[:m] * scale, val[m:] * scale
-    err = err * scale + np.abs(val_high - val_low)
-    val = _check_quad(val_high, err, "tau_smf2") * two_pi_lam**2
-    return np.clip(val, 0.0, 1.0)
+    return np.clip(quad(hi, outer, g.size, "tau_smf2") * two_pi_lam**2, 0.0, 1.0)
 
 
 def tau_smf2_curve(lam, sigma_sq, mu, thresholds, with_interference=False,
@@ -296,8 +293,9 @@ def tau_smf2_curve(lam, sigma_sq, mu, thresholds, with_interference=False,
     multiplies each exponential term by the Laplace transform of the field
     beyond z2 at the matching argument.
     """
-    return _coverage(lam, sigma_sq, mu, thresholds, base,
-                     lambda g: _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha))
+    return _coverage(lam, sigma_sq, mu, thresholds, alpha, base,
+                     lambda g: _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha),
+                     with_interference)
 
 
 def tau_smf2(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0, base=2.0) -> float:

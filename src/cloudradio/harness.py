@@ -41,7 +41,13 @@ __all__ = [
     "tagged_rate_samples",
 ]
 
-CROSSVAL_SCHEMES = ("tic", "smf2", "smf2-interf")
+# scheme -> analytic coverage curve, looked up on `analytic` at each call
+CROSSVAL_CURVES = {
+    "tic": lambda *a, **kw: analytic.tau_tic_curve(*a, **kw),
+    "smf2": lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=False, **kw),
+    "smf2-interf": lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=True, **kw),
+}
+CROSSVAL_SCHEMES = tuple(CROSSVAL_CURVES)
 DEBUG_DROPS = 4  # drops that write --dump-* files
 
 
@@ -629,13 +635,8 @@ def crossvalidate(config: ExperimentConfig) -> dict:
                                       noise.sigma_sq, config.mu, config.alpha,
                                       config.log_base, rng)
         grid = np.linspace(0.0, float(np.quantile(samples, 0.9999)) + 0.5, 241)
-        if scheme == "tic":
-            curve = analytic.tau_tic_curve(config.lambda_b, noise.sigma_sq, config.mu, grid,
-                                           alpha=config.alpha, base=config.log_base)
-        else:
-            curve = analytic.tau_smf2_curve(config.lambda_b, noise.sigma_sq, config.mu, grid,
-                                            with_interference=(scheme == "smf2-interf"),
-                                            alpha=config.alpha, base=config.log_base)
+        curve = CROSSVAL_CURVES[scheme](config.lambda_b, noise.sigma_sq, config.mu, grid,
+                                        alpha=config.alpha, base=config.log_base)
         mc_cov = 1.0 - np.searchsorted(np.sort(samples), grid, side="right") / samples.size
         gap = float(np.max(np.abs(mc_cov - curve)))
         shift = _snr_shift_db(grid, mc_cov, curve, config.log_base)

@@ -203,15 +203,141 @@ def test_tau_smf2_monte_carlo_oracle(rng):
 
 def test_coverage_check_raises_numerical_error(monkeypatch):
     # every curve goes through one check: coverage in [0, 1], not increasing
-    # with the threshold; at alpha = 3 tau_tic returns quad's own value
+    # with the threshold; at alpha = 3 tau_tic returns 2*pi*lam times quad's
+    # integral and tau_smf2 returns (2*pi*lam)**2 times it
     assert np.all(np.diff(tau_tic_curve(0.3, 0.1, 1.0, [2.0, 1.0])) > 0)  # descending grid
-    values = iter([0.5, 0.9])
-    monkeypatch.setattr(analytic, "quad", lambda *args, **kw: (next(values), 0.0))
-    with pytest.raises(NumericalError, match="increase"):
-        tau_tic_curve(0.3, 0.1, 1.0, [0.5, 1.0], alpha=3.0)
-    monkeypatch.setattr(analytic, "quad", lambda *args, **kw: (1.5, 0.0))
+    two_pi_lam = 2 * np.pi * 0.3
+    for curve, per_integral in ((tau_tic_curve, two_pi_lam), (tau_smf2_curve, two_pi_lam**2)):
+        monkeypatch.setattr(analytic, "quad",
+                            lambda hi, outer, m, what: np.array([0.5, 0.9]) / per_integral)
+        with pytest.raises(NumericalError, match="increase"):
+            curve(0.3, 0.1, 1.0, [0.5, 1.0], alpha=3.0)
+    monkeypatch.setattr(analytic, "quad", lambda hi, outer, m, what: np.array([1.5 / two_pi_lam]))
     with pytest.raises(NumericalError, match="must lie in"):
         tau_tic(0.3, 0.1, 1.0, 1.0, alpha=3.0)
+
+
+def test_each_curve_is_one_quad_call(monkeypatch):
+    # analytic.quad is the one outer integrator; the benchmark tracer counts its calls
+    calls = []
+    real = analytic.quad
+    monkeypatch.setattr(analytic, "quad", lambda *a: calls.append(a[2:]) or real(*a))
+    grid = np.linspace(0.0, 27.8, 25)
+    tau_tic_curve(0.3, 0.1, 1.0, grid, alpha=3.0)
+    tau_tic_curve(0.3, 0.1, 1.0, grid)
+    tau_smf2_curve(0.3, 0.1, 1.0, grid)
+    tau_smf2_curve(0.3, 0.1, 1.0, grid, True)
+    assert calls == [(24, "tau_tic")] * 2 + [(24, "tau_smf2")] * 2
+
+
+def test_tau_tic_alpha3_found_threshold_matches_mpmath(monkeypatch):
+    # alpha = 3 has no closed form to check the integral against.  At this
+    # point of a crossvalidate grid (seed 5, 10 dB) one scalar quad per
+    # threshold returned 0.00054139752 with a reported abserr of 2.4e-12,
+    # 160 times below its true error of 3.9e-10
+    import mpmath
+
+    lam, s2, t, alpha = 0.3, 0.1, 19.247991078150044, 3.0
+    reported = []
+    real = analytic._check_quad
+
+    def recording_check(value, abserr, what):
+        reported.append(abserr)
+        return real(value, abserr, what)
+
+    monkeypatch.setattr(analytic, "_check_quad", recording_check)
+    got = tau_tic(lam, s2, 1.0, t, alpha=alpha)
+    with mpmath.workdps(30):
+        q = mpmath.pi * lam
+        c = mpmath.mpf(float(gamma_threshold(t))) * s2
+        hi = mpmath.log(trunc_radius(lam))
+        ref = 2 * q * mpmath.quad(
+            lambda u: mpmath.exp(2 * u - q * mpmath.exp(2 * u) - c * mpmath.exp(alpha * u)),
+            [hi - 40, hi - 16, hi - 8, hi - 4, hi - 2, hi - 1, hi])
+        ref = float(ref)
+    (err,) = reported
+    assert ref == pytest.approx(0.000541397909099703, rel=1e-14)
+    assert abs(got - ref) <= 2 * np.pi * lam * err[0]
+    assert abs(got - ref) < 1e-12 * ref
+
+
+@pytest.mark.parametrize("alpha", [3.0, 5.0])
+def test_tau_tic_curve_matches_tight_scalar_quad(alpha):
+    # the vector pass over the crossval grid against one scalar quad per
+    # threshold at epsrel 1e-13, from the same breaks: measured at most
+    # 1.8e-15 relative (alpha 3) and 6.3e-16 (alpha 5); one quad per threshold
+    # at epsrel 1e-6 was off by more than 1e-12 (2.1e-12 at alpha 3, t = 14.0)
+    lam, s2 = 0.3, 0.1
+    grid = np.linspace(0.0, 27.8, 241)
+    curve = tau_tic_curve(lam, s2, 1.0, grid, alpha=alpha)
+    q = lam * np.pi
+    hi = np.log(trunc_radius(lam))
+    for t, got in zip(grid[1:], curve[1:]):
+        c = gamma_threshold(t) * s2
+
+        def f(u):
+            return 2 * q * math.exp(2 * u - q * math.exp(2 * u) - c * math.exp(alpha * u))
+
+        ref = quad(f, hi - 40.0, hi, epsabs=0.0, epsrel=1e-13, limit=500,
+                   points=[hi - b for b in analytic.OUTER_BREAKS])[0]
+        assert abs(got - ref) < 1e-12 * ref, t
+
+
+@pytest.mark.parametrize("curve", [tau_tic_curve, tau_smf2_curve])
+@pytest.mark.parametrize("name", ["lam", "sigma_sq", "mu"])
+def test_curve_parameters_must_be_finite_and_positive(curve, name):
+    # a NaN lam used to fail `lam <= 0` and give tau_tic_curve [0.]
+    for bad in (float("nan"), math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match=name):
+            curve(**{**dict(lam=0.3, sigma_sq=0.1, mu=1.0), name: bad}, thresholds=[1.0])
+
+
+def test_curve_alpha_must_be_finite():
+    # alpha = NaN used to return [1.] after an IntegrationWarning
+    for alpha in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            tau_tic_curve(0.3, 0.1, 1.0, [1.0], alpha=alpha)
+        for interf in (False, True):
+            with pytest.raises(ValueError, match="alpha"):
+                tau_smf2_curve(0.3, 0.1, 1.0, [1.0], interf, alpha=alpha)
+
+
+def test_interference_needs_alpha_above_two():
+    # alpha = 2 raised a divide-by-zero RuntimeWarning, alpha = 1.5 a
+    # NumericalError: the interference field is infinite for alpha <= 2
+    for alpha in (2.0, 1.5):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            tau_smf2_curve(0.3, 0.1, 1.0, [1.0], True, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            laplace_ir(1.0, 1.0, 0.3, alpha=alpha)
+
+
+def test_base_must_exceed_one():
+    # at base <= 1 every gamma is <= 0 and every threshold passed as covered
+    for base in (1.0, 0.5, float("nan"), math.inf):
+        with pytest.raises(ValueError, match="base"):
+            tau_tic_curve(0.3, 0.1, 1.0, [1.0], base=base)
+        with pytest.raises(ValueError, match="base"):
+            tau_smf2_curve(0.3, 0.1, 1.0, [1.0], base=base)
+        with pytest.raises(ValueError, match="base"):
+            laplace_ir(1.0, 1.0, 0.3, base=base)
+
+
+def test_laplace_nan_threshold_raises():
+    # it returned nan
+    with pytest.raises(ValueError, match="NaN"):
+        laplace_ir(1.0, float("nan"), 0.3)
+
+
+def test_laplace_lam_must_be_finite_and_not_negative():
+    # lam = -0.3 returned 2.096, which is not a probability; lam = 0 is no interferers
+    assert laplace_ir(1.0, 1.0, 0.0) == 1.0
+    for lam in (-0.3, float("nan"), math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            laplace_ir(1.0, 1.0, lam)
+    for name, bad in (("z", 0.0), ("z", float("nan")), ("mu", 0.0), ("mu", math.inf)):
+        with pytest.raises(ValueError, match=name):
+            laplace_ir(**{**dict(z=1.0, t=1.0, lam=0.3), name: bad})
 
 
 @settings(max_examples=25, deadline=None)
@@ -360,9 +486,10 @@ def test_tau_smf2_curve_matches_per_request_integrand(alpha, with_interference, 
     # one evaluation per node and the hoisted second-branch exponent change
     # what a node costs, not its value beyond rounding
     curve = tau_smf2_curve(lam, sigma_sq, 1.0, thresholds, with_interference, alpha=alpha)
-    ref = analytic._coverage(lam, sigma_sq, 1.0, thresholds, 2.0,
+    ref = analytic._coverage(lam, sigma_sq, 1.0, thresholds, alpha, 2.0,
                              lambda g: smf2_coverage_per_request(lam, sigma_sq, 1.0, g,
-                                                                 with_interference, alpha))
+                                                                 with_interference, alpha),
+                             with_interference)
     assert np.max(np.abs(curve - ref)) < 1e-13
     if not with_interference:
         assert curve.tobytes() == ref.tobytes()
