@@ -198,15 +198,17 @@ def _laplace_exponent_integral(A, excl, alpha):
     return excl**2 * b / (alpha - 2.0) * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b)
 
 
-def laplace_ir(z, t, lam, alpha=4.0, mu=1.0, base=2.0) -> float:
+def laplace_ir(z, t, lam, alpha=4.0, base=2.0) -> float:
     """Laplace transform of the interference beyond z, at s = mu*gamma*z**alpha.
 
     E[exp(-s I_r)] over PPP interferer positions (all farther than z) and
-    exponential fades:
+    exponential fades of mean 1/mu:
         exp(-2*pi*lam * integral_z^inf gamma*v / (gamma + (v/z)**alpha) dv).
-    lam may be 0; a parameter out of range or a NaN t raises ValueError.
+    The value does not depend on mu: I_r is 1/mu times the field of unit-mean
+    fades, so s*I_r is that of mu = 1.  lam may be 0; a parameter out of
+    range or a NaN t raises ValueError.
     """
-    _check_params(alpha, 2.0, base, z=z, mu=mu)
+    _check_params(alpha, 2.0, base, z=z)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and not negative, not {lam}")
     if np.isnan(t):

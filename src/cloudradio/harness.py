@@ -41,13 +41,17 @@ __all__ = [
     "tagged_rate_samples",
 ]
 
-# scheme -> analytic coverage curve, looked up on `analytic` at each call
-CROSSVAL_CURVES = {
-    "tic": lambda *a, **kw: analytic.tau_tic_curve(*a, **kw),
-    "smf2": lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=False, **kw),
-    "smf2-interf": lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=True, **kw),
+# scheme -> (its analytic coverage curve, looked up on `analytic` at each call;
+# the SINR of a tagged sample from the faded powers f0 and f1 of its nearest
+# and second-nearest BSs and i_r, the rest of its field with the far tail)
+CROSSVAL_SCHEMES = {
+    "tic": (lambda *a, **kw: analytic.tau_tic_curve(*a, **kw),
+            lambda f0, f1, i_r, sigma_sq: f0 / sigma_sq),
+    "smf2": (lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=False, **kw),
+             lambda f0, f1, i_r, sigma_sq: (f0 + f1) / sigma_sq),
+    "smf2-interf": (lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=True, **kw),
+                    lambda f0, f1, i_r, sigma_sq: (f0 + f1) / (sigma_sq + i_r)),
 }
-CROSSVAL_SCHEMES = tuple(CROSSVAL_CURVES)
 DEBUG_DROPS = 4  # drops that write --dump-* files
 
 
@@ -518,15 +522,15 @@ def _write_rates_csv(path, chunks, templates):
 _BLOCK_ROWS = 512
 
 
-def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
-    """Rate samples for a tagged user centred in its own interference field.
+def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
+    """{scheme: n rate samples} of tagged users, each centred in its own field.
 
     The user sits at the centre of a disc whose radius covers the coverage
     truncation radius plus a 10 km interference margin; the mean interference
-    of the neglected far field is added back analytically.  Scheme is one of
-    'tic' (nearest branch only), 'smf2' (two nearest combined, no residual
-    interference) and 'smf2-interf' (two nearest combined over noise plus the
-    remaining field).
+    of the neglected far field is added back analytically.  Every scheme of
+    `schemes` (names in CROSSVAL_SCHEMES) reads the same fields: a scheme's
+    sample i is its SINR reduction of field i.  The draws do not depend on
+    `schemes`, so neither do a scheme's samples nor the generator's end state.
 
     Each batch of up to `batch` samples draws, in this order: the BS count of
     every sample, then every BS's uniform, then every BS's fade, each in
@@ -543,33 +547,27 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
     length; the samples do not depend on the block size.  rng must be a PCG64
     Generator (np.random.default_rng); any other raises TypeError before a draw.
     """
-    if scheme not in CROSSVAL_SCHEMES:
-        raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
+    for scheme in schemes:
+        if scheme not in CROSSVAL_SCHEMES:
+            raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError("tagged_rate_samples needs a PCG64 generator, got "
                         + type(rng.bit_generator).__name__)
     radius = analytic.trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
-    every_power = scheme == "smf2-interf"
 
-    def block_sinr(c, width, uniforms):
+    def reduce_block(row, c, width, uniforms):
         # a call per block, so one block's arrays are freed before the next's
-        p = _unfaded_powers(c, radius, alpha, every_power, uniforms)
-        fades = rng.exponential(1.0 / mu, size=int(c.sum()))
-        if every_power:
-            # a padding entry is a BS that is not there, of power 0
-            faded = np.zeros((c.size, width))
-            faded[np.arange(width) < c[:, None]] = p * fades
-            i_r = faded[:, 2:].sum(axis=1) + tail_mean
-            return (faded[:, 0] + faded[:, 1]) / (sigma_sq + i_r)
-        first = np.cumsum(c) - c  # each sample's first fade, its nearest BS's
-        z1p = p[:, 0] * fades[first]
-        if scheme == "tic":
-            return z1p / sigma_sq
-        return (z1p + p[:, 1] * fades[first + 1]) / sigma_sq
+        p = _unfaded_powers(c, radius, alpha, uniforms)
+        # a padding entry is a BS that is not there, of power 0
+        faded = np.zeros((c.size, width))
+        faded[np.arange(width) < c[:, None]] = p * rng.exponential(1.0 / mu, size=p.size)
+        i_r = faded[:, 2:].sum(axis=1) + tail_mean
+        for s in schemes:
+            sinr = CROSSVAL_SCHEMES[s][1](faded[:, 0], faded[:, 1], i_r, sigma_sq)
+            out[s][row:row + c.size] = np.log1p(sinr) / np.log(base)
 
-    out = np.empty(n)
-    row = 0
+    out = {s: np.empty(n) for s in schemes}
     for done in range(0, n, batch):
         counts = rng.poisson(lam * np.pi * radius**2, size=min(batch, n - done))
         counts = np.maximum(counts, 3)  # P[count < 3] is astronomically small
@@ -577,9 +575,7 @@ def tagged_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20
         _skip_draws(rng, int(counts.sum()))
         width = int(counts.max())
         for a in range(0, counts.size, _BLOCK_ROWS):
-            c = counts[a:a + _BLOCK_ROWS]
-            out[row:row + c.size] = np.log1p(block_sinr(c, width, uniforms)) / np.log(base)
-            row += c.size
+            reduce_block(done + a, counts[a:a + _BLOCK_ROWS], width, uniforms)
     return out
 
 
@@ -597,24 +593,20 @@ def _skip_draws(rng, draws):
     bitgen.state = state
 
 
-def _unfaded_powers(counts, radius, alpha, every_power, rng):
-    """(radius * sqrt(u))**-alpha of one block's uniforms u, nearest BS first.
+def _unfaded_powers(counts, radius, alpha, rng):
+    """(radius * sqrt(u))**-alpha of one block's uniforms u, one flat array.
 
+    The powers are in sample order and, within a sample, nearest BS first.
     Each row of an inf-padded block holds one sample's uniforms.  The distance
-    is monotone in u, so ordering u orders the distances, and a float array
+    is monotone in u, so sorting u orders the distances, and a float array
     without NaN or -0.0 has one sorted order, so the sort kind cannot change a
-    bit.  every_power returns every power in sample order as one flat array;
-    otherwise a (samples, 2) array of the two nearest.
+    bit.
     """
     filled = np.arange(counts.max()) < counts[:, None]
     u = np.full(filled.shape, np.inf)
     u[filled] = rng.uniform(size=int(counts.sum()))
-    if every_power:
-        u.sort(axis=1)
-        p = u[filled]
-    else:
-        u.partition(1, axis=1)
-        p = u[:, :2].copy()
+    u.sort(axis=1)
+    p = u[filled]
     np.sqrt(p, out=p)
     p *= radius
     return np.power(p, -alpha, out=p)
@@ -625,18 +617,19 @@ def crossvalidate(config: ExperimentConfig) -> dict:
 
     For every configured scheme with an analytic counterpart, reports the sup
     CDF gap and the SNR shift (dB) between the two curves at CDF level 0.5.
+    Every scheme reads the same tagged samples' fields, drawn once.
     """
     wanted = _crossval_schemes(config)
     noise = NoiseModel.from_snr_db(config.snr_list[0])
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
+    per_scheme = tagged_rate_samples(wanted, config.crossval_samples, config.lambda_b,
+                                     noise.sigma_sq, config.mu, config.alpha,
+                                     config.log_base, rng)
     report = {}
-    for scheme in wanted:
-        samples = tagged_rate_samples(scheme, config.crossval_samples, config.lambda_b,
-                                      noise.sigma_sq, config.mu, config.alpha,
-                                      config.log_base, rng)
+    for scheme, samples in per_scheme.items():
         grid = np.linspace(0.0, float(np.quantile(samples, 0.9999)) + 0.5, 241)
-        curve = CROSSVAL_CURVES[scheme](config.lambda_b, noise.sigma_sq, config.mu, grid,
-                                        alpha=config.alpha, base=config.log_base)
+        curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, noise.sigma_sq, config.mu, grid,
+                                            alpha=config.alpha, base=config.log_base)
         mc_cov = 1.0 - np.searchsorted(np.sort(samples), grid, side="right") / samples.size
         gap = float(np.max(np.abs(mc_cov - curve)))
         shift = _snr_shift_db(grid, mc_cov, curve, config.log_base)
@@ -650,7 +643,7 @@ def crossvalidate(config: ExperimentConfig) -> dict:
 
 def _crossval_schemes(config):
     """The configured schemes crossvalidate compares; ConfigError unless it can run them."""
-    wanted = [s for s in config.schemes if s in CROSSVAL_SCHEMES]
+    wanted = tuple(s for s in config.schemes if s in CROSSVAL_SCHEMES)
     if not wanted:
         raise ConfigError("schemes: crossvalidate needs one of " + ", ".join(CROSSVAL_SCHEMES))
     # 'smf2-interf' exists only as an analytic pairing, not as a run scheme

@@ -195,7 +195,7 @@ def test_tau_smf2_monte_carlo_oracle(rng):
     from cloudradio import tagged_rate_samples
 
     lam, s2 = 0.3, 0.1
-    samples = tagged_rate_samples("smf2", 20000, lam, s2, 1.0, 4.0, 2.0, rng)
+    samples = tagged_rate_samples(("smf2",), 20000, lam, s2, 1.0, 4.0, 2.0, rng)["smf2"]
     for t in (0.5, 1.5, 3.0):
         emp = np.mean(samples > t)
         assert abs(emp - tau_smf2(lam, s2, 1.0, t)) < 0.02
@@ -335,7 +335,7 @@ def test_laplace_lam_must_be_finite_and_not_negative():
     for lam in (-0.3, float("nan"), math.inf):
         with pytest.raises(ValueError, match="lam"):
             laplace_ir(1.0, 1.0, lam)
-    for name, bad in (("z", 0.0), ("z", float("nan")), ("mu", 0.0), ("mu", math.inf)):
+    for name, bad in (("z", 0.0), ("z", float("nan"))):
         with pytest.raises(ValueError, match=name):
             laplace_ir(**{**dict(z=1.0, t=1.0, lam=0.3), name: bad})
 

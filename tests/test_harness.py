@@ -291,11 +291,18 @@ def test_run_thp_sweep_identical_bytes_at_any_workers(tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
 
+# the schemes the tagged oracles below reduce a field to
+TAGGED = ("tic", "smf2", "smf2-interf")
+
+
 def test_tagged_samples_schemes(rng):
-    with pytest.raises(ConfigError):
-        tagged_rate_samples("zfdpc", 10, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
-    s = tagged_rate_samples("tic", 2000, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
-    assert s.shape == (2000,) and np.all(s >= 0)
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="zfdpc"):
+        tagged_rate_samples(("tic", "zfdpc"), 10, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+    assert rng.bit_generator.state == before
+    s = tagged_rate_samples(("tic",), 2000, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+    assert list(s) == ["tic"]
+    assert s["tic"].shape == (2000,) and np.all(s["tic"] >= 0)
 
 
 def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
@@ -334,13 +341,15 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=2
 def test_tagged_samples_match_lexsort_reference(scheme):
     # three batches; for smf2-interf, subtracting the two nearest powers from
     # the whole field instead of summing the rest misses this by up to 1.9e-5
-    args = (scheme, 5000, 0.3, 0.1, 1.0, 4.0, 2.0)
-    got = tagged_rate_samples(*args, np.random.default_rng(5), batch=2000)
-    ref = lexsort_rate_samples(*args, np.random.default_rng(5), batch=2000)
+    args = (5000, 0.3, 0.1, 1.0, 4.0, 2.0)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = tagged_rate_samples(TAGGED, *args, rng, batch=2000)[scheme]
+    ref = lexsort_rate_samples(scheme, *args, ref_rng, batch=2000)
     if scheme == "smf2-interf":
         assert np.max(np.abs(got - ref)) < 1e-12
     else:
         assert np.array_equal(got, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
@@ -384,33 +393,38 @@ ALPHA_MU_GRID = [(a, m) for a in (3.0, 4.0, 5.0) for m in (0.5, 1.0, 2.0)]
     (22000, 20000, [(4.0, 1.0)]),  # ten blocks, the last partial, then a partial batch
 ], ids=["below-one-block", "partial-batch", "ten-blocks"])
 def test_tagged_samples_match_padded_sort_bits(scheme, n, batch, alpha_mu):
-    # the generator must also end where the reference leaves it, so that the
-    # next scheme of a crossvalidate run draws the same numbers
+    # the scheme alone and reduced from the field all three schemes share give
+    # the reference's bits, and the generator ends where the reference leaves it
     for alpha, mu in alpha_mu:
-        args = (scheme, n, 0.3, 0.1, mu, alpha, 2.0)
-        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-        got = tagged_rate_samples(*args, rng, batch=batch)
-        want = padded_sort_rate_samples(*args, ref_rng, batch=batch)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert rng.uniform() == ref_rng.uniform()
+        args = (n, 0.3, 0.1, mu, alpha, 2.0)
+        ref_rng = np.random.default_rng(n)
+        want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=batch)
+        for schemes in ((scheme,), TAGGED):
+            rng = np.random.default_rng(n)
+            got = tagged_rate_samples(schemes, *args, rng, batch=batch)[scheme]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), schemes
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, schemes
 
 
-@pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
-def test_tagged_samples_memory_is_per_block(scheme):
+@pytest.mark.parametrize("schemes", [("tic",), ("smf2",), ("smf2-interf",), TAGGED],
+                         ids=["tic", "smf2", "smf2-interf", "all"])
+def test_tagged_samples_memory_is_per_block(schemes):
     # budget, set from the layout: a block is 512 samples at up to 320 BSs
     # each (the mean is lam*pi*R**2 = 224 with a standard deviation of 15),
     # and at most four block-sized float arrays are held at once: a block's
     # powers, fades, their product and its zero-padded faded row.  A block's
     # arrays are freed before the next block draws.  The batch's counts and
-    # the output add 8 B per sample each.  Keeping the previous block's
-    # arrays while the next one drew took smf2-interf to 5.59 MB, holding
-    # every unfaded power of the batch to 49 MB, and sorting the whole batch
-    # as one padded array took every scheme to 124 MB
+    # a scheme's output add 8 B per sample each; the two more outputs of all
+    # three schemes (0.32 MB) fit in the block term's margin (3.64 MB were
+    # read for one scheme, 3.96 MB for all three).  Keeping the previous
+    # block's arrays while the next one drew took smf2-interf to 5.59 MB,
+    # holding every unfaded power of the batch to 49 MB, and sorting the
+    # whole batch as one padded array took every scheme to 124 MB
     budget = 4 * 512 * 320 * 8 + 2 * 20000 * 8
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        tagged_rate_samples(scheme, 20000, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+        tagged_rate_samples(schemes, 20000, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,7 +437,7 @@ def test_tagged_samples_need_pcg64(bit_generator):
     rng = np.random.Generator(bit_generator(3))
     before = rng.bit_generator.state
     with pytest.raises(TypeError, match=bit_generator.__name__):
-        tagged_rate_samples("tic", 100, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+        tagged_rate_samples(("tic",), 100, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
     np.testing.assert_equal(rng.bit_generator.state, before)  # MT19937's key is an array
 
 
@@ -434,9 +448,9 @@ def test_tagged_samples_keep_a_buffered_uint32(scheme):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     for g in (rng, ref_rng):
         g.integers(2**32, dtype=np.uint32)
-    args = (scheme, 5001, 0.3, 0.1, 1.0, 4.0, 2.0)
-    got = tagged_rate_samples(*args, rng, batch=2000)
-    want = padded_sort_rate_samples(*args, ref_rng, batch=2000)
+    args = (5001, 0.3, 0.1, 1.0, 4.0, 2.0)
+    got = tagged_rate_samples((scheme,), *args, rng, batch=2000)[scheme]
+    want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=2000)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.bit_generator.state["has_uint32"] == 1
@@ -447,6 +461,15 @@ def test_crossvalidate_requires_counterpart():
         crossvalidate(ExperimentConfig(schemes=("zfdpc",)))
     with pytest.raises(ConfigError):
         crossvalidate(ExperimentConfig(schemes=("tic",), snr_db=[0.0, 10.0]))
+
+
+def test_crossvalidate_entry_does_not_depend_on_the_other_schemes():
+    # every scheme reduces the same tagged fields, so a scheme's samples do not
+    # depend on where the schemes requested before it left the generator
+    alone = crossvalidate(ExperimentConfig(schemes=("smf2-interf",), crossval_samples=3000,
+                                           seed=11))
+    every = crossvalidate(ExperimentConfig(schemes=TAGGED, crossval_samples=3000, seed=11))
+    assert alone["smf2-interf"] == every["smf2-interf"]
 
 
 def test_crossvalidate_tic_small():
