@@ -8,11 +8,12 @@ when every stream is forced onto QPSK.
 
 import numpy as np
 
-from cloudradio import (ExperimentConfig, NoiseModel, Region, associate, build_channel,
-                        lq_factor, sample_ppp, select_cohort, select_modulation,
-                        thp_loopback, thp_power_cdf, thp_precode)
+from cloudradio import (Region, associate, build_cdf, build_channel, lq_factor,
+                        qam_constellation, sample_ppp, select_cohort, thp, thp_loopback,
+                        thp_precode)
+from cloudradio.channel import sigma_sq_from_snr_db
 from cloudradio.geometry import distance_block
-from cloudradio.thp import draw_symbols
+from cloudradio.thp import draw_symbols, select_modulation
 
 rng = np.random.default_rng(3)
 
@@ -32,22 +33,22 @@ while len(facts) < 150:
     facts.append(lq_factor(build_channel(z, 1.0, 4.0, rng)))
     sizes.append(cohort.k)
 
-noise = NoiseModel.from_snr_db(10.0)
+sigma_sq = sigma_sq_from_snr_db(10.0)
 
-# exact loopback on one drop
+# exact loopback on one drop: a stream's constellation is its order M
 fact = facts[0]
-caps = np.log2(1.0 + fact.stream_gains**2 / noise.sigma_sq)
-cons = [select_modulation(c) for c in caps]
-data = draw_symbols(cons, rng)[0]
-out = thp_precode(fact, data, cons)
-rec = thp_loopback(fact, out, cons)
-print(f"one drop, k = {len(data)}: max loopback error = {np.max(np.abs(rec - data)):.2e}")
-sizes_used = sorted({c.M for c in cons})
-print(f"adaptive constellations in use: {sizes_used}")
+orders = select_modulation(np.log2(1.0 + fact.stream_gains**2 / sigma_sq))
+taus = np.array([qam_constellation(M).modulo_base for M in orders])
+data = draw_symbols(orders, rng)
+u = thp_precode(fact.L, data, taus, fact.degenerate)
+rec = thp_loopback(fact.L, u, taus)
+print(f"one drop, k = {data.shape[1]}: max loopback error = {np.max(np.abs(rec - data)):.2e}")
+print(f"adaptive constellations in use: {sorted(set(orders.tolist()))}")
 
-# transmit-power CDFs, normalized per stream
+# transmit-power CDFs, one sample per drop, normalized per stream
 for mode, label in [(4, "fixed M=4"), (16, "fixed M=16"), ("adaptive", "adaptive M")]:
-    cdf = thp_power_cdf(facts, noise, mode, np.random.default_rng(1))
+    gen = np.random.default_rng(1)
+    cdf = build_cdf([thp.drop_power_sample(f, sigma_sq, [mode], gen)[mode][0] for f in facts])
     per_stream = cdf.samples / np.asarray(sizes, dtype=float)
     print(f"{label:>12}: median power/stream = {np.median(per_stream):.3f} "
           f"(ZF-DPC reference = 1.000)")

@@ -28,25 +28,18 @@ PRESET_CHECKS = {
 CROSSVAL_LIMITS = {"tic": 0.02, "smf2": 0.02, "smf2-interf": 0.03}
 
 
+# config fields that --field-name options set, each parsed as a config file line is
+OVERRIDES = ("drops", "snr_db", "lambda_b", "lambda_u", "csi_l", "cluster_radius_km", "smf_l",
+             "schemes", "log_base", "seed", "output_dir")
+OVERRIDE_HELP = {"snr_db": "scalar or comma list, e.g. '10' or '-6,0,10,20'",
+                 "schemes": "comma list of scheme names"}
+
+
 def _add_overrides(p):
     p.add_argument("--preset", choices=sorted(PRESETS), help="figure preset to start from")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--drops")
-    p.add_argument("--snr-db", help="scalar or comma list, e.g. '10' or '-6,0,10,20'")
-    p.add_argument("--lambda-b")
-    p.add_argument("--lambda-u")
-    p.add_argument("--csi-l")
-    p.add_argument("--cluster-radius-km")
-    p.add_argument("--smf-l")
-    p.add_argument("--schemes", help="comma list of scheme names")
-    p.add_argument("--log-base")
-    p.add_argument("--seed")
-    p.add_argument("--output-dir")
-
-
-# config fields the options above set, each parsed as a config file line is
-OVERRIDES = ("drops", "snr_db", "lambda_b", "lambda_u", "csi_l", "cluster_radius_km", "smf_l",
-             "schemes", "log_base", "seed", "output_dir")
+    for field in OVERRIDES:
+        p.add_argument("--" + field.replace("_", "-"), help=OVERRIDE_HELP.get(field))
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -134,7 +127,7 @@ def _dispatch(args) -> int:
             print(f"warning: {w}")
         if errors:
             for e in errors:
-                print(f"error: {e}", file=sys.stderr)
+                print(f"config error: {e}", file=sys.stderr)
             return 2
         print("ok")
         return 0

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, precoding, thp
-from .channel import NoiseModel, build_channel, inter_cluster_interference, take_partial_csi
+from .channel import (build_channel, inter_cluster_interference, sigma_sq_from_snr_db,
+                      take_partial_csi)
 from .geometry import (PointSet, Region, associate, distance_block, sample_ppp, select_cohort,
                        split_cluster)
 from .numerics import blas_threads, lq_factor
@@ -107,7 +108,9 @@ def validate(config: ExperimentConfig):
         errors.append("region_km: dimensions must be positive")
     if config.lambda_b <= 0:
         errors.append("lambda_b: must be positive")
-    if config.lambda_u is not None and config.lambda_u < config.lambda_b:
+    if config.lambda_u is not None and config.lambda_u < 0:
+        errors.append("lambda_u: must not be negative")
+    elif config.lambda_u is not None and config.lambda_u < config.lambda_b:
         warnings.append("lambda_u: below lambda_b, BS occupancy may fail")
     if not config.alpha > 2:
         errors.append("alpha: must exceed 2")
@@ -123,6 +126,8 @@ def validate(config: ExperimentConfig):
     snrs = config.snr_list
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         errors.append("snr_db: sweep must be strictly increasing")
+    if not all(_has_noise_power(snr) for snr in snrs):
+        errors.append("snr_db: noise power 10^(-snr_db/10) must be a finite positive number")
     if config.csi_l is not None and config.csi_l < 1:
         errors.append("csi_l: must be at least 1")
     for s in config.schemes:
@@ -141,6 +146,14 @@ def validate(config: ExperimentConfig):
     if config.seed < 0:
         errors.append("seed: must be non-negative")
     return errors, warnings
+
+
+def _has_noise_power(snr_db):
+    try:
+        sigma_sq = sigma_sq_from_snr_db(snr_db)
+    except OverflowError:
+        return False
+    return math.isfinite(sigma_sq) and sigma_sq > 0
 
 
 def _require_valid(config):
@@ -284,8 +297,8 @@ class Drop:
         c = self.config
         modes = {s: _THP_MODES[s] for s in c.schemes if s in _THP_MODES}
         seed = np.random.SeedSequence(c.seed, spawn_key=(self.index, 1))
-        power = thp.drop_power_samples(self.lq, self.sigma_sq, modes.values(), seed,
-                                       c.thp_vectors, c.log_base)
+        power = thp.drop_power_sample(self.lq, self.sigma_sq, modes.values(), seed,
+                                      c.thp_vectors, c.log_base)
         return {s: power[mode][:, None] for s, mode in modes.items()}
 
 
@@ -322,7 +335,7 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
         cluster = _cluster_channel(config, region, bs, cohort, z, rng)
 
     snrs = config.snr_list
-    sigma_sq = np.array([NoiseModel.from_snr_db(snr).sigma_sq for snr in snrs])
+    sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in snrs])
     drop = Drop(config, drop_index, H, cluster, sigma_sq)
     per_scheme = {s: SCHEMES[s](drop) for s in config.schemes}
     return {(s, snr): rates[j] for j, snr in enumerate(snrs)
@@ -620,15 +633,14 @@ def crossvalidate(config: ExperimentConfig) -> dict:
     Every scheme reads the same tagged samples' fields, drawn once.
     """
     wanted = _crossval_schemes(config)
-    noise = NoiseModel.from_snr_db(config.snr_list[0])
+    sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
-    per_scheme = tagged_rate_samples(wanted, config.crossval_samples, config.lambda_b,
-                                     noise.sigma_sq, config.mu, config.alpha,
-                                     config.log_base, rng)
+    per_scheme = tagged_rate_samples(wanted, config.crossval_samples, config.lambda_b, sigma_sq,
+                                     config.mu, config.alpha, config.log_base, rng)
     report = {}
     for scheme, samples in per_scheme.items():
         grid = np.linspace(0.0, float(np.quantile(samples, 0.9999)) + 0.5, 241)
-        curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, noise.sigma_sq, config.mu, grid,
+        curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, sigma_sq, config.mu, grid,
                                             alpha=config.alpha, base=config.log_base)
         mc_cov = 1.0 - np.searchsorted(np.sort(samples), grid, side="right") / samples.size
         gap = float(np.max(np.abs(mc_cov - curve)))

@@ -8,10 +8,10 @@ Every rate function takes the channel as a k x k complex array and the noise
 power as a scalar sigma^2 or a 1-D array of m sigma^2 values.  A scalar gives
 k per-stream rates; an array gives shape (m, k), row j at sigma^2[j],
 bit-identical to the scalar call.  The noise level of a config becomes
-sigma^2 before it reaches a kernel (NoiseModel.from_snr_db).  Factorizations,
-partial-CSI selection and sorts run once per call, so a whole SNR sweep of one
-drop shares them.  Schemes that read only the stream gains |l_ii| take them
-from numerics.stream_gains, which never forms Q.
+sigma^2 before it reaches a kernel (channel.sigma_sq_from_snr_db).
+Factorizations, partial-CSI selection and sorts run once per call, so a whole
+SNR sweep of one drop shares them.  Schemes that read only the stream gains
+|l_ii| take them from numerics.stream_gains, which never forms Q.
 """
 
 import numpy as np

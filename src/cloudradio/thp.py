@@ -4,30 +4,24 @@ THP replaces dirty-paper coding by feedback pre-subtraction plus a symmetric
 modulo that bounds the transmit amplitude.  Data symbols come from square QAM
 constellations normalized to unit average energy; the modulo base tau of each
 stream is tied to its constellation so the modulo is transparent whenever no
-interference has to be pre-subtracted.  drop_power_samples evaluates every
-mode of a drop over a whole SNR sweep in one precode pass.
+interference has to be pre-subtracted.
 
-precode_batch runs the k sequential steps over a whole batch of data vectors
-at once, on (batch, k) complex symbols in C order: that layout fixes how the
-feedback product rounds.  The modulo bases are laid out once as
-(k, batch, 2), the (re, im) layout of the symbols, so no step broadcasts.
+A stream's constellation is its order M, one entry of a per-stream int
+array; the points and modulo base of an order are rows of two tables built
+once from qam_constellation.  thp_precode runs the k sequential steps over a
+whole batch of data vectors at once, and drop_power_sample evaluates every
+mode of a drop over a whole SNR sweep in one precode pass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel
-from .numerics import TriangularFactorization
-
 __all__ = [
     "QamConstellation",
-    "ThpOutput",
     "qam_constellation",
-    "select_modulation",
     "thp_precode",
     "thp_loopback",
-    "thp_power_cdf",
 ]
 
 SUPPORTED_ORDERS = (4, 16, 64)
@@ -61,27 +55,38 @@ def qam_constellation(M) -> QamConstellation:
     return QamConstellation(M=int(M), points=pts, modulo_base=float(tau))
 
 
-_CACHE = {M: qam_constellation(M) for M in SUPPORTED_ORDERS}
 # per order, in SUPPORTED_ORDERS' rows: the modulo base, and the points padded
 # with zeros so that one fancy index reads symbols of any mix of orders
-_BASES = np.array([_CACHE[M].modulo_base for M in SUPPORTED_ORDERS])
-_POINTS = np.zeros((len(SUPPORTED_ORDERS), max(SUPPORTED_ORDERS)), dtype=complex)
-for _row, _M in enumerate(SUPPORTED_ORDERS):
-    _POINTS[_row, :_M] = _CACHE[_M].points
+_BASES = np.array([qam_constellation(M).modulo_base for M in SUPPORTED_ORDERS])
+_POINTS = np.array([np.pad(qam_constellation(M).points, (0, max(SUPPORTED_ORDERS) - M))
+                    for M in SUPPORTED_ORDERS])
 
 
-def select_modulation(c_zfdpc) -> QamConstellation:
-    """Adaptive constellation from the stream's ZF-DPC capacity.
+def _rows(orders):
+    # row of each constellation order in _POINTS and _BASES
+    return np.searchsorted(SUPPORTED_ORDERS, orders)
+
+
+def select_modulation(caps):
+    """Adaptive constellation order of each stream from its ZF-DPC capacity.
 
     M = 64 for C > 7, M = 16 for 4 < C <= 7, M = 4 for C <= 4.
     """
-    if c_zfdpc < 0:
+    caps = np.asarray(caps)
+    if np.any(caps < 0):
         raise ValueError("capacity must be non-negative")
-    return _CACHE[int(_adaptive_orders(c_zfdpc))]
-
-
-def _adaptive_orders(caps):
     return np.select([caps > 7, caps > 4], [64, 16], 4)
+
+
+def draw_symbols(orders, rng, batch=1):
+    """I.i.d. uniform symbols of each stream's order, shape (batch, k), C order.
+
+    Stream by stream, batch draws each: one rng.integers call consumes the
+    generator as a per-stream loop of rng.integers(M, size=batch) does.
+    """
+    orders = np.asarray(orders)
+    idx = rng.integers(orders[:, None], size=(orders.size, batch))
+    return _POINTS[_rows(orders)[:, None], idx].T.copy()
 
 
 def symmetric_modulo(x, tau):
@@ -93,34 +98,16 @@ def symmetric_modulo(x, tau):
     return wrapped.view(complex)[..., 0][()]
 
 
-@dataclass
-class ThpOutput:
-    """Precoded symbols before the unitary stage, with their powers."""
+def thp_precode(L, data, taus, off=None):
+    """Successive modulo pre-subtraction of the known triangular interference.
 
-    transmit: np.ndarray
-    per_stream_power: np.ndarray
-    total_power: float
-
-
-def _lower(L):
-    """The triangular matrix, and the mask of its streams that carry no data.
-
-    L is a TriangularFactorization, whose degenerate streams carry no data,
-    or a bare lower-triangular array, all of whose streams do.
-    """
-    if isinstance(L, TriangularFactorization):
-        return L.L, L.degenerate
-    L = np.asarray(L)
-    return L, np.zeros(L.shape[0], dtype=bool)
-
-
-def precode_batch(L, data, taus, off=None):
-    """Vectorized THP over a batch of data vectors: data shape (batch, k).
-
-    taus holds each stream's modulo base, shape (k,), or one row of them per
-    data vector, shape (batch, k).  Streams marked in the boolean mask `off`
-    (degenerate ones) transmit nothing: their u is 0 and their diagonal may
-    vanish.
+    u_1 = data_1 and u_i = mod_tau_i(data_i - sum_{j<i} (l_ij/l_ii) u_j) for
+    each row of data, shape (batch, k).  The vector actually radiated is
+    Q^dagger u; the unitary leaves the power untouched, so power statistics
+    are taken on u itself.  taus holds each stream's modulo base, shape (k,),
+    or one row of them per data vector, shape (batch, k).  Streams marked in
+    the boolean mask `off` (a factorization's degenerate ones) transmit
+    nothing: their u is 0 and their diagonal may vanish.
 
     u is a C-ordered (batch, k) complex array.  The bases and their halves
     are expanded once to the (k, batch, 2) layout of (re, im) parts, and the
@@ -159,50 +146,14 @@ def precode_batch(L, data, taus, off=None):
     return u
 
 
-def thp_precode(L, data, constellations) -> ThpOutput:
-    """Successive modulo pre-subtraction of the known triangular interference.
-
-    u_1 = data_1 and u_i = mod_tau_i(data_i - sum_{j<i} (l_ij/l_ii) u_j).
-    The vector actually radiated is Q^dagger u; the unitary leaves the power
-    untouched, so power statistics are taken on u itself.  Degenerate streams
-    of a factorization transmit nothing.
-    """
-    Lm, off = _lower(L)
-    data = np.asarray(data, dtype=complex)
-    taus = np.array([c.modulo_base for c in constellations])
-    u = precode_batch(Lm, data[None, :], taus, off)[0]
-    p = np.abs(u) ** 2
-    return ThpOutput(transmit=u, per_stream_power=p, total_power=float(p.sum()))
-
-
-def thp_loopback(L, output: ThpOutput, constellations) -> np.ndarray:
-    """Recover symbols over the noiseless channel y = L u.
+def thp_loopback(L, u, taus) -> np.ndarray:
+    """Recover symbols over the noiseless channel y = L u, u of shape (k,) or (batch, k).
 
     recovered_i = mod_tau_i(y_i / l_ii); with correct precoding this equals
     the data exactly, which is the precoder's primary correctness property.
     """
-    Lm, _ = _lower(L)
-    y = Lm @ output.transmit
-    diag = np.real(np.diag(Lm))
-    taus = np.array([c.modulo_base for c in constellations])
-    return symmetric_modulo(y / diag, taus)
-
-
-def _rows(orders):
-    # row of each constellation order in _POINTS and _BASES
-    return np.searchsorted(SUPPORTED_ORDERS, orders)
-
-
-def _draw(orders, rng, batch):
-    # stream by stream, batch draws each: the order of a per-stream loop of
-    # rng.integers(M, size=batch), so the generator is consumed the same way
-    idx = rng.integers(orders[:, None], size=(orders.size, batch))
-    return _POINTS[_rows(orders)[:, None], idx].T.copy()
-
-
-def draw_symbols(constellations, rng, batch=1):
-    """I.i.d. uniform symbols, one column per stream."""
-    return _draw(np.array([c.M for c in constellations]), rng, batch)
+    y = (L @ np.transpose(u)).T
+    return symmetric_modulo(y / np.real(np.diag(L)), taus)
 
 
 def _orders(L, sigma_sq, mode, base):
@@ -211,54 +162,30 @@ def _orders(L, sigma_sq, mode, base):
     if mode != "adaptive":
         return np.full((1, L.shape[0]), int(mode))
     sigma_sq = np.reshape(sigma_sq, (-1, 1))
-    caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base)
-    return _adaptive_orders(caps)
+    return select_modulation(np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base))
 
 
-def _mean_power(u):
-    return float(np.mean(np.sum(np.abs(u) ** 2, axis=1)))
+def drop_power_sample(fact, sigma_sq, modes, seed, vectors=100, base=2.0) -> dict:
+    """Total THP transmit power of one drop, averaged over random data vectors.
 
-
-def drop_power_sample(fact, sigma_sq, mode, rng, vectors=100, base=2.0) -> float:
-    """Total transmit power of one drop, averaged over random data vectors.
-
-    sigma_sq is the scalar noise power.  mode is "adaptive" (constellations
-    from the per-stream ZF-DPC capacity) or a fixed order in {4, 16, 64}.
+    fact is the drop's TriangularFactorization; its degenerate streams
+    transmit nothing.  Each of modes is "adaptive" (constellations from the
+    per-stream ZF-DPC capacity) or a fixed order in {4, 16, 64}.  Returns
+    {mode: one sample per entry of sigma_sq}, every mode at every noise power
+    from one precode pass.  Each sample draws its data from
+    np.random.default_rng(seed): a fresh generator per sample when seed is a
+    seed, and seed itself when it is a Generator, so one mode at one noise
+    power continues that generator's stream.  A fixed order does not depend
+    on the noise: its sample is computed once and repeated over sigma_sq.
     """
-    L, off = _lower(fact)
-    orders = _orders(L, sigma_sq, mode, base)[0]
-    u = precode_batch(L, _draw(orders, rng, vectors), _BASES[_rows(orders)], off)
-    return _mean_power(u)
-
-
-def drop_power_samples(fact, sigma_sq, modes, seed, vectors=100, base=2.0) -> dict:
-    """drop_power_sample for every mode at every noise power, in one precode pass.
-
-    Returns {mode: one sample per entry of sigma_sq}.  Each sample draws its
-    data from a fresh np.random.default_rng(seed), so it equals
-    drop_power_sample(fact, s2, mode, np.random.default_rng(seed), vectors,
-    base).  A fixed order does not depend on the noise: its sample is
-    computed once and repeated over sigma_sq.
-    """
-    L, off = _lower(fact)
+    L = fact.L
     sigma_sq = np.atleast_1d(sigma_sq)
     orders = {mode: _orders(L, sigma_sq, mode, base) for mode in modes}
     rows = np.concatenate(list(orders.values()))
-    data = np.concatenate([_draw(o, np.random.default_rng(seed), vectors) for o in rows])
+    data = np.concatenate([draw_symbols(o, np.random.default_rng(seed), vectors) for o in rows])
     taus = np.repeat(_BASES[_rows(rows)], vectors, axis=0)
-    u = precode_batch(L, data, taus, off).reshape(len(rows), vectors, -1)
-    power = iter([_mean_power(x) for x in u])
+    u = thp_precode(L, data, taus, fact.degenerate).reshape(len(rows), vectors, -1)
+    power = iter([float(np.mean(np.sum(np.abs(x) ** 2, axis=1))) for x in u])
     # np.resize repeats a fixed order's one sample over the sweep
     return {mode: np.resize([next(power) for _ in o], sigma_sq.size)
             for mode, o in orders.items()}
-
-
-def thp_power_cdf(factorizations, noise: NoiseModel, mode, rng,
-                  vectors_per_drop=100, base=2.0):
-    """Empirical CDF of total THP transmit power, one sample per drop."""
-    from .stats import build_cdf
-
-    if len(factorizations) < 100:
-        raise ValueError("need at least 100 drops for a power CDF")
-    return build_cdf([drop_power_sample(f, noise.sigma_sq, mode, rng, vectors_per_drop, base)
-                      for f in factorizations])

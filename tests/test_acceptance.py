@@ -8,13 +8,13 @@ calibrated after the fact.  Shared Monte Carlo runs live in session fixtures.
 import numpy as np
 import pytest
 
-from cloudradio import (ExperimentConfig, NoiseModel, build_cdf, crossvalidate,
-                        detect_saturation, gain_percent, ks_distance, lq_factor,
-                        qam_constellation, run, select_modulation, simulate_drop,
-                        tau_smf2, tau_tic, thp_loopback, thp_power_cdf, thp_precode)
+from cloudradio import (ExperimentConfig, build_cdf, crossvalidate, detect_saturation,
+                        gain_percent, ks_distance, lq_factor, qam_constellation, run,
+                        simulate_drop, tau_smf2, tau_tic, thp, thp_loopback, thp_precode)
 from cloudradio.analytic import gamma_threshold
+from cloudradio.channel import sigma_sq_from_snr_db
 from cloudradio.geometry import Region, sample_ppp, split_cluster
-from cloudradio.thp import draw_symbols
+from cloudradio.thp import draw_symbols, select_modulation
 
 from conftest import random_complex
 from test_numerics import gram_schmidt_lq
@@ -262,13 +262,13 @@ def test_criterion_11_thp():
         L = np.tril(random_complex(rng, k))
         np.fill_diagonal(L, np.abs(np.diag(L)) + 0.3)
         caps = rng.uniform(0.0, 9.0, k)
-        cons = [select_modulation(cap) for cap in caps]
-        taus = np.array([con.modulo_base for con in cons])
-        for data in draw_symbols(cons, rng, batch=100):
-            out = thp_precode(L, data, cons)
-            inside &= bool(np.all(np.abs(out.transmit.real) <= taus / 2 + 1e-12)
-                           and np.all(np.abs(out.transmit.imag) <= taus / 2 + 1e-12))
-            worst = max(worst, float(np.max(np.abs(thp_loopback(L, out, cons) - data))))
+        orders = select_modulation(caps)
+        taus = np.array([qam_constellation(M).modulo_base for M in orders])
+        for data in draw_symbols(orders, rng, batch=100):
+            u = thp_precode(L, data[None], taus)[0]
+            inside &= bool(np.all(np.abs(u.real) <= taus / 2 + 1e-12)
+                           and np.all(np.abs(u.imag) <= taus / 2 + 1e-12))
+            worst = max(worst, float(np.max(np.abs(thp_loopback(L, u, taus) - data))))
     c.check("noiseless loopback exact over 1e4 trials", worst < 1e-9,
             f"max symbol error = {worst:.2e}")
     c.check("all precoded symbols inside modulo regions", inside, "checked 1e4 vectors")
@@ -281,9 +281,15 @@ def test_criterion_11_thp():
         *_, H = standard_drop(drop_rng)
         facts.append(lq_factor(H))
         sizes.append(len(H))
-    noise = NoiseModel.from_snr_db(10.0)
-    fixed = thp_power_cdf(facts, noise, 4, np.random.default_rng(SEED + 2))
-    adaptive = thp_power_cdf(facts, noise, "adaptive", np.random.default_rng(SEED + 2))
+    sigma_sq = sigma_sq_from_snr_db(10.0)
+
+    def power_cdf(mode):
+        # one sample per drop, every drop continuing one generator's stream
+        gen = np.random.default_rng(SEED + 2)
+        return build_cdf([thp.drop_power_sample(f, sigma_sq, [mode], gen)[mode][0]
+                          for f in facts])
+
+    fixed, adaptive = power_cdf(4), power_cdf("adaptive")
     grid = np.linspace(0.0, float(fixed.samples.max()), 400)
     dominated = bool(np.all(fixed.cdf_at(grid) <= adaptive.cdf_at(grid) + 1e-12))
     c.check("fixed M=4 power CDF stochastically dominates adaptive", dominated,

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cloudradio import (Association, ClusterSplit, NoiseModel, Region, associate,
-                        build_channel, inter_cluster_interference, sample_ppp, select_cohort,
-                        take_partial_csi)
-from cloudradio.channel import MIN_DISTANCE_KM, diagonal_dominance_fraction
+from cloudradio import (Association, ClusterSplit, Region, associate, build_channel,
+                        inter_cluster_interference, sample_ppp, select_cohort, take_partial_csi)
+from cloudradio.channel import (MIN_DISTANCE_KM, diagonal_dominance_fraction,
+                                sigma_sq_from_snr_db)
 from cloudradio.geometry import distance_block, point_distances
 from cloudradio.harness import _write_channel_csv
 
@@ -211,11 +211,11 @@ def test_inter_cluster_batch_matches_per_ue_loop(n_bs, radius):
 
 
 def test_noise_model():
-    n = NoiseModel.from_snr_db(10.0)
-    assert n.sigma_sq == pytest.approx(0.1)
-    assert NoiseModel.from_snr_db(0.0).sigma_sq == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        NoiseModel(sigma_sq=0.0)
+    assert sigma_sq_from_snr_db(10.0) == pytest.approx(0.1)
+    assert sigma_sq_from_snr_db(0.0) == 1.0
+    # the expression every sigma^2 of a run comes from, so its bits
+    for snr in (-6.0, 3.0, 10.0, 45.0):
+        assert sigma_sq_from_snr_db(snr) == 10.0 ** (-snr / 10.0)
 
 
 def test_channel_csv_shape(tmp_path, drop):

@@ -562,6 +562,11 @@ def test_cli_dumped_channels_are_the_drops_own(tmp_path):
     (None, ["--snr-db", "nan"], "snr_db"),
     (None, ["--log-base", "nan"], "log_base"),
     ("region_km = 10xinf\n", [], "line 1: region_km"),
+    # finite SNRs whose noise power underflows to 0 or overflows
+    (None, ["--snr-db", "3300"], "snr_db"),
+    (None, ["--snr-db=-3100"], "snr_db"),
+    # sample_ppp rejects a negative intensity once the first drop starts
+    (None, ["--lambda-u", "-1"], "lambda_u"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text, argv, named):
     monkeypatch.chdir(tmp_path)

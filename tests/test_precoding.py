@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudradio import (NoiseModel, clustered_rates, conventional_rates, lq_factor,
-                        mmse_rates, smf_rate, take_partial_csi, tic_rate,
-                        uplink_sic_rates, zfdpc_partial_rates, zfdpc_rates)
+from cloudradio import (clustered_rates, conventional_rates, lq_factor, mmse_rates, smf_rate,
+                        take_partial_csi, tic_rate, uplink_sic_rates, zfdpc_partial_rates,
+                        zfdpc_rates)
+from cloudradio.channel import sigma_sq_from_snr_db
 
 from conftest import random_complex, standard_drop
 
@@ -26,7 +27,7 @@ def brute_force_det(H):
 
 def test_conventional_no_interferer():
     H = np.eye(1, dtype=complex)
-    r = conventional_rates(H, NoiseModel.from_snr_db(10.0).sigma_sq)
+    r = conventional_rates(H, sigma_sq_from_snr_db(10.0))
     assert r[0] == pytest.approx(LOG2_11, abs=1e-12)
 
 
@@ -37,7 +38,7 @@ def test_conventional_unit_sir_limit():
 
 
 def test_zfdpc_identity_channel():
-    r = zfdpc_rates(np.eye(5, dtype=complex), NoiseModel.from_snr_db(10.0).sigma_sq)
+    r = zfdpc_rates(np.eye(5, dtype=complex), sigma_sq_from_snr_db(10.0))
     assert np.allclose(r, LOG2_11)
 
 
@@ -96,7 +97,7 @@ def test_partial_mean_rate_monotone_in_budget(rng):
 
 
 def test_mmse_identity_channel():
-    r = mmse_rates(np.eye(3, dtype=complex), NoiseModel.from_snr_db(10.0).sigma_sq)
+    r = mmse_rates(np.eye(3, dtype=complex), sigma_sq_from_snr_db(10.0))
     assert np.allclose(r, LOG2_11, atol=1e-10)
 
 
@@ -151,7 +152,7 @@ def test_scheme_ordering_invariant(rng):
     # conventional <= tic <= smf(l=k), stream by stream, every drop
     for _ in range(5):
         *_, H = standard_drop(rng)
-        noise = NoiseModel.from_snr_db(10.0).sigma_sq
+        noise = sigma_sq_from_snr_db(10.0)
         conv = conventional_rates(H, noise)
         tic = tic_rate(H, noise)
         smf = smf_rate(H, noise, len(H))
@@ -184,7 +185,7 @@ def test_zfdpc_scale_response(seed, c):
 
 def test_rates_non_negative_finite(rng):
     *_, H = standard_drop(rng)
-    noise = NoiseModel.from_snr_db(10.0).sigma_sq
+    noise = sigma_sq_from_snr_db(10.0)
     for fn in (conventional_rates, zfdpc_rates, uplink_sic_rates, mmse_rates, tic_rate):
         r = fn(H, noise)
         assert np.all(r >= 0) and np.all(np.isfinite(r))
@@ -210,7 +211,7 @@ def test_log_base_configurable():
 ])
 def test_noise_vector_rows_equal_scalar_calls(rng, rates):
     *_, H = standard_drop(rng)
-    sigma_sq = np.array([NoiseModel.from_snr_db(s).sigma_sq for s in (-6.0, 0.0, 10.0, 45.0)])
+    sigma_sq = np.array([sigma_sq_from_snr_db(s) for s in (-6.0, 0.0, 10.0, 45.0)])
     sweep = rates(H, sigma_sq)
     assert sweep.shape == (sigma_sq.size, len(H))
     for j, s2 in enumerate(sigma_sq):

@@ -3,12 +3,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudradio import (NoiseModel, lq_factor, qam_constellation, select_modulation,
-                        thp_loopback, thp_power_cdf, thp_precode)
+from cloudradio import (build_cdf, lq_factor, qam_constellation, thp_loopback,
+                        thp_precode)
+from cloudradio.channel import sigma_sq_from_snr_db
 from cloudradio.thp import (SUPPORTED_ORDERS, draw_symbols, drop_power_sample,
-                            drop_power_samples, precode_batch, symmetric_modulo)
+                            select_modulation, symmetric_modulo)
 
 from conftest import random_complex
+
+
+def bases(orders):
+    """Each stream's modulo base, read from the constellation oracle."""
+    return np.array([qam_constellation(M).modulo_base for M in orders])
+
+
+def power_cdf(facts, sigma_sq, mode, rng):
+    """Empirical CDF of the total THP power, one sample per drop from one generator."""
+    return build_cdf([drop_power_sample(f, sigma_sq, [mode], rng)[mode][0] for f in facts])
 
 
 def random_lower(rng, k, diag_boost=1.0):
@@ -41,13 +52,13 @@ def test_unsupported_order_rejected():
 
 
 def test_modulation_selection_thresholds():
-    assert select_modulation(8.0).M == 64
-    assert select_modulation(7.0).M == 16  # boundary: C = 7 stays at 16
-    assert select_modulation(5.5).M == 16
-    assert select_modulation(4.0).M == 4  # boundary inclusive
-    assert select_modulation(0.0).M == 4
+    # boundaries: C = 7 stays at 16, and C = 4 at 4
+    assert select_modulation([8.0, 7.0, 5.5, 4.0, 0.0]).tolist() == [64, 16, 16, 4, 4]
+    assert select_modulation(7.5) == 64
     with pytest.raises(ValueError):
         select_modulation(-1.0)
+    with pytest.raises(ValueError):
+        select_modulation([5.0, -1.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,38 +94,33 @@ def test_modulo_invariant_under_lattice_shifts(re, im, a, b):
 
 
 def test_precode_diagonal_is_transparent(rng):
-    k = 5
-    cons = [qam_constellation(16)] * k
-    data = draw_symbols(cons, rng)[0]
-    out = thp_precode(np.eye(k), data, cons)
-    assert np.allclose(out.transmit, data)
-    assert out.total_power == pytest.approx(np.sum(np.abs(data) ** 2))
+    orders = np.full(5, 16)
+    data = draw_symbols(orders, rng, batch=3)
+    u = thp_precode(np.eye(5), data, bases(orders))
+    assert np.allclose(u, data)
 
 
 def test_precode_single_stream_identity(rng):
-    cons = [qam_constellation(4)]
-    data = draw_symbols(cons, rng)[0]
-    out = thp_precode(np.array([[2.0]]), data, cons)
-    assert np.allclose(out.transmit, data)
+    orders = [4]
+    data = draw_symbols(orders, rng)
+    assert np.allclose(thp_precode(np.array([[2.0]]), data, bases(orders)), data)
 
 
 def test_precode_outputs_stay_in_modulo_region(rng):
-    cons = [qam_constellation(4)] * 4
-    taus = np.array([c.modulo_base for c in cons])
+    orders = np.full(4, 4)
+    taus = bases(orders)
     for _ in range(200):
         L = random_lower(rng, 4, diag_boost=0.2)
-        data = draw_symbols(cons, rng, batch=50)
-        for row in data:
-            u = thp_precode(L, row, cons).transmit
-            assert np.all(np.abs(u.real) <= taus / 2 + 1e-12)
-            assert np.all(np.abs(u.imag) <= taus / 2 + 1e-12)
+        u = thp_precode(L, draw_symbols(orders, rng, batch=50), taus)
+        assert np.all(np.abs(u.real) <= taus / 2 + 1e-12)
+        assert np.all(np.abs(u.imag) <= taus / 2 + 1e-12)
 
 
 def test_precode_rejects_zero_diagonal(rng):
     L = np.array([[1.0, 0.0], [1.0, 0.0]])
-    cons = [qam_constellation(4)] * 2
+    orders = [4, 4]
     with pytest.raises(ValueError):
-        thp_precode(L, draw_symbols(cons, rng)[0], cons)
+        thp_precode(L, draw_symbols(orders, rng), bases(orders))
 
 
 def test_degenerate_stream_transmits_nothing(rng):
@@ -124,19 +130,19 @@ def test_degenerate_stream_transmits_nothing(rng):
     H[2] = H[1]
     fact = lq_factor(H)
     assert fact.degenerate.tolist() == [False, False, True]
-    cons = [qam_constellation(16)] * 3
-    data = draw_symbols(cons, rng)[0]
-    out = thp_precode(fact, data, cons)
-    assert out.transmit[2] == 0
-    assert np.allclose(out.transmit[:2], data[:2], atol=1e-12)
+    orders = np.full(3, 16)
+    data = draw_symbols(orders, rng)
+    u = thp_precode(fact.L, data, bases(orders), fact.degenerate)[0]
+    assert u[2] == 0
+    assert np.allclose(u[:2], data[0, :2], atol=1e-12)
     # each QPSK symbol has unit energy, so the two live streams total 2
-    assert drop_power_sample(fact, 0.1, 4, rng) == pytest.approx(2.0, abs=1e-12)
-    powers = drop_power_samples(fact, [1.0, 0.01], ["adaptive", 4, 64], seed=3, vectors=9)
+    assert drop_power_sample(fact, 0.1, [4], rng)[4][0] == pytest.approx(2.0, abs=1e-12)
+    powers = drop_power_sample(fact, [1.0, 0.01], ["adaptive", 4, 64], seed=3, vectors=9)
     assert np.allclose(powers[4], 2.0, atol=1e-12)
     assert all(np.all(np.isfinite(p)) for p in powers.values())
 
 
-def precode_batch_by_symmetric_modulo(L, data, taus, off):
+def precode_by_symmetric_modulo(L, data, taus, off):
     """Reference THP: the feedback product and one symmetric_modulo call per stream."""
     k = L.shape[0]
     diag = np.real(np.diag(L))
@@ -154,7 +160,7 @@ def test_precode_batch_matches_symmetric_modulo_steps():
     # every k from 1 to 40, odd and even batches, shared and per-vector bases,
     # and streams with an exactly zero diagonal: the bits of every output
     gen = np.random.default_rng(11)
-    bases = np.array([qam_constellation(M).modulo_base for M in SUPPORTED_ORDERS])
+    table = bases(SUPPORTED_ORDERS)
     for k in range(1, 41):
         for batch in (0, 1, 2, 37, 200):
             L = np.tril(random_complex(gen, k)) * np.geomspace(1.0, 30.0, k)
@@ -163,40 +169,42 @@ def test_precode_batch_matches_symmetric_modulo_steps():
             diag[off] = 0.0
             np.fill_diagonal(L, diag)
             data = 3.0 * (gen.standard_normal((batch, k)) + 1j * gen.standard_normal((batch, k)))
-            shared = bases[gen.integers(len(bases), size=k)]
-            per_vector = bases[gen.integers(len(bases), size=(batch, k))]
+            shared = table[gen.integers(len(table), size=k)]
+            per_vector = table[gen.integers(len(table), size=(batch, k))]
             for taus in (shared, per_vector):
-                got = precode_batch(L, data, taus, off)
-                want = precode_batch_by_symmetric_modulo(L, data, taus, off)
+                got = thp_precode(L, data, taus, off)
+                want = precode_by_symmetric_modulo(L, data, taus, off)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, batch)
 
 
 def test_loopback_diagonal_trivial(rng):
-    cons = [qam_constellation(64)] * 3
-    data = draw_symbols(cons, rng)[0]
-    out = thp_precode(np.diag([1.0, 2.0, 0.5]), data, cons)
-    rec = thp_loopback(np.diag([1.0, 2.0, 0.5]), out, cons)
+    L = np.diag([1.0, 2.0, 0.5])
+    taus = bases([64] * 3)
+    data = draw_symbols([64] * 3, rng)
+    rec = thp_loopback(L, thp_precode(L, data, taus), taus)
     assert np.max(np.abs(rec - data)) < 1e-12
 
 
 def test_loopback_exact_recovery_16qam(rng):
-    cons = [qam_constellation(16)] * 3
+    orders = np.full(3, 16)
+    taus = bases(orders)
     for _ in range(100):
         L = random_lower(rng, 3, diag_boost=0.3)
-        data = draw_symbols(cons, rng, batch=100)
-        for row in data:
-            out = thp_precode(L, row, cons)
-            rec = thp_loopback(L, out, cons)
-            assert np.max(np.abs(rec - row)) < 1e-9
+        data = draw_symbols(orders, rng, batch=100)
+        rec = thp_loopback(L, thp_precode(L, data, taus), taus)
+        assert np.max(np.abs(rec - data)) < 1e-9
+        # one vector at a time, as (k,) arrays
+        assert np.max(np.abs(thp_loopback(L, thp_precode(L, data[:1], taus)[0], taus)
+                             - data[0])) < 1e-9
 
 
 def test_loopback_uses_factorization_object(rng):
-    H = random_complex(rng, 4)
-    fact = lq_factor(H)
-    cons = [qam_constellation(4)] * 4
-    data = draw_symbols(cons, rng)[0]
-    out = thp_precode(fact, data, cons)
-    rec = thp_loopback(fact, out, cons)
+    # a caller holding a factorization passes its L (and its degenerate mask)
+    fact = lq_factor(random_complex(rng, 4))
+    orders = np.full(4, 4)
+    data = draw_symbols(orders, rng)
+    u = thp_precode(fact.L, data, bases(orders), fact.degenerate)
+    rec = thp_loopback(fact.L, u, bases(orders))
     assert np.max(np.abs(rec - data)) < 1e-9
 
 
@@ -212,14 +220,14 @@ def test_awgn_symbol_errors_decrease_with_snr(rng):
         for _ in range(300):
             L = random_lower(gen, k, diag_boost=1.0)
             caps = np.log2(1.0 + np.abs(np.diag(L)) ** 2 / sigma**2)
-            cons = [select_modulation(c) for c in caps]
-            data = draw_symbols(cons, gen)[0]
-            out = thp_precode(L, data, cons)
-            y = L @ out.transmit + sigma * (gen.standard_normal(k) + 1j * gen.standard_normal(k)) / np.sqrt(2)
-            rec = symmetric_modulo(y / np.real(np.diag(L)),
-                                   np.array([c.modulo_base for c in cons]))
-            for i, c in enumerate(cons):
-                errors += np.argmin(np.abs(c.points - rec[i])) != np.argmin(np.abs(c.points - data[i]))
+            orders = select_modulation(caps)
+            data = draw_symbols(orders, gen)[0]
+            u = thp_precode(L, data[None], bases(orders))[0]
+            y = L @ u + sigma * (gen.standard_normal(k) + 1j * gen.standard_normal(k)) / np.sqrt(2)
+            rec = symmetric_modulo(y / np.real(np.diag(L)), bases(orders))
+            for i, M in enumerate(orders):
+                points = qam_constellation(M).points
+                errors += np.argmin(np.abs(points - rec[i])) != np.argmin(np.abs(points - data[i]))
                 trials += 1
         ser[snr_db] = errors / trials
     assert 0 <= ser[16.0] < ser[6.0] < 1
@@ -228,10 +236,11 @@ def test_awgn_symbol_errors_decrease_with_snr(rng):
 def test_draw_symbols_matches_per_stream_draws():
     # one rng.integers call over all streams must consume the generator as a
     # loop of per-stream calls does, up to and including the next draw
-    cons = [qam_constellation(M) for M in (4, 64, 16, 16, 4, 64, 16)]
+    orders = [4, 64, 16, 16, 4, 64, 16]
+    cons = [qam_constellation(M) for M in orders]
     for batch in (1, 7, 101):
         gen, ref_gen = np.random.default_rng(17), np.random.default_rng(17)
-        got = draw_symbols(cons, gen, batch=batch)
+        got = draw_symbols(orders, gen, batch=batch)
         want = np.empty((batch, len(cons)), dtype=complex)
         for i, c in enumerate(cons):
             want[:, i] = c.points[ref_gen.integers(c.M, size=batch)]
@@ -242,23 +251,18 @@ def test_draw_symbols_matches_per_stream_draws():
 
 
 def test_power_cdf_degenerate_for_diagonal_qpsk(rng):
-    facts = [np.eye(6) for _ in range(120)]
-    cdf = thp_power_cdf(facts, NoiseModel.from_snr_db(10.0), 4, rng)
+    facts = [lq_factor(np.eye(6)) for _ in range(120)]
+    cdf = power_cdf(facts, sigma_sq_from_snr_db(10.0), 4, rng)
     # every QPSK symbol has unit energy, so each drop totals exactly k
     assert np.allclose(cdf.samples, 6.0, atol=1e-12)
-
-
-def test_power_cdf_needs_100_drops(rng):
-    with pytest.raises(ValueError):
-        thp_power_cdf([np.eye(2)] * 50, NoiseModel.from_snr_db(10.0), 4, rng)
 
 
 def test_fixed4_power_dominates_adaptive(rng):
     facts = [lq_factor(random_complex(np.random.default_rng(3000 + i), 6) * 2.0)
              for i in range(150)]
-    noise = NoiseModel.from_snr_db(10.0)
-    fixed = thp_power_cdf(facts, noise, 4, np.random.default_rng(1))
-    adaptive = thp_power_cdf(facts, noise, "adaptive", np.random.default_rng(1))
+    sigma_sq = sigma_sq_from_snr_db(10.0)
+    fixed = power_cdf(facts, sigma_sq, 4, np.random.default_rng(1))
+    adaptive = power_cdf(facts, sigma_sq, "adaptive", np.random.default_rng(1))
     grid = np.linspace(0, max(fixed.samples.max(), adaptive.samples.max()), 200)
     assert np.all(fixed.cdf_at(grid) <= adaptive.cdf_at(grid) + 0.02)
     assert fixed.mean >= adaptive.mean
