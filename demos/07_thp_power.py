@@ -25,11 +25,10 @@ while len(facts) < 150:
     ue = sample_ppp(3.0, region, rng)
     if not (len(bs) and len(ue)):
         continue
-    assoc = associate(bs, ue)
-    cohort = select_cohort(assoc, rng)
+    cohort = select_cohort(associate(bs, ue), rng)
     if cohort.k < 2:
         continue
-    z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
+    z = distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices])
     facts.append(lq_factor(build_channel(z, 1.0, 4.0, rng)))
     sizes.append(cohort.k)
 
@@ -38,7 +37,7 @@ sigma_sq = sigma_sq_from_snr_db(10.0)
 # exact loopback on one drop: a stream's constellation is its order M
 fact = facts[0]
 orders = select_modulation(np.log2(1.0 + fact.stream_gains**2 / sigma_sq))
-taus = np.array([qam_constellation(M).modulo_base for M in orders])
+taus = np.array([qam_constellation(M)[1] for M in orders])
 data = draw_symbols(orders, rng)
 u = thp_precode(fact.L, data, taus, fact.degenerate)
 rec = thp_loopback(fact.L, u, taus)

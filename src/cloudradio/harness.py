@@ -22,7 +22,7 @@ import numpy as np
 from . import analytic, precoding, thp
 from .channel import (build_channel, inter_cluster_interference, sigma_sq_from_snr_db,
                       take_partial_csi)
-from .geometry import (PointSet, Region, associate, distance_block, sample_ppp, select_cohort,
+from .geometry import (Region, associate, distance_block, sample_ppp, select_cohort,
                        split_cluster)
 from .numerics import blas_threads, lq_factor
 from .stats import build_cdf, gain_percent
@@ -318,15 +318,14 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     ue = sample_ppp(config.lambda_u_effective, region, rng)
     stem = None if debug_dir is None else Path(debug_dir, f"drop{drop_index:04d}")
     if stem and dump_geometry:
-        bs.to_csv(f"{stem}_bs.csv")
-        ue.to_csv(f"{stem}_ue.csv")
+        _write_points_csv(f"{stem}_bs.csv", bs)
+        _write_points_csv(f"{stem}_ue.csv", ue)
     if len(bs) == 0 or len(ue) == 0:
         return {}
-    assoc = associate(bs, ue)
-    cohort = select_cohort(assoc, rng)
+    cohort = select_cohort(associate(bs, ue), rng)
     if cohort.k == 0:
         return {}
-    z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
+    z = distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices])
     H = build_channel(z, config.mu, config.alpha, rng)
     if stem and dump_channels:
         _write_channel_csv(f"{stem}_H.csv", H)
@@ -349,15 +348,18 @@ def _cluster_channel(config, region, bs, cohort, z, rng):
     so the split of the cohort's BSs indexes both blocks this needs straight
     from it.
     """
-    cohort_bs = PointSet(bs.points[cohort.bs_indices])
-    local = split_cluster(cohort_bs, region.center, config.cluster_radius_km)
-    inside = local.in_cluster
+    disc = split_cluster(bs[cohort.bs_indices], region.center, config.cluster_radius_km)
+    inside, outside = np.flatnonzero(disc), np.flatnonzero(~disc)
     if not inside.size:
         return None
     H_in = build_channel(z[np.ix_(inside, inside)], config.mu, config.alpha, rng)
-    i_r = inter_cluster_interference(z[np.ix_(inside, local.out_cluster)], config.mu,
-                                     config.alpha, rng)
+    i_r = inter_cluster_interference(z[np.ix_(inside, outside)], config.mu, config.alpha, rng)
     return H_in, i_r
+
+
+def _write_points_csv(path, points):
+    """A --dump-geometry file: an `x,y` header, then one row per point at %.9g."""
+    np.savetxt(path, points, fmt="%.9g", delimiter=",", header="x,y", comments="")
 
 
 def _write_channel_csv(path, H):
@@ -452,6 +454,8 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
         dumps = dict(debug_dir=debug_dir, dump_geometry=dump_geometry,
                      dump_channels=dump_channels)
     jobs = [(config, i, dumps if i < DEBUG_DROPS else {}) for i in range(config.drops)]
+    # a fork pool starts all its processes at once, so never more than there are drops
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             chunk = max(1, len(jobs) // (workers * 8))

@@ -7,18 +7,16 @@ stream is tied to its constellation so the modulo is transparent whenever no
 interference has to be pre-subtracted.
 
 A stream's constellation is its order M, one entry of a per-stream int
-array; the points and modulo base of an order are rows of two tables built
-once from qam_constellation.  thp_precode runs the k sequential steps over a
-whole batch of data vectors at once, and drop_power_sample evaluates every
-mode of a drop over a whole SNR sweep in one precode pass.
+array.  qam_constellation gives an order's points and modulo base as a plain
+(array, float) pair, and the two are rows of two tables built once from it.
+thp_precode runs the k sequential steps over a whole batch of data vectors at
+once, and drop_power_sample evaluates every mode of a drop over a whole SNR
+sweep in one precode pass.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QamConstellation",
     "qam_constellation",
     "thp_precode",
     "thp_loopback",
@@ -27,22 +25,13 @@ __all__ = [
 SUPPORTED_ORDERS = (4, 16, 64)
 
 
-@dataclass(frozen=True)
-class QamConstellation:
-    """Square M-QAM grid with unit mean symbol energy.
+def qam_constellation(M):
+    """(points, modulo_base) of the unit-energy square M-QAM grid, M in {4, 16, 64}.
 
     modulo_base is the side length tau of the modulo region
     [-tau/2, tau/2) x [-tau/2, tau/2), chosen as 2 * (max coordinate + half
     grid step) so every constellation point lies strictly inside.
     """
-
-    M: int
-    points: np.ndarray
-    modulo_base: float
-
-
-def qam_constellation(M) -> QamConstellation:
-    """Build the unit-energy square M-QAM constellation, M in {4, 16, 64}."""
     if M not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported constellation size {M}")
     m = int(np.sqrt(M))
@@ -50,15 +39,14 @@ def qam_constellation(M) -> QamConstellation:
     a = np.sqrt(1.5 / (M - 1))
     axis = a * (2 * np.arange(m) - (m - 1))
     re, im = np.meshgrid(axis, axis)
-    pts = (re + 1j * im).ravel()
     tau = 2.0 * (axis[-1] + a)
-    return QamConstellation(M=int(M), points=pts, modulo_base=float(tau))
+    return (re + 1j * im).ravel(), float(tau)
 
 
 # per order, in SUPPORTED_ORDERS' rows: the modulo base, and the points padded
 # with zeros so that one fancy index reads symbols of any mix of orders
-_BASES = np.array([qam_constellation(M).modulo_base for M in SUPPORTED_ORDERS])
-_POINTS = np.array([np.pad(qam_constellation(M).points, (0, max(SUPPORTED_ORDERS) - M))
+_BASES = np.array([qam_constellation(M)[1] for M in SUPPORTED_ORDERS])
+_POINTS = np.array([np.pad(qam_constellation(M)[0], (0, max(SUPPORTED_ORDERS) - M))
                     for M in SUPPORTED_ORDERS])
 
 

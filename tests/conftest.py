@@ -17,19 +17,23 @@ def rng():
 
 
 def standard_drop(rng, lambda_b=0.3, side=10.0, mu=1.0, alpha=4.0):
-    """One full geometry + channel realization of the reference network."""
+    """One full geometry + channel realization of the reference network.
+
+    Returns (bs, ue, primary_bs, cohort, H): the two point arrays, the
+    primary-BS index of every UE, the cohort and its channel.
+    """
     region = Region(side, side)
     while True:
         bs = sample_ppp(lambda_b, region, rng)
         ue = sample_ppp(10.0 * lambda_b, region, rng)
         if len(bs) and len(ue):
-            assoc = associate(bs, ue)
-            cohort = select_cohort(assoc, rng)
+            primary_bs = associate(bs, ue)
+            cohort = select_cohort(primary_bs, rng)
             if cohort.k >= 2:
                 break
-    H = build_channel(distance_block(assoc, cohort.ue_indices, cohort.bs_indices), mu, alpha,
+    H = build_channel(distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices]), mu, alpha,
                       rng)
-    return bs, ue, assoc, cohort, H
+    return bs, ue, primary_bs, cohort, H
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cloudradio import (Association, ClusterSplit, Region, associate, build_channel,
-                        inter_cluster_interference, sample_ppp, select_cohort, take_partial_csi)
+from cloudradio import (Region, associate, build_channel, inter_cluster_interference,
+                        sample_ppp, select_cohort, take_partial_csi)
 from cloudradio.channel import (MIN_DISTANCE_KM, diagonal_dominance_fraction,
                                 sigma_sq_from_snr_db)
 from cloudradio.geometry import distance_block, point_distances
@@ -47,11 +47,11 @@ def test_build_channel_parameter_errors(rng):
 
 
 def test_distance_dominance_of_diagonal(drop):
-    _, _, assoc, cohort, H = drop
-    z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
+    bs, ue, _, cohort, H = drop
+    z = distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices])
     assert np.all(np.diag(z) <= z.min(axis=1) + 1e-12)
     # the block equals the same block of the full distance matrix, bit for bit
-    dense = point_distances(assoc.ue_points[:, None, :], assoc.bs_points[None, :, :])
+    dense = point_distances(ue[:, None, :], bs[None, :, :])
     assert np.array_equal(z, dense[np.ix_(cohort.ue_indices, cohort.bs_indices)])
 
 
@@ -65,9 +65,8 @@ def test_drop_memory_does_not_grow_as_ue_times_bs():
     ue = sample_ppp(3.0, region, rng)
     tracemalloc.start()
     try:
-        assoc = associate(bs, ue)
-        cohort = select_cohort(assoc, rng)
-        z = distance_block(assoc, cohort.ue_indices, cohort.bs_indices)
+        cohort = select_cohort(associate(bs, ue), rng)
+        z = distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices])
         H = build_channel(z, 1.0, 4.0, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -144,15 +143,15 @@ def test_partial_csi_budget_range(drop):
         take_partial_csi(H, len(H) + 1)
 
 
-def interference_per_ue(split, ue_indices, distances, mu, alpha, rng):
+def interference_per_ue(out_cluster, ue_indices, distances, mu, alpha, rng):
     """Reference I_r: one draw of out-of-cluster fades per UE, in UE order."""
     out = []
     for u in ue_indices:
-        if split.out_cluster.size == 0:
+        if out_cluster.size == 0:
             out.append(0.0)
             continue
-        z = np.maximum(distances[u, split.out_cluster], MIN_DISTANCE_KM)
-        fades = rng.exponential(1.0 / mu, size=split.out_cluster.size)
+        z = np.maximum(distances[u, out_cluster], MIN_DISTANCE_KM)
+        fades = rng.exponential(1.0 / mu, size=out_cluster.size)
         out.append(float(np.sum(fades * z ** (-alpha))))
     return np.array(out)
 
@@ -195,17 +194,16 @@ def test_inter_cluster_batch_matches_per_ue_loop(n_bs, radius):
     # one (k_in, n_out) fade array equals k_in per-UE draws, bit for bit
     geo = np.random.default_rng(n_bs)
     bs = geo.uniform(0.0, 10.0, (n_bs, 2))
-    assoc = Association(primary_bs=np.zeros(40, dtype=np.intp),
-                        ue_points=geo.uniform(0.0, 10.0, (40, 2)), bs_points=bs)
+    ue = geo.uniform(0.0, 10.0, (40, 2))
     inside = np.hypot(bs[:, 0] - 5.0, bs[:, 1] - 5.0) <= radius
-    split = ClusterSplit(np.flatnonzero(inside), np.flatnonzero(~inside))
-    ues = np.arange(0, assoc.n_ue, 3)
-    dense = point_distances(assoc.ue_points[:, None, :], bs[None, :, :])
+    out_cluster = np.flatnonzero(~inside)
+    ues = np.arange(0, len(ue), 3)
+    dense = point_distances(ue[:, None, :], bs[None, :, :])
     for mu, alpha in [(1.0, 4.0), (2.5, 3.0)]:
         fast, slow = np.random.default_rng(11), np.random.default_rng(11)
-        got = inter_cluster_interference(distance_block(assoc, ues, split.out_cluster), mu,
-                                         alpha, fast)
-        ref = interference_per_ue(split, ues, dense, mu, alpha, slow)
+        got = inter_cluster_interference(distance_block(ue[ues], bs[out_cluster]), mu, alpha,
+                                         fast)
+        ref = interference_per_ue(out_cluster, ues, dense, mu, alpha, slow)
         assert np.array_equal(got, ref)
         assert fast.random() == slow.random()
 

@@ -2,21 +2,15 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from cloudradio import (PointSet, Region, associate, sample_ppp, select_cohort,
-                        split_cluster)
-from cloudradio.geometry import point_distances
+from cloudradio import Region, associate, sample_ppp, select_cohort, split_cluster
+from cloudradio.geometry import distance_block
 
 
-def dense_distances(assoc):
-    """The full UE-by-BS distance matrix that association no longer builds."""
-    return point_distances(assoc.ue_points[:, None, :], assoc.bs_points[None, :, :])
-
-
-def cohort_per_bs_loop(assoc, rng):
+def cohort_per_bs_loop(primary_bs, n_bs, rng):
     """Reference cohort: one scalar draw per occupied BS, in BS order."""
     bs_sel, ue_sel = [], []
-    for b in range(assoc.n_bs):
-        mine = np.flatnonzero(assoc.primary_bs == b)
+    for b in range(n_bs):
+        mine = np.flatnonzero(primary_bs == b)
         if mine.size:
             bs_sel.append(b)
             ue_sel.append(mine[rng.integers(mine.size)])
@@ -59,8 +53,9 @@ def test_ppp_negative_intensity_rejected(rng):
 
 def test_ppp_points_inside_region(rng):
     ps = sample_ppp(1.0, Region(3.0, 7.0), rng)
-    assert np.all(ps.points[:, 0] >= 0) and np.all(ps.points[:, 0] <= 3.0)
-    assert np.all(ps.points[:, 1] >= 0) and np.all(ps.points[:, 1] <= 7.0)
+    assert ps.shape == (len(ps), 2)
+    assert np.all(ps[:, 0] >= 0) and np.all(ps[:, 0] <= 3.0)
+    assert np.all(ps[:, 1] >= 0) and np.all(ps[:, 1] <= 7.0)
 
 
 def test_nearest_distance_null_probability(rng):
@@ -69,7 +64,7 @@ def test_nearest_distance_null_probability(rng):
     center = np.array(region.center)
     nearest = np.empty(10000)
     for i in range(nearest.size):
-        pts = sample_ppp(lam, region, rng).points
+        pts = sample_ppp(lam, region, rng)
         nearest[i] = np.min(np.hypot(*(pts - center).T)) if len(pts) else np.inf
     for z in (0.4, 0.8, 1.2):
         emp = np.mean(nearest > z)
@@ -82,7 +77,7 @@ def test_nearest_distance_density_ks(rng):
     center = np.array(region.center)
     nearest = []
     while len(nearest) < 10000:
-        pts = sample_ppp(lam, region, rng).points
+        pts = sample_ppp(lam, region, rng)
         if len(pts):
             nearest.append(np.min(np.hypot(*(pts - center).T)))
     z = np.sort(nearest)
@@ -94,22 +89,21 @@ def test_nearest_distance_density_ks(rng):
 
 
 def test_associate_single_candidate():
-    bs = PointSet(np.array([[0.0, 0.0]]))
-    ue = PointSet(np.array([[3.0, 4.0]]))
-    assoc = associate(bs, ue)
-    assert dense_distances(assoc)[0, 0] == pytest.approx(5.0)
-    assert assoc.primary_bs[0] == 0
+    bs = np.array([[0.0, 0.0]])
+    ue = np.array([[3.0, 4.0]])
+    assert distance_block(ue, bs)[0, 0] == pytest.approx(5.0)
+    assert associate(bs, ue)[0] == 0
 
 
 def test_associate_strict_ordering():
-    bs = PointSet(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    ue = PointSet(np.array([[1.0, 0.0]]))
-    assert associate(bs, ue).primary_bs[0] == 0
+    bs = np.array([[0.0, 0.0], [10.0, 0.0]])
+    ue = np.array([[1.0, 0.0]])
+    assert associate(bs, ue)[0] == 0
 
 
 def test_associate_empty_sets_rejected():
-    empty = PointSet(np.empty((0, 2)))
-    full = PointSet(np.array([[1.0, 1.0]]))
+    empty = np.empty((0, 2))
+    full = np.array([[1.0, 1.0]])
     with pytest.raises(ValueError):
         associate(empty, full)
     with pytest.raises(ValueError):
@@ -117,10 +111,11 @@ def test_associate_empty_sets_rejected():
 
 
 def test_associate_primary_is_row_argmin(drop):
-    _, _, assoc, _, _ = drop
-    d = dense_distances(assoc)
-    for u in range(assoc.n_ue):
-        assert d[u, assoc.primary_bs[u]] <= d[u].min() + 1e-12
+    bs, ue, primary_bs, _, _ = drop
+    # the full UE-by-BS distance matrix that association never builds
+    d = distance_block(ue, bs)
+    for u in range(len(ue)):
+        assert d[u, primary_bs[u]] <= d[u].min() + 1e-12
 
 
 @pytest.mark.parametrize("lambda_b", [0.02, 0.3, 2.0])
@@ -131,8 +126,7 @@ def test_associate_tree_matches_dense_argmin(lambda_b):
         bs = sample_ppp(lambda_b, region, rng)
         ue = sample_ppp(3.0, region, rng)
         if len(bs) and len(ue):
-            assoc = associate(bs, ue)
-            assert np.array_equal(assoc.primary_bs, np.argmin(dense_distances(assoc), axis=1))
+            assert np.array_equal(associate(bs, ue), np.argmin(distance_block(ue, bs), axis=1))
 
 
 @pytest.mark.parametrize("bs_points, expected", [
@@ -143,11 +137,11 @@ def test_associate_tree_matches_dense_argmin(lambda_b):
 ])
 def test_associate_exact_tie_picks_lowest_index(bs_points, expected):
     # the UE at (1, 0) is exactly equidistant from its two nearest BSs
-    bs = PointSet(np.array(bs_points))
-    ue = PointSet(np.array([[1.0, 0.0]]))
-    assoc = associate(bs, ue)
-    assert assoc.primary_bs[0] == expected
-    assert assoc.primary_bs[0] == np.argmin(dense_distances(assoc)[0])
+    bs = np.array(bs_points)
+    ue = np.array([[1.0, 0.0]])
+    primary_bs = associate(bs, ue)
+    assert primary_bs[0] == expected
+    assert primary_bs[0] == np.argmin(distance_block(ue, bs)[0])
 
 
 @pytest.mark.parametrize("lambda_u", [0.3, 3.0])
@@ -158,10 +152,10 @@ def test_select_cohort_matches_per_bs_loop(lambda_u):
         ue = sample_ppp(lambda_u, Region(10.0, 10.0), geo)
         if not (len(bs) and len(ue)):
             continue
-        assoc = associate(bs, ue)
+        primary_bs = associate(bs, ue)
         fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
-        cohort = select_cohort(assoc, fast)
-        bs_sel, ue_sel = cohort_per_bs_loop(assoc, slow)
+        cohort = select_cohort(primary_bs, fast)
+        bs_sel, ue_sel = cohort_per_bs_loop(primary_bs, len(bs), slow)
         assert np.array_equal(cohort.bs_indices, bs_sel)
         assert np.array_equal(cohort.ue_indices, ue_sel)
         # the generator is left where the loop leaves it
@@ -170,8 +164,8 @@ def test_select_cohort_matches_per_bs_loop(lambda_u):
 
 
 def test_cohort_forced_matching():
-    bs = PointSet(np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]))
-    ue = PointSet(np.array([[0.1, 0.0], [5.1, 0.0], [9.9, 0.0]]))
+    bs = np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]])
+    ue = np.array([[0.1, 0.0], [5.1, 0.0], [9.9, 0.0]])
     cohort = select_cohort(associate(bs, ue), np.random.default_rng(0))
     assert cohort.bs_indices.tolist() == [0, 1, 2]
     assert cohort.ue_indices.tolist() == [0, 1, 2]
@@ -179,10 +173,10 @@ def test_cohort_forced_matching():
 
 def test_cohort_uniform_choice_chi_square(rng):
     # one BS, five UEs: the served UE must be uniform over the five
-    bs = PointSet(np.array([[0.0, 0.0]]))
-    ue = PointSet(np.array([[1.0 + 0.1 * i, 0.0] for i in range(5)]))
-    assoc = associate(bs, ue)
-    picks = np.array([select_cohort(assoc, rng).ue_indices[0] for _ in range(10000)])
+    bs = np.array([[0.0, 0.0]])
+    ue = np.array([[1.0 + 0.1 * i, 0.0] for i in range(5)])
+    primary_bs = associate(bs, ue)
+    picks = np.array([select_cohort(primary_bs, rng).ue_indices[0] for _ in range(10000)])
     observed = np.bincount(picks, minlength=5)
     stat = np.sum((observed - 2000.0) ** 2 / 2000.0)
     assert stat < chi2.ppf(0.999, df=4)
@@ -193,37 +187,37 @@ def test_cohort_indices_distinct(drop):
     assert len(set(cohort.bs_indices.tolist())) == cohort.k
     assert len(set(cohort.ue_indices.tolist())) == cohort.k
     # every pair respects the primary association
-    _, _, assoc, _, _ = drop
+    _, _, primary_bs, _, _ = drop
     for b, u in zip(cohort.bs_indices, cohort.ue_indices):
-        assert assoc.primary_bs[u] == b
+        assert primary_bs[u] == b
 
 
 def test_cohort_skips_unoccupied_bs():
-    bs = PointSet(np.array([[0.0, 0.0], [9.0, 9.0]]))
-    ue = PointSet(np.array([[0.2, 0.0]]))
+    bs = np.array([[0.0, 0.0], [9.0, 9.0]])
+    ue = np.array([[0.2, 0.0]])
     cohort = select_cohort(associate(bs, ue), np.random.default_rng(0))
     assert cohort.k == 1  # unoccupied BS skipped
 
 
 def test_split_cluster_superset_radius(rng):
     bs = sample_ppp(0.3, Region(10.0, 10.0), rng)
-    split = split_cluster(bs, (5.0, 5.0), radius=20.0)
-    assert split.out_cluster.size == 0
-    assert split.in_cluster.size == len(bs)
+    inside = split_cluster(bs, (5.0, 5.0), radius=20.0)
+    assert inside.shape == (len(bs),)
+    assert np.all(inside)
 
 
-def test_split_cluster_partition(rng):
-    bs = sample_ppp(0.3, Region(10.0, 10.0), rng)
-    split = split_cluster(bs, (5.0, 5.0), radius=3.0)
-    merged = np.sort(np.concatenate([split.in_cluster, split.out_cluster]))
-    assert np.array_equal(merged, np.arange(len(bs)))
-    assert np.intersect1d(split.in_cluster, split.out_cluster).size == 0
+def test_split_cluster_partition():
+    # the mask is one flag per BS, in BS order; a BS exactly at the radius is inside
+    bs = np.array([[5.0, 5.0], [8.0, 5.0], [5.0, 2.0], [8.5, 5.0], [9.0, 9.0]])
+    inside = split_cluster(bs, (5.0, 5.0), radius=3.0)
+    assert inside.dtype == bool
+    assert inside.tolist() == [True, True, True, False, False]
 
 
 @pytest.mark.parametrize("radius,side,expected", [(4.0, 10.0, 15.08), (8.0, 20.0, 60.3)])
 def test_split_cluster_mean_count(rng, radius, side, expected):
     region = Region(side, side)
-    counts = [split_cluster(sample_ppp(0.3, region, rng), region.center, radius).in_cluster.size
+    counts = [np.count_nonzero(split_cluster(sample_ppp(0.3, region, rng), region.center, radius))
               for _ in range(1000)]
     se = np.sqrt(expected / len(counts))
     assert abs(np.mean(counts) - expected) < 4 * se
@@ -233,11 +227,3 @@ def test_split_cluster_bad_radius(rng):
     bs = sample_ppp(0.3, Region(10.0, 10.0), rng)
     with pytest.raises(ValueError):
         split_cluster(bs, (5.0, 5.0), radius=0.0)
-
-
-def test_pointset_csv_roundtrip(tmp_path, rng):
-    ps = sample_ppp(0.5, Region(4.0, 4.0), rng)
-    path = tmp_path / "pts.csv"
-    ps.to_csv(path)
-    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert np.allclose(back, ps.points)

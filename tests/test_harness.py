@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cloudradio import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
-                        load_config_file, preset_config, run, simulate_drop,
+from cloudradio import (ConfigError, ExperimentConfig, PRESETS, Region, crossvalidate,
+                        load_config_file, preset_config, run, sample_ppp, simulate_drop,
                         tagged_rate_samples, validate)
 from cloudradio import harness, precoding, qam_constellation
 from cloudradio.analytic import trunc_radius
@@ -132,6 +132,48 @@ def test_run_identical_bytes_and_worker_invariance(tmp_path):
     assert r1.summaries == r3.summaries
 
 
+def test_run_starts_no_more_processes_than_drops(tmp_path, monkeypatch):
+    # a fork pool starts all of its processes at once, busy or idle; the
+    # stand-in records the pool size asked for and starts no process
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = ExperimentConfig(**{**TINY, "drops": 2})
+    run(cfg, workers=8, name="pool", output_dir=tmp_path)
+    assert asked == [2]
+    # a single drop runs serially, without a pool
+    run(replace(cfg, drops=1), workers=8, name="one", output_dir=tmp_path)
+    assert asked == [2]
+
+
+def test_geometry_dump_csv_format(tmp_path):
+    # a dumped point set is an `x,y` header, then one row per point the drop
+    # drew, in draw order, each coordinate at %.9g
+    cfg = ExperimentConfig(**TINY)
+    simulate_drop(cfg, 0, tmp_path, dump_geometry=True)
+    rng = harness._drop_rng(cfg.seed, 0)
+    region = Region(*cfg.region_km)
+    drawn = {"bs": sample_ppp(cfg.lambda_b, region, rng),
+             "ue": sample_ppp(cfg.lambda_u_effective, region, rng)}
+    for name, points in drawn.items():
+        lines = (tmp_path / f"drop0000_{name}.csv").read_text().splitlines()
+        assert lines[0] == "x,y"
+        assert lines[1:] == [f"{x:.9g},{y:.9g}" for x, y in points]
+
+
 def write_rates_csv_per_element(path, chunks):
     """Reference writer: one f-string per numpy scalar."""
     lines = ["drop_id,stream,rate"]
@@ -219,18 +261,19 @@ def _per_stream_thp_power(L, sigma_sq, mode, rng, vectors, base):
     """THP power as one draw and one modulo per stream (the unbatched algorithm)."""
     if mode == "adaptive":
         caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base)
-        cons = [qam_constellation(64 if c > 7 else 16 if c > 4 else 4) for c in caps]
+        orders = [64 if c > 7 else 16 if c > 4 else 4 for c in caps]
     else:
-        cons = [qam_constellation(mode)] * L.shape[0]
-    data = np.empty((vectors, len(cons)), dtype=complex)
-    for i, c in enumerate(cons):
-        data[:, i] = c.points[rng.integers(c.M, size=vectors)]
+        orders = [mode] * L.shape[0]
+    data = np.empty((vectors, len(orders)), dtype=complex)
+    for i, M in enumerate(orders):
+        points, _ = qam_constellation(M)
+        data[:, i] = points[rng.integers(M, size=vectors)]
     diag = np.real(np.diag(L))
     u = np.empty_like(data)
     u[:, 0] = data[:, 0]
-    for i in range(1, len(cons)):
+    for i in range(1, len(orders)):
         x = data[:, i] - u[:, :i] @ (L[i, :i] / diag[i])
-        tau = cons[i].modulo_base
+        _, tau = qam_constellation(orders[i])
         u[:, i] = ((np.mod(x.real + tau / 2.0, tau) - tau / 2.0)
                    + 1j * (np.mod(x.imag + tau / 2.0, tau) - tau / 2.0))
     return float(np.mean(np.sum(np.abs(u) ** 2, axis=1)))
