@@ -43,6 +43,8 @@ def _add_overrides(p):
 
 
 def _build_config(args) -> ExperimentConfig:
+    if args.preset and args.config:
+        raise ConfigError("--preset and --config cannot be combined; give one of them")
     if args.config:
         cfg = load_config_file(args.config)
     elif args.preset:

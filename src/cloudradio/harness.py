@@ -8,7 +8,6 @@ each configured scheme of the SCHEMES registry once over the whole SNR sweep;
 the --dump-* files are written by the drop from what it drew.
 """
 
-import copy
 import json
 import math
 import time
@@ -420,7 +419,7 @@ class ExperimentReport:
 
 def _worker(args):
     config, idx, dumps = args
-    return idx, simulate_drop(config, idx, **dumps)
+    return simulate_drop(config, idx, **dumps)
 
 
 def _one_blas_thread():
@@ -431,8 +430,8 @@ def _one_blas_thread():
 # k ~ 30 matrices cost OpenBLAS more in thread start-up than in work, and a
 # pool of n processes would otherwise run n times as many threads as cores
 @blas_threads(1)
-def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
-        dump_geometry=False, dump_channels=False, with_crossval=False) -> ExperimentReport:
+def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
+        dump_channels=False, with_crossval=False) -> ExperimentReport:
     """Execute a config: simulate drops, aggregate, emit CSVs and a summary.
 
     Identical (seed, config) give byte-identical CSVs for any worker count.
@@ -446,7 +445,7 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
     if with_crossval:
         _crossval_schemes(config)
     t0 = time.perf_counter()
-    out_root = Path(output_dir or config.output_dir or ".") / name
+    out_root = Path(config.output_dir or ".") / name
     dumps = {}
     if dump_geometry or dump_channels:
         debug_dir = out_root / "debug"
@@ -459,15 +458,14 @@ def run(config: ExperimentConfig, workers=1, name="run", output_dir=None,
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             chunk = max(1, len(jobs) // (workers * 8))
-            results = dict(pool.map(_worker, jobs, chunksize=chunk))
+            results = list(pool.map(_worker, jobs, chunksize=chunk))
     else:
-        results = dict(map(_worker, jobs))
+        results = list(map(_worker, jobs))
 
-    # aggregation is sorted by drop index, so worker scheduling cannot matter
+    # both maps yield in job order, so drop i is results[i] whatever the scheduling
     collected = {}
     effective = 0
-    for i in sorted(results):
-        drop = results[i]
+    for i, drop in enumerate(results):
         if drop:
             effective += 1
         for key, rates in drop.items():
@@ -535,11 +533,11 @@ def _write_rates_csv(path, chunks, templates):
 # ---------------------------------------------------------------------------
 
 
-# rows of a batch that the tagged sampler holds in one block
+# samples that the tagged sampler draws and holds at once
 _BLOCK_ROWS = 512
 
 
-def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
+def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, base, rng):
     """{scheme: n rate samples} of tagged users, each centred in its own field.
 
     The user sits at the centre of a disc whose radius covers the coverage
@@ -549,75 +547,45 @@ def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, base, rng, batch=2
     sample i is its SINR reduction of field i.  The draws do not depend on
     `schemes`, so neither do a scheme's samples nor the generator's end state.
 
-    Each batch of up to `batch` samples draws, in this order: the BS count of
-    every sample, then every BS's uniform, then every BS's fade, each in
-    sample order and, within a sample, nearest BS first for the fades.  The
-    batch runs in one pass over blocks of _BLOCK_ROWS samples, so only a block
-    is held.  A uniform double is one 64-bit output of PCG64, so after the
-    counts a copy of the generator draws the uniforms while the generator
-    itself jumps past them (PCG64.advance) to where the fades begin.  Each
-    block then takes its uniforms from the copy and its fades from the
-    generator; the draws, every sample's bits and the generator's end state
-    are those of drawing each batch's uniforms before its fades.  The field
-    beyond the two nearest BSs is summed over a zero-padded row as wide as the
-    batch's largest count, because numpy's pairwise sum rounds by the row
-    length; the samples do not depend on the block size.  rng must be a PCG64
-    Generator (np.random.default_rng); any other raises TypeError before a draw.
+    The samples are drawn in blocks of _BLOCK_ROWS, and only a block is held.
+    Each block draws from rng, in this order: the BS count of every sample,
+    then every BS's uniform, then every BS's fade, each in sample order and,
+    within a sample, nearest BS first for the fades.  The field beyond the two
+    nearest BSs is summed over a zero-padded row as wide as the block's
+    largest count.  Both the draw order and numpy's pairwise sum, which rounds
+    by the row length, are per block, so the samples depend on _BLOCK_ROWS.
+    rng may be any numpy Generator.
     """
     for scheme in schemes:
         if scheme not in CROSSVAL_SCHEMES:
             raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise TypeError("tagged_rate_samples needs a PCG64 generator, got "
-                        + type(rng.bit_generator).__name__)
     radius = analytic.trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
 
-    def reduce_block(row, c, width, uniforms):
-        # a call per block, so one block's arrays are freed before the next's
-        p = _unfaded_powers(c, radius, alpha, uniforms)
-        # a padding entry is a BS that is not there, of power 0
-        faded = np.zeros((c.size, width))
-        faded[np.arange(width) < c[:, None]] = p * rng.exponential(1.0 / mu, size=p.size)
-        i_r = faded[:, 2:].sum(axis=1) + tail_mean
+    def reduce_block(row, m):
+        # a call per block, so one block's arrays are freed before the next draws
+        counts = rng.poisson(lam * np.pi * radius**2, size=m)
+        counts = np.maximum(counts, 3)  # P[count < 3] is astronomically small
+        p = _faded_powers(counts, radius, alpha, mu, rng)
+        i_r = p[:, 2:].sum(axis=1) + tail_mean
         for s in schemes:
-            sinr = CROSSVAL_SCHEMES[s][1](faded[:, 0], faded[:, 1], i_r, sigma_sq)
-            out[s][row:row + c.size] = np.log1p(sinr) / np.log(base)
+            sinr = CROSSVAL_SCHEMES[s][1](p[:, 0], p[:, 1], i_r, sigma_sq)
+            out[s][row:row + m] = np.log1p(sinr) / np.log(base)
 
     out = {s: np.empty(n) for s in schemes}
-    for done in range(0, n, batch):
-        counts = rng.poisson(lam * np.pi * radius**2, size=min(batch, n - done))
-        counts = np.maximum(counts, 3)  # P[count < 3] is astronomically small
-        uniforms = copy.deepcopy(rng)
-        _skip_draws(rng, int(counts.sum()))
-        width = int(counts.max())
-        for a in range(0, counts.size, _BLOCK_ROWS):
-            reduce_block(done + a, counts[a:a + _BLOCK_ROWS], width, uniforms)
+    for row in range(0, n, _BLOCK_ROWS):
+        reduce_block(row, min(_BLOCK_ROWS, n - row))
     return out
 
 
-def _skip_draws(rng, draws):
-    """Move a PCG64 generator past `draws` 64-bit outputs, as if it had drawn them.
+def _faded_powers(counts, radius, alpha, mu, rng):
+    """One block's faded powers, a zero-padded row per sample, nearest BS first.
 
-    advance clears the buffered half of a 32-bit draw, which drawing doubles
-    leaves alone, so it is put back.
-    """
-    bitgen = rng.bit_generator
-    buffered = bitgen.state
-    bitgen.advance(draws)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
-    bitgen.state = state
-
-
-def _unfaded_powers(counts, radius, alpha, rng):
-    """(radius * sqrt(u))**-alpha of one block's uniforms u, one flat array.
-
-    The powers are in sample order and, within a sample, nearest BS first.
-    Each row of an inf-padded block holds one sample's uniforms.  The distance
-    is monotone in u, so sorting u orders the distances, and a float array
-    without NaN or -0.0 has one sorted order, so the sort kind cannot change a
-    bit.
+    Each row of an inf-padded array holds one sample's uniforms u.  The
+    distance radius * sqrt(u) is monotone in u, so sorting u orders the
+    distances, and a float array without NaN or -0.0 has one sorted order, so
+    the sort kind cannot change a bit.  A padding entry is a BS that is not
+    there, of power 0.
     """
     filled = np.arange(counts.max()) < counts[:, None]
     u = np.full(filled.shape, np.inf)
@@ -626,7 +594,11 @@ def _unfaded_powers(counts, radius, alpha, rng):
     p = u[filled]
     np.sqrt(p, out=p)
     p *= radius
-    return np.power(p, -alpha, out=p)
+    np.power(p, -alpha, out=p)
+    p *= rng.exponential(1.0 / mu, size=p.size)
+    u.fill(0.0)
+    u[filled] = p
+    return u
 
 
 def crossvalidate(config: ExperimentConfig) -> dict:
@@ -634,7 +606,8 @@ def crossvalidate(config: ExperimentConfig) -> dict:
 
     For every configured scheme with an analytic counterpart, reports the sup
     CDF gap and the SNR shift (dB) between the two curves at CDF level 0.5.
-    Every scheme reads the same tagged samples' fields, drawn once.
+    Every scheme reads the same tagged samples' fields, drawn once, block by
+    block, from the (seed, 0xC0FFEE) substream that no drop draws from.
     """
     wanted = _crossval_schemes(config)
     sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])

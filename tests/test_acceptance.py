@@ -332,10 +332,11 @@ def test_criterion_12_numerics():
 
 def test_criterion_13_reproducibility(tmp_path):
     c = Checker(13)
-    cfg = ExperimentConfig(schemes=("conventional", "zfdpc"), drops=8, seed=SEED)
-    run(cfg, workers=1, name="one", output_dir=tmp_path)
-    run(cfg, workers=1, name="two", output_dir=tmp_path)
-    run(cfg, workers=3, name="par", output_dir=tmp_path)
+    cfg = ExperimentConfig(schemes=("conventional", "zfdpc"), drops=8, seed=SEED,
+                           output_dir=str(tmp_path))
+    run(cfg, workers=1, name="one")
+    run(cfg, workers=1, name="two")
+    run(cfg, workers=3, name="par")
     same = True
     worker_same = True
     for scheme in cfg.schemes:

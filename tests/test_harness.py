@@ -121,10 +121,10 @@ def test_sweep_equals_its_single_snr_runs():
 
 
 def test_run_identical_bytes_and_worker_invariance(tmp_path):
-    cfg = ExperimentConfig(**TINY)
-    r1 = run(cfg, workers=1, name="a", output_dir=tmp_path)
-    r2 = run(cfg, workers=1, name="b", output_dir=tmp_path)
-    r3 = run(cfg, workers=2, name="c", output_dir=tmp_path)
+    cfg = ExperimentConfig(**TINY, output_dir=str(tmp_path))
+    r1 = run(cfg, workers=1, name="a")
+    r2 = run(cfg, workers=1, name="b")
+    r3 = run(cfg, workers=2, name="c")
     for scheme in cfg.schemes:
         b1 = (tmp_path / "a" / f"{scheme}.csv").read_bytes()
         assert b1 == (tmp_path / "b" / f"{scheme}.csv").read_bytes()
@@ -151,11 +151,11 @@ def test_run_starts_no_more_processes_than_drops(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    cfg = ExperimentConfig(**{**TINY, "drops": 2})
-    run(cfg, workers=8, name="pool", output_dir=tmp_path)
+    cfg = ExperimentConfig(**{**TINY, "drops": 2}, output_dir=str(tmp_path))
+    run(cfg, workers=8, name="pool")
     assert asked == [2]
     # a single drop runs serially, without a pool
-    run(replace(cfg, drops=1), workers=8, name="one", output_dir=tmp_path)
+    run(replace(cfg, drops=1), workers=8, name="one")
     assert asked == [2]
 
 
@@ -218,8 +218,8 @@ def test_cli_run_rejects_workers_below_one(tmp_path, monkeypatch, capsys, worker
 
 
 def test_run_report_contents(tmp_path):
-    cfg = ExperimentConfig(**TINY)
-    report = run(cfg, name="r", output_dir=tmp_path)
+    cfg = ExperimentConfig(**TINY, output_dir=str(tmp_path))
+    report = run(cfg, name="r")
     assert set(report.summaries) == set(cfg.schemes)
     assert report.config["drops"] == cfg.drops
     assert report.config["schemes"] == list(cfg.schemes)
@@ -230,12 +230,13 @@ def test_run_report_contents(tmp_path):
 
 def test_run_rejects_invalid_config(tmp_path):
     with pytest.raises(ConfigError):
-        run(ExperimentConfig(drops=0), output_dir=tmp_path)
+        run(ExperimentConfig(drops=0, output_dir=str(tmp_path)))
 
 
 def test_run_sweep_files(tmp_path):
-    cfg = ExperimentConfig(drops=4, seed=3, schemes=("zfdpc",), snr_db=[0.0, 10.0])
-    run(cfg, name="s", output_dir=tmp_path)
+    cfg = ExperimentConfig(drops=4, seed=3, schemes=("zfdpc",), snr_db=[0.0, 10.0],
+                           output_dir=str(tmp_path))
+    run(cfg, name="s")
     assert (tmp_path / "s" / "zfdpc_snr0.csv").exists()
     assert (tmp_path / "s" / "zfdpc_snr10.csv").exists()
 
@@ -243,15 +244,15 @@ def test_run_sweep_files(tmp_path):
 def test_run_clustered_schemes(tmp_path):
     cfg = ExperimentConfig(region_km=(20.0, 20.0), drops=4, seed=11,
                            schemes=("clustered", "clustered-partial"),
-                           cluster_radius_km=6.0, csi_l=4)
-    report = run(cfg, name="cl", output_dir=tmp_path)
+                           cluster_radius_km=6.0, csi_l=4, output_dir=str(tmp_path))
+    report = run(cfg, name="cl")
     assert "clustered" in report.summaries and "clustered-partial" in report.summaries
 
 
 def test_run_thp_power_scheme(tmp_path):
     cfg = ExperimentConfig(drops=4, seed=2, schemes=("thp-adaptive", "thp-fixed4"),
-                           thp_vectors=20)
-    report = run(cfg, name="p", output_dir=tmp_path)
+                           thp_vectors=20, output_dir=str(tmp_path))
+    report = run(cfg, name="p")
     # one power sample per drop, roughly k with the modulo penalty on top
     assert report.summaries["thp-adaptive"]["10"]["n"] == 4
     assert report.summaries["thp-fixed4"]["10"]["mean"] > 0
@@ -325,9 +326,10 @@ def test_zfdpc_scheme_reads_the_shared_factorization():
 
 def test_run_thp_sweep_identical_bytes_at_any_workers(tmp_path):
     cfg = ExperimentConfig(drops=6, seed=9, snr_db=[0.0, 20.0], thp_vectors=21,
-                           schemes=("zfdpc", "thp-adaptive", "thp-fixed4", "thp-fixed64"))
-    run(cfg, workers=1, name="w1", output_dir=tmp_path)
-    run(cfg, workers=2, name="w2", output_dir=tmp_path)
+                           schemes=("zfdpc", "thp-adaptive", "thp-fixed4", "thp-fixed64"),
+                           output_dir=str(tmp_path))
+    run(cfg, workers=1, name="w1")
+    run(cfg, workers=2, name="w2")
     files = sorted(p.name for p in (tmp_path / "w1").glob("*.csv"))
     assert len(files) == 8
     for name in files:
@@ -382,12 +384,12 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=2
 
 @pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
 def test_tagged_samples_match_lexsort_reference(scheme):
-    # three batches; for smf2-interf, subtracting the two nearest powers from
+    # ten blocks; for smf2-interf, subtracting the two nearest powers from
     # the whole field instead of summing the rest misses this by up to 1.9e-5
     args = (5000, 0.3, 0.1, 1.0, 4.0, 2.0)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = tagged_rate_samples(TAGGED, *args, rng, batch=2000)[scheme]
-    ref = lexsort_rate_samples(scheme, *args, ref_rng, batch=2000)
+    got = tagged_rate_samples(TAGGED, *args, rng)[scheme]
+    ref = lexsort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
     if scheme == "smf2-interf":
         assert np.max(np.abs(got - ref)) < 1e-12
     else:
@@ -430,21 +432,22 @@ ALPHA_MU_GRID = [(a, m) for a in (3.0, 4.0, 5.0) for m in (0.5, 1.0, 2.0)]
 
 
 @pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
-@pytest.mark.parametrize("n, batch, alpha_mu", [
-    (333, 20000, ALPHA_MU_GRID),  # below one block
-    (5001, 2000, ALPHA_MU_GRID),  # a partial last batch
-    (22000, 20000, [(4.0, 1.0)]),  # ten blocks, the last partial, then a partial batch
-], ids=["below-one-block", "partial-batch", "ten-blocks"])
-def test_tagged_samples_match_padded_sort_bits(scheme, n, batch, alpha_mu):
+@pytest.mark.parametrize("n, alpha_mu", [
+    (333, ALPHA_MU_GRID),  # below one block
+    (5001, ALPHA_MU_GRID),  # ten blocks, the last partial
+    (22000, [(4.0, 1.0)]),  # 43 blocks, the last partial
+], ids=["below-one-block", "ten-blocks", "many-blocks"])
+def test_tagged_samples_match_padded_sort_bits(scheme, n, alpha_mu):
     # the scheme alone and reduced from the field all three schemes share give
-    # the reference's bits, and the generator ends where the reference leaves it
+    # the reference's bits, block by block, and the generator ends where the
+    # reference leaves it
     for alpha, mu in alpha_mu:
         args = (n, 0.3, 0.1, mu, alpha, 2.0)
         ref_rng = np.random.default_rng(n)
-        want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=batch)
+        want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
         for schemes in ((scheme,), TAGGED):
             rng = np.random.default_rng(n)
-            got = tagged_rate_samples(schemes, *args, rng, batch=batch)[scheme]
+            got = tagged_rate_samples(schemes, *args, rng)[scheme]
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), schemes
             assert rng.bit_generator.state == ref_rng.bit_generator.state, schemes
 
@@ -454,15 +457,17 @@ def test_tagged_samples_match_padded_sort_bits(scheme, n, batch, alpha_mu):
 def test_tagged_samples_memory_is_per_block(schemes):
     # budget, set from the layout: a block is 512 samples at up to 320 BSs
     # each (the mean is lam*pi*R**2 = 224 with a standard deviation of 15),
-    # and at most four block-sized float arrays are held at once: a block's
-    # powers, fades, their product and its zero-padded faded row.  A block's
-    # arrays are freed before the next block draws.  The batch's counts and
-    # a scheme's output add 8 B per sample each; the two more outputs of all
-    # three schemes (0.32 MB) fit in the block term's margin (3.64 MB were
-    # read for one scheme, 3.96 MB for all three).  Keeping the previous
-    # block's arrays while the next one drew took smf2-interf to 5.59 MB,
-    # holding every unfaded power of the batch to 49 MB, and sorting the
-    # whole batch as one padded array took every scheme to 124 MB
+    # and four block-sized float arrays, one more than the three held at
+    # once: a block's zero-padded powers, its fades and the filled powers
+    # they multiply.  A block's arrays are freed before the next block draws.
+    # A scheme's output adds 8 B per sample; the second term also keeps room
+    # for 20,000 counts, which are now drawn per block and take next to
+    # nothing.  The two more outputs of all three schemes (0.32 MB) fit in the
+    # margin (3.34 MB were read for one scheme, 3.66 MB for all three).
+    # Keeping the previous block's arrays while the next one drew took
+    # smf2-interf to 5.59 MB, holding every unfaded power of 20,000 samples
+    # to 49 MB, and sorting them as one padded array took every scheme to
+    # 124 MB
     budget = 4 * 512 * 320 * 8 + 2 * 20000 * 8
     rng = np.random.default_rng(1)
     tracemalloc.start()
@@ -475,25 +480,27 @@ def test_tagged_samples_memory_is_per_block(schemes):
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
-def test_tagged_samples_need_pcg64(bit_generator):
-    # the sampler jumps a copy of the stream ahead, which only PCG64 can do
-    rng = np.random.Generator(bit_generator(3))
-    before = rng.bit_generator.state
-    with pytest.raises(TypeError, match=bit_generator.__name__):
-        tagged_rate_samples(("tic",), 100, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
-    np.testing.assert_equal(rng.bit_generator.state, before)  # MT19937's key is an array
+def test_tagged_samples_take_any_generator(bit_generator):
+    # every draw comes straight from the generator, so any bit generator gives
+    # the reference's bits and end state
+    args = (1500, 0.3, 0.1, 1.0, 4.0, 2.0)
+    rng, ref_rng = (np.random.Generator(bit_generator(3)) for _ in range(2))
+    got = tagged_rate_samples(("smf2-interf",), *args, rng)["smf2-interf"]
+    want = padded_sort_rate_samples("smf2-interf", *args, ref_rng, batch=harness._BLOCK_ROWS)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("scheme", ["tic", "smf2-interf"])
 def test_tagged_samples_keep_a_buffered_uint32(scheme):
-    # a uint32 draw leaves half a 64-bit output buffered; the jump past the
-    # uniforms must hand it back, as drawing them does
+    # a uint32 draw leaves half a 64-bit output buffered; drawing doubles
+    # leaves it there, in the sampler as in the reference
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     for g in (rng, ref_rng):
         g.integers(2**32, dtype=np.uint32)
     args = (5001, 0.3, 0.1, 1.0, 4.0, 2.0)
-    got = tagged_rate_samples((scheme,), *args, rng, batch=2000)[scheme]
-    want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=2000)
+    got = tagged_rate_samples((scheme,), *args, rng)[scheme]
+    want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.bit_generator.state["has_uint32"] == 1
@@ -523,8 +530,9 @@ def test_crossvalidate_tic_small():
 
 
 def test_run_with_crossval_attached(tmp_path):
-    cfg = ExperimentConfig(schemes=("tic",), drops=4, seed=9, crossval_samples=8000)
-    report = run(cfg, name="xv", output_dir=tmp_path, with_crossval=True)
+    cfg = ExperimentConfig(schemes=("tic",), drops=4, seed=9, crossval_samples=8000,
+                           output_dir=str(tmp_path))
+    report = run(cfg, name="xv", with_crossval=True)
     assert report.crossval is not None
     assert "sup_gap" in report.crossval["tic"]
     on_disk = json.loads((tmp_path / "xv" / "summary.json").read_text())
@@ -610,6 +618,8 @@ def test_cli_dumped_channels_are_the_drops_own(tmp_path):
     (None, ["--snr-db=-3100"], "snr_db"),
     # sample_ppp rejects a negative intensity once the first drop starts
     (None, ["--lambda-u", "-1"], "lambda_u"),
+    # a preset and a config file are two starting points; neither is read
+    (None, ["--preset", "fig-conv-zf", "--config", "missing.cfg"], "--preset"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -620,6 +630,18 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text,
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["run", "crossvalidate"])
+def test_cli_preset_with_config_exits_2(tmp_path, monkeypatch, capsys, command):
+    # validate's case is an input of test_cli_malformed_input_exits_2; these
+    # two would otherwise run one starting point, and run would write under
+    # the other's name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.cfg").write_text("schemes = tic\ndrops = 2\n")
+    assert main([command, "--preset", "fig-conv-zf", "--config", "x.cfg"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --preset")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.cfg"]
 
 
 def test_cli_run_negative_seed_exits_2(tmp_path, capsys):
