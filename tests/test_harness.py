@@ -434,9 +434,10 @@ ALPHA_MU_GRID = [(a, m) for a in (3.0, 4.0, 5.0) for m in (0.5, 1.0, 2.0)]
 @pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
 @pytest.mark.parametrize("n, alpha_mu", [
     (333, ALPHA_MU_GRID),  # below one block
-    (5001, ALPHA_MU_GRID),  # ten blocks, the last partial
+    (5001, ALPHA_MU_GRID),  # ten blocks, the last a partial batch of the oracle
+    (5120, [(4.0, 1.0)]),  # exactly ten full blocks
     (22000, [(4.0, 1.0)]),  # 43 blocks, the last partial
-], ids=["below-one-block", "ten-blocks", "many-blocks"])
+], ids=["below-one-block", "partial-batch", "ten-blocks", "many-blocks"])
 def test_tagged_samples_match_padded_sort_bits(scheme, n, alpha_mu):
     # the scheme alone and reduced from the field all three schemes share give
     # the reference's bits, block by block, and the generator ends where the
