@@ -12,22 +12,24 @@ Both formulas integrate over the log of the nearest distance, u = ln z on
 threshold the integrand peaks near z = (mu*gamma*sigma**2)**(-1/alpha), far
 inside the PPP scale (4e-4 km at t = 48 and 10 dB), where an adaptive rule
 over z in [0, zmax] can step over it; one over u cannot.  Every curve is one
-call of quad, the one outer integrator: a scipy.integrate.quad_vec pass over
-u for the whole threshold grid, gated per threshold.  At alpha = 2
-(harmonic) and alpha = 4 (scaled erfcx) the single-branch curve is a closed
-form, returned after a cross-check against quad.  The two-branch inner
-integral over the second-nearest distance is a pair of fixed Gauss-Legendre
-rules in ln(z2/z1).  The interference Laplace exponent is closed form: an
-arctan at alpha = 4, a Gauss hypergeometric otherwise.
+call of quad, the one outer integrator: a quad_vec pass over u for the whole
+threshold grid, gated per threshold.  quad_vec is scipy.integrate.quad_vec's
+max-norm GK21 loop bit for bit, here because importing scipy.integrate would
+cost every command 0.24 s and 14 MB at start-up.  At alpha = 2 (harmonic) and
+alpha = 4 (scaled erfcx) the single-branch curve is a closed form, returned
+after a cross-check against quad.  The two-branch inner integral over the
+second-nearest distance is a pair of fixed Gauss-Legendre rules in ln(z2/z1).
+The interference Laplace exponent is closed form: an arctan at alpha = 4, a
+Gauss hypergeometric otherwise.
 
 Every curve takes one checked path, _coverage, which checks the parameters
 and the result.  tau_tic and tau_smf2 are one-element calls of their curves.
 """
 
+import heapq
 import math
 
 import numpy as np
-from scipy.integrate import quad_vec
 from scipy.linalg import block_diag
 from scipy.special import erfcx, hyp2f1
 
@@ -46,6 +48,19 @@ TRUNC_CUTOFF = 1e-12
 LOG_SPAN = 40.0
 OUTER_BREAKS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
+# QUADPACK's qk21 on [-1, 1], the shortest decimals of its doubles: Kronrod nodes
+# x >= 0 and weights, Gauss weights of odd nodes; mirrored to scipy's 21 in order
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+        0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+        0.2943928627014602, 0.14887433898163122, 0.0)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+        0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+        0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+_XGK += tuple(-x for x in _XGK[-2::-1])
+_WGK, _WG = _WGK + _WGK[-2::-1], _WG + _WG[::-1]
+
 # Gauss-Legendre node counts (low, high) of the smf2 inner integral; their
 # difference is the inner error estimate the per-threshold gate adds
 INNER_RULE_NODES = (32, 64)
@@ -62,9 +77,9 @@ def gamma_threshold(t, base=2.0):
 
 
 def _check_quad(value, abserr, what):
-    """Gate each component: abserr <= max(REL_TOL*|value|, 1e-13)."""
+    """Gate each component: abserr <= max(REL_TOL*|value|, 1e-13); NaN fails."""
     tol = np.maximum(REL_TOL * np.abs(value), 1e-13)
-    over = np.flatnonzero(abserr > tol)
+    over = np.flatnonzero(~(abserr <= tol))
     if over.size:
         i = over[0]
         raise NumericalError(f"{what} quadrature achieved {np.ravel(abserr)[i]:.2e}"
@@ -79,6 +94,66 @@ def _check_params(alpha, alpha_min, base, **positive):
     for name, (low, v) in bounds.items():
         if not low < v < math.inf:
             raise ValueError(f"{name} must lie in ({low:g}, inf), not {v}")
+
+
+def _gk21(f, a, b):
+    """qk21 on [a, b]: integral, QUADPACK's max-norm error, rounding error; scipy's bits."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = [f(c + h * x) for x in _XGK]
+    s_k = s_k_abs = s_g = s_dabs = 0.0
+    for v, y in zip(_WGK, fv):
+        s_k += v * y
+        s_k_abs += v * abs(y)
+    for w, y in zip(_WG, fv[1::2]):
+        s_g += w * y
+    for v, y in zip(_WGK, fv):
+        s_dabs += v * abs(y - s_k / 2.0)
+    err = float(np.max(abs((s_k - s_g) * h)))
+    dabs = float(np.max(abs(s_dabs * h)))
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs)**1.5)
+    round_err = float(np.max(abs(50 * np.finfo(float).eps * h * s_k_abs)))
+    err = max(err, round_err) if round_err > np.finfo(float).tiny else err
+    return h * s_k, err, round_err
+
+
+def quad_vec(f, a, b, epsrel, limit, points):
+    """Integral over [a, b] of f, a function to 1-D arrays: (value, max-norm error).
+
+    scipy.integrate.quad_vec(f, a, b, epsrel=epsrel, norm="max", limit=limit,
+    points=points), bit for bit and node for node: from the intervals between
+    the points, each round halves up to 128 of largest error until the error
+    is below epsrel/8 of the max norm or the rounding error, or is not finite,
+    or there are limit intervals.
+    """
+    edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
+    heap = []  # (-err, x1, x2, integral) per interval; no two share (x1, x2)
+    total = error = rounding = 0.0  # 0.0 + x is x: no rule returns -0.0
+    for x1, x2 in zip(edges, edges[1:]):
+        ig, err, rnd = _gk21(f, x1, x2)
+        total, error, rounding = total + ig, error + err, rounding + rnd
+        heap.append((-err, x1, x2, ig))
+    heapq.heapify(heap)
+    tol = max(1e-200, epsrel * np.max(abs(total)))  # 1e-200 is scipy's epsabs
+    while heap and len(heap) < limit:
+        split, err_sum = [], 0.0
+        while heap and len(split) < 128 and not (split and err_sum > error - tol / 8):
+            split.append(heapq.heappop(heap))
+            err_sum += -split[-1][0]
+        for neg_err, x1, x2, old in split:
+            mid = 0.5 * (x1 + x2)
+            (s1, e1, r1), (s2, e2, r2) = _gk21(f, x1, mid), _gk21(f, mid, x2)
+            total += s1 + s2 - old
+            error += e1 + e2 + neg_err
+            rounding += r1 + r2
+            for half in ((-e1, x1, mid, s1), (-e2, mid, x2, s2)):
+                heapq.heappush(heap, half)
+        tol = max(1e-200, epsrel * np.max(abs(total)))
+        if (len(heap) >= 2 and (error < tol / 8 or error < rounding)
+                or not (np.isfinite(error) and np.isfinite(rounding))):
+            break
+    return total, error + rounding
 
 
 def quad(hi, outer, m, what):
@@ -96,7 +171,7 @@ def quad(hi, outer, m, what):
     once.  cloudbench/layers.py counts calls by this name.
     """
     def integral(f, epsrel):
-        return quad_vec(f, hi - LOG_SPAN, hi, epsrel=epsrel, norm="max", limit=200,
+        return quad_vec(f, hi - LOG_SPAN, hi, epsrel=epsrel, limit=200,
                         points=[hi - b for b in OUTER_BREAKS])
 
     raw = {}  # u -> outer(u) of the coarse pass's nodes, until the real pass takes it

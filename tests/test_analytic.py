@@ -591,3 +591,137 @@ def test_tau_smf2_curve_gates_inner_rule_error(monkeypatch):
         tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
     with pytest.raises(NumericalError):
         tau_smf2(0.3, 0.1, 1.0, 2.0, with_interference=True)
+
+
+CURVES = {
+    "tic": lambda lam, sigma_sq, grid, alpha: tau_tic_curve(lam, sigma_sq, 1.0, grid,
+                                                            alpha=alpha),
+    "smf2": lambda lam, sigma_sq, grid, alpha: tau_smf2_curve(lam, sigma_sq, 1.0, grid,
+                                                              alpha=alpha),
+    "smf2-interf": lambda lam, sigma_sq, grid, alpha: tau_smf2_curve(lam, sigma_sq, 1.0, grid,
+                                                                     True, alpha=alpha),
+}
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def both_loops(records):
+    """A stand-in for analytic.quad_vec that also runs scipy's loop on its integrand.
+
+    Each call appends ((value, error), nodes, (scipy value, scipy error),
+    scipy nodes) to records and returns analytic.quad_vec's result.  Both loops
+    get the same array at each node, computed once.
+    """
+    real = analytic.quad_vec
+
+    def run(f, a, b, **kw):
+        seen = {}
+
+        def logged(nodes):
+            def g(u):
+                nodes.append(u)
+                if u not in seen:
+                    seen[u] = f(u)
+                return seen[u]
+            return g
+
+        ours, theirs = [], []
+        got = real(logged(ours), a, b, **kw)
+        ref = quad_vec(logged(theirs), a, b, norm="max", **kw)
+        records.append((got, ours, ref, theirs))
+        return got
+
+    return run
+
+
+def assert_same_as_scipy(records):
+    for (val, err), nodes, (ref_val, ref_err), ref_nodes in records:
+        assert bits(val) == bits(ref_val)
+        assert bits(err) == bits(ref_err)
+        assert nodes == ref_nodes
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
+@pytest.mark.parametrize("curve", list(CURVES))
+def test_quad_vec_matches_scipy_bit_for_bit(monkeypatch, curve, alpha):
+    # analytic.quad_vec is scipy's max-norm GK21 loop written out: on every
+    # outer integrand, in both of quad's passes, it requests scipy's nodes in
+    # scipy's order and returns scipy's value and error, bit for bit.  The
+    # generic-alpha Laplace exponent costs 1.3-1.8 s per 241-point curve, so
+    # those two curves take 25 points
+    n = 25 if curve == "smf2-interf" and alpha != 4.0 else 241
+    records = []
+    monkeypatch.setattr(analytic, "quad_vec", both_loops(records))
+    CURVES[curve](0.3, 0.1, np.linspace(0.0, 27.8, n), alpha)
+    assert len(records) == 2
+    assert_same_as_scipy(records)
+
+
+def test_quad_vec_limit_exit_matches_scipy_and_fails_the_gate(monkeypatch):
+    # 8 intervals, 2 more than the breaks make, stop the loop unconverged:
+    # its error is scipy's, and quad's gate raises
+    records = []
+    run = both_loops(records)
+    monkeypatch.setattr(analytic, "quad_vec",
+                        lambda f, a, b, **kw: run(f, a, b, **{**kw, "limit": 8}))
+    grid = np.linspace(0.0, 27.8, 25)
+    for curve in ("tic", "smf2"):
+        with pytest.raises(NumericalError, match="quadrature"):
+            CURVES[curve](0.3, 0.1, grid, 3.0)
+    assert len(records) == 4
+    assert_same_as_scipy(records)
+
+
+def test_quad_vec_stops_on_a_nan_integrand_and_the_gate_raises(monkeypatch):
+    # the integrand turns NaN half a unit below ln zmax: both loops stop with
+    # a non-finite error, and quad's gate, which fails closed, raises on it
+    records = []
+    run = both_loops(records)
+    monkeypatch.setattr(analytic, "quad_vec", lambda f, a, b, **kw: run(
+        lambda u: f(u) * (math.nan if u > b - 0.5 else 1.0), a, b, **kw))
+    with pytest.raises(NumericalError, match="quadrature"):
+        tau_tic_curve(0.3, 0.1, 1.0, np.linspace(0.0, 27.8, 25), alpha=3.0)
+    assert records and not np.isfinite(records[-1][0][1])
+    assert_same_as_scipy(records)
+
+
+def test_quadrature_gate_fails_on_a_nan_error(monkeypatch):
+    # NaN > tol is False, so a gate that raised only where abserr > tol passed
+    # a NaN error with a finite value
+    with pytest.raises(NumericalError):
+        _check_quad(np.array([0.5]), np.array([np.nan]), "x")
+    real = analytic.quad_vec
+    monkeypatch.setattr(analytic, "quad_vec",
+                        lambda f, a, b, **kw: (real(f, a, b, **kw)[0], math.nan))
+    grid = np.linspace(0.0, 27.8, 25)
+    with pytest.raises(NumericalError, match="quadrature"):
+        tau_tic_curve(0.3, 0.1, 1.0, grid, alpha=3.0)
+    with pytest.raises(NumericalError, match="quadrature"):
+        tau_smf2_curve(0.3, 0.1, 1.0, grid)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+@pytest.mark.parametrize("curve", list(CURVES))
+def test_curves_are_scale_invariant(curve, alpha):
+    # z -> c*z maps the curve at (lam/c**2, sigma_sq*c**-alpha) onto the
+    # unscaled one exactly, with every u node shifted by ln c, so the curves
+    # differ by rounding alone.  Bound, fixed before measuring:
+    # - every node lies in |u| < 64 and is placed by at most 16 roundings (the
+    #   log, the edges, up to 14 bisections, c + h*x) of ulp(64)/2 = 7.1e-15,
+    #   so it sits within du = 1.2e-13 of the shifted node;
+    # - each outer integrand, times its (2*pi*lam)**k, is the density of
+    #   u = ln z1, 2x*exp(-x) <= 2/e with x = pi*lam*z1**2, times a
+    #   conditional coverage in [0, 1] that falls with z1: its total variation
+    #   is at most 3 * 2/e = 2.2, so the node shift moves the curve by at most
+    #   2.2 * du = 2.6e-13;
+    # - lam/c**2 and sigma_sq*c**-alpha carry 2 roundings each, moving each
+    #   exponent term by 4 eps of itself: under 1e-13 over the integrand's mass.
+    # That is 4e-13; 1e-12 leaves room for the rule's own sums (21 eps).
+    # Measured: 2.2e-16
+    grid = np.linspace(0.0, 27.8, 25)
+    unscaled = CURVES[curve](0.3, 0.1, grid, alpha)
+    for c in (0.5, 2.0, 10.0):
+        scaled = CURVES[curve](0.3 / c**2, 0.1 * c**-alpha, grid, alpha)
+        assert np.max(np.abs(scaled - unscaled)) <= 1e-12, c

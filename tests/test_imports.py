@@ -1,0 +1,42 @@
+"""No command loads scipy.integrate or scipy.optimize.
+
+Together they cost every process about a quarter of a second and 14 MB at
+start-up, and no command needs them: analytic.quad_vec is the adaptive loop.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cloudradio
+
+CHILD = """
+import sys, types
+
+def check(step):
+    loaded = sorted({"scipy.integrate", "scipy.optimize"} & set(sys.modules))
+    assert not loaded, (step, loaded)
+
+import cloudradio
+check("import cloudradio")
+from cloudradio import cli
+check("import cloudradio.cli")
+assert cli.main(["run", "--preset", "fig-conv-zf", "--drops", "2", "--seed", "1",
+                 "--output-dir", sys.argv[1]]) == 0
+check("run")
+assert cli.main(["crossvalidate", "--schemes", "tic,smf2,smf2-interf", "--snr-db", "10",
+                 "--samples", "200", "--seed", "7"]) == 0
+check("crossvalidate")
+names = [n for n, v in vars(cloudradio).items()
+         if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+assert names and all(getattr(cloudradio, n) is not None for n in names)
+"""
+
+
+def test_commands_import_neither_scipy_integrate_nor_optimize(tmp_path):
+    src = Path(cloudradio.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
