@@ -1,6 +1,6 @@
 """cloudradio: achievable-rate regions of a cloud radio network.
 
-A numpy/scipy library that simulates Poisson-network cooperation schemes
+A numpy library that simulates Poisson-network cooperation schemes
 (ZF-DPC, uplink successive cancellation, MMSE, partial CSI, geographic
 clustering, Tomlinson-Harashima precoding) and cross-validates the Monte
 Carlo rate statistics against analytic coverage integrals.

@@ -16,11 +16,11 @@ call of quad, the one outer integrator: a quad_vec pass over u for the whole
 threshold grid, gated per threshold.  quad_vec is scipy.integrate.quad_vec's
 max-norm GK21 loop bit for bit, here because importing scipy.integrate would
 cost every command 0.24 s and 14 MB at start-up.  At alpha = 2 (harmonic) and
-alpha = 4 (scaled erfcx) the single-branch curve is a closed form, returned
-after a cross-check against quad.  The two-branch inner integral over the
-second-nearest distance is a pair of fixed Gauss-Legendre rules in ln(z2/z1).
-The interference Laplace exponent is closed form: an arctan at alpha = 4, a
-Gauss hypergeometric otherwise.
+alpha = 4 (the module's erfcx) the single-branch curve is a closed form,
+returned after a cross-check against quad.  The two-branch inner integral over
+the second-nearest distance is two fixed Gauss-Legendre rules in ln(z2/z1).
+The interference Laplace exponent is an arctan at alpha = 4 and otherwise
+scipy's hyp2f1, the one scipy name here, imported in that branch.
 
 Every curve takes one checked path, _coverage, which checks the parameters
 and the result.  tau_tic and tau_smf2 are one-element calls of their curves.
@@ -30,8 +30,7 @@ import heapq
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.special import erfcx, hyp2f1
+from numpy.polynomial.legendre import leggauss
 
 from .numerics import NumericalError
 
@@ -64,6 +63,8 @@ _WGK, _WG = _WGK + _WGK[-2::-1], _WG + _WG[::-1]
 # Gauss-Legendre node counts (low, high) of the smf2 inner integral; their
 # difference is the inner error estimate the per-threshold gate adds
 INNER_RULE_NODES = (32, 64)
+# erfcx's switch from its definition to its continued fraction, and the latter's terms
+ERFCX_SPLIT, ERFCX_TERMS = 3.0, 50
 
 
 def trunc_radius(lam) -> float:
@@ -74,6 +75,23 @@ def trunc_radius(lam) -> float:
 def gamma_threshold(t, base=2.0):
     """SINR threshold implied by a rate threshold: gamma = base**t - 1."""
     return np.power(base, t) - 1.0
+
+
+def erfcx(x) -> np.ndarray:
+    """exp(x**2) * erfc(x) at an array of x >= 0, to about 1e-15 relative.
+
+    Above ERFCX_SPLIT it is 1/(sqrt(pi) t), t = x + (1/2)/(x + 1/(x + (3/2)/(x
+    + ...))) summed back from ERFCX_TERMS terms (Abramowitz and Stegun 7.1.14).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    small = x < ERFCX_SPLIT
+    out[small] = [math.exp(v * v) * math.erfc(v) for v in x[small]]
+    t = xl = x[~small]
+    for n in range(ERFCX_TERMS, 0, -1):
+        t = xl + (0.5 * n) / t
+    out[~small] = 1.0 / (math.sqrt(math.pi) * t)
+    return out
 
 
 def _check_quad(value, abserr, what):
@@ -269,6 +287,7 @@ def _laplace_exponent_integral(A, excl, alpha):
     if alpha == 4.0:
         s = np.sqrt(A)
         return 0.5 * s * (np.pi / 2.0 - np.arctan(excl * excl / s))
+    from scipy.special import hyp2f1  # scipy is needed at alpha != 4 alone
     b = A / excl**alpha
     return excl**2 * b / (alpha - 2.0) * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b)
 
@@ -318,9 +337,11 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
     hi = math.log(trunc_radius(lam))
     two_pi_lam = 2.0 * np.pi * lam
     # the inner rules on [0, 1]: one node column, one weight row per rule
-    low, high = (np.polynomial.legendre.leggauss(n) for n in INNER_RULE_NODES)
+    low, high = (leggauss(n) for n in INNER_RULE_NODES)
     nodes = 0.5 * (np.concatenate([high[0], low[0]]) + 1.0)[:, None]
-    weights = 0.5 * block_diag(high[1], low[1])
+    weights = np.zeros((2, nodes.size))
+    weights[0, :high[1].size] = 0.5 * high[1]
+    weights[1, high[1].size:] = 0.5 * low[1]
     if with_interference:
         psi = two_pi_lam * _laplace_exponent_integral(g, 1.0, alpha)
 

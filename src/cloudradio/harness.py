@@ -17,6 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import analytic, precoding, thp
 from .channel import (build_channel, inter_cluster_interference, sigma_sq_from_snr_db,
@@ -263,7 +264,7 @@ def _finite(text):
 
 
 def _drop_rng(seed, drop_index):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(drop_index,)))
+    return default_rng(SeedSequence(seed, spawn_key=(drop_index,)))
 
 
 @dataclass
@@ -295,7 +296,7 @@ class Drop:
         """
         c = self.config
         modes = {s: _THP_MODES[s] for s in c.schemes if s in _THP_MODES}
-        seed = np.random.SeedSequence(c.seed, spawn_key=(self.index, 1))
+        seed = SeedSequence(c.seed, spawn_key=(self.index, 1))
         power = thp.drop_power_sample(self.lq, self.sigma_sq, modes.values(), seed,
                                       c.thp_vectors, c.log_base)
         return {s: power[mode][:, None] for s, mode in modes.items()}
@@ -611,7 +612,7 @@ def crossvalidate(config: ExperimentConfig) -> dict:
     """
     wanted = _crossval_schemes(config)
     sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
+    rng = default_rng(SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
     per_scheme = tagged_rate_samples(wanted, config.crossval_samples, config.lambda_b, sigma_sq,
                                      config.mu, config.alpha, config.log_base, rng)
     report = {}

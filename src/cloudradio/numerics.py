@@ -16,12 +16,12 @@ to 30 x 30): reconstruction and unitarity to 1e-10 relative, determinant
 magnitude preserved to 1e-8 relative.
 """
 
+import ctypes
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 __all__ = ["NumericalError", "TriangularFactorization", "blas_threads", "lq_factor",
            "stream_gains", "hpd_inverse"]
@@ -99,23 +99,28 @@ def stream_gains(H) -> np.ndarray:
 
 
 def hpd_inverse(A) -> np.ndarray:
-    """Invert a Hermitian positive-definite matrix by Cholesky.
+    """Invert a Hermitian positive-definite matrix A = L L^H as L^-H L^-1.
 
     Raises ValueError if A is not Hermitian to 1e-12 (relative), and
-    NumericalError naming the failing pivot if A is not positive definite.
-    The result satisfies ||A A^-1 - I||_F <= 1e-9 relative.
+    NumericalError naming the failing pivot (potrf's: the first leading minor
+    that is not positive definite) if A is not.  The result satisfies
+    ||A A^-1 - I||_F <= 1e-9 relative.
     """
     A = np.asarray(A)
     scale = max(np.linalg.norm(A), 1.0)
     if np.max(np.abs(A - A.conj().T)) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    # the LAPACK routines cho_factor and cho_solve wrap, without their checks
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (A,))
-    c, info = potrf(A, lower=True, clean=False)
-    if info > 0:
-        raise NumericalError(f"matrix not positive definite at pivot {info}")
-    inv, _ = potrs(c, np.eye(A.shape[0], dtype=A.dtype), lower=True)
-    return inv
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        for j in range(1, A.shape[0] + 1):
+            try:
+                np.linalg.cholesky(A[:j, :j])
+            except np.linalg.LinAlgError:
+                raise NumericalError(f"matrix not positive definite at pivot {j}") from None
+        raise
+    L_inv = np.linalg.inv(L)
+    return L_inv.conj().T @ L_inv
 
 
 # (setter, getter) symbol pairs, tried in order: numpy's 64-bit-index build,
@@ -130,8 +135,6 @@ _MAPS = "/proc/self/maps"  # the libraries mapped into this process, on Linux
 
 def _openblas_controls():
     """(set, get) thread-count functions of each OpenBLAS loaded in this process."""
-    import ctypes
-
     try:
         with open(_MAPS) as f:
             paths = {line.split()[-1] for line in f if "/" in line}

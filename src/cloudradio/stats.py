@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.quantile imports it on first use, through np.unique
 
 __all__ = [
     "RateCdf",

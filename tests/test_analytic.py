@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import block_diag
+from scipy.special import erfcx
 
-from cloudradio import (NumericalError, analytic, gamma_threshold, laplace_ir, tau_smf2,
+from cloudradio import (NumericalError, analytic, cli, gamma_threshold, laplace_ir, tau_smf2,
                         tau_smf2_curve, tau_tic, tau_tic_curve)
 from cloudradio.analytic import (REL_TOL, _check_quad, _laplace_exponent_integral,
                                  trunc_radius)
@@ -63,6 +64,22 @@ def test_tau_tic_deep_tail_returns_closed_form(sigma_sq, t):
     closed = q * np.sqrt(np.pi / (4.0 * c)) * math.exp(q * q / (4.0 * c)) * math.erfc(
         q / (2.0 * np.sqrt(c)))
     assert tau_tic(0.3, sigma_sq, 1.0, t) == pytest.approx(closed, rel=1e-12)
+
+
+def test_erfcx_matches_scipy():
+    # both branches and the switch between them; a RuntimeWarning fails the test
+    x = np.logspace(-8.0, 8.0, 20001)
+    assert np.max(np.abs(analytic.erfcx(x) / erfcx(x) - 1.0)) < 1e-13
+    assert analytic.erfcx(np.array([0.0, np.inf])).tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [["--snr-db", "-40"], ["--snr-db", "200"],
+                                  ["--lambda-b", "50", "--snr-db", "10"]])
+def test_crossvalidate_extremes_exit_0(argv, capsys):
+    # the alpha = 4 closed form's erfcx argument spans its two branches and
+    # the switch: near 0 at -40 dB, large at 200 dB and at lambda_b = 50
+    assert cli.main(["crossvalidate", "--schemes", "tic,smf2,smf2-interf", *argv,
+                     "--samples", "2000", "--seed", "3"]) == 0
 
 
 def test_tau_tic_generic_alpha_deep_tail_matches_log_grid_oracle():

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import chi2
 
 from cloudradio import Region, associate, sample_ppp, select_cohort, split_cluster
+from cloudradio import geometry
 from cloudradio.geometry import distance_block
 
 
@@ -119,7 +120,7 @@ def test_associate_primary_is_row_argmin(drop):
 
 
 @pytest.mark.parametrize("lambda_b", [0.02, 0.3, 2.0])
-def test_associate_tree_matches_dense_argmin(lambda_b):
+def test_associate_matches_dense_argmin(lambda_b):
     rng = np.random.default_rng(int(lambda_b * 100))
     region = Region(6.0, 4.0)
     for _ in range(40):
@@ -127,6 +128,36 @@ def test_associate_tree_matches_dense_argmin(lambda_b):
         ue = sample_ppp(3.0, region, rng)
         if len(bs) and len(ue):
             assert np.array_equal(associate(bs, ue), np.argmin(distance_block(ue, bs), axis=1))
+
+
+def test_associate_across_chunks_matches_dense_argmin():
+    # about 12k UEs: many chunks of ASSOCIATE_CHUNK, the last one partial
+    rng = np.random.default_rng(2020)
+    region = Region(20.0, 20.0)
+    bs = sample_ppp(0.3, region, rng)
+    ue = sample_ppp(30.0, region, rng)
+    assert len(ue) > 20 * geometry.ASSOCIATE_CHUNK and len(ue) % geometry.ASSOCIATE_CHUNK
+    assert np.array_equal(associate(bs, ue), np.argmin(distance_block(ue, bs), axis=1))
+
+
+def test_associate_settles_mirrored_near_ties():
+    # two BSs mirrored about a UE about 20 km from the origin: their distances
+    # tie exactly or differ by one ulp, far below what the squared-distance
+    # matmul resolves, so point_distances must settle them, lowest index first
+    rng = np.random.default_rng(5)
+    ties = ulps = unordered = 0
+    for _ in range(1000):
+        ue = np.array([[20.0 + rng.uniform(-1, 1), 20.0 * rng.uniform(-1, 1)]])
+        v = rng.uniform(-0.5, 0.5, 2)
+        pair = np.array([ue[0] + v, ue[0] - v, [0.0, 0.0]])
+        d = distance_block(ue, pair)[0]
+        q = np.sum(pair * pair, axis=1) - 2.0 * pair @ ue[0]
+        ties += d[0] == d[1]
+        ulps += abs(d[0] - d[1]) == np.spacing(min(d[0], d[1]))
+        unordered += (q[0] < q[1]) != (d[0] < d[1]) or q[0] == q[1]
+        for bs in (pair, pair[::-1]):
+            assert associate(bs, ue)[0] == np.argmin(distance_block(ue, bs)[0])
+    assert ties and ulps and unordered
 
 
 @pytest.mark.parametrize("bs_points, expected", [

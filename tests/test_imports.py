@@ -1,7 +1,9 @@
-"""No command loads scipy.integrate or scipy.optimize.
+"""No command loads scipy.integrate or scipy.optimize, and no alpha = 4 command loads scipy.
 
-Together they cost every process about a quarter of a second and 14 MB at
-start-up, and no command needs them: analytic.quad_vec is the adaptive loop.
+scipy.integrate and scipy.optimize cost every process about a quarter of a
+second and 14 MB at start-up, and no command needs them: analytic.quad_vec is
+the adaptive loop.  The rest of scipy cost about 0.3 s and 28 MB more; only
+the alpha != 4 interference curves need it (scipy.special.hyp2f1).
 """
 
 import os
@@ -37,6 +39,38 @@ assert names and all(getattr(cloudradio, n) is not None for n in names)
 def test_commands_import_neither_scipy_integrate_nor_optimize(tmp_path):
     src = Path(cloudradio.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+
+
+NO_SCIPY_CHILD = """
+import sys, types
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+
+import cloudradio
+from cloudradio import cli
+out = sys.argv[1]
+calls = [["run", "--preset", p, "--drops", "2", "--seed", "1", "--output-dir", out + "/" + p]
+         for p in ("fig-uplink", "fig-partial-8", "fig-tx-pow")]
+calls.append(["crossvalidate", "--schemes", "tic,smf2,smf2-interf", "--snr-db", "10",
+              "--samples", "200", "--seed", "7"])
+for argv in calls:
+    before = set(sys.modules)
+    assert cli.main(argv) == 0, argv
+    gained = sorted(set(sys.modules) - before)
+    assert not gained, (argv, gained)
+names = [n for n, v in vars(cloudradio).items()
+         if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+assert len(names) == 47, names
+"""
+
+
+def test_alpha_4_commands_run_without_scipy_and_import_nothing_in_a_call(tmp_path):
+    # MMSE (fig-uplink), clustered partial CSI (fig-partial-8), THP (fig-tx-pow)
+    # and the three coverage curves, each after every module is loaded
+    src = Path(cloudradio.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(tmp_path / "out")],
                          capture_output=True, text=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
