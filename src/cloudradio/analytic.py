@@ -12,10 +12,9 @@ Both formulas integrate over the log of the nearest distance, u = ln z on
 threshold the integrand peaks near z = (mu*gamma*sigma**2)**(-1/alpha), far
 inside the PPP scale (4e-4 km at t = 48 and 10 dB), where an adaptive rule
 over z in [0, zmax] can step over it; one over u cannot.  Every curve is one
-call of quad, the one outer integrator: a quad_vec pass over u for the whole
-threshold grid, gated per threshold.  quad_vec is scipy.integrate.quad_vec's
-max-norm GK21 loop bit for bit, here because importing scipy.integrate would
-cost every command 0.24 s and 14 MB at start-up.  At alpha = 2 (harmonic) and
+call of quad, the one outer integrator: one adaptive 21-point Gauss-Kronrod
+loop over u for the whole threshold grid, which stops once each threshold
+passes the per-threshold error gate.  At alpha = 2 (harmonic) and
 alpha = 4 (the module's erfcx) the single-branch curve is a closed form,
 returned after a cross-check against quad.  The two-branch inner integral over
 the second-nearest distance is two fixed Gauss-Legendre rules in ln(z2/z1).
@@ -26,7 +25,6 @@ Every curve takes one checked path, _coverage, which checks the parameters
 and the result.  tau_tic and tau_smf2 are one-element calls of their curves.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -48,7 +46,7 @@ LOG_SPAN = 40.0
 OUTER_BREAKS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 # QUADPACK's qk21 on [-1, 1], the shortest decimals of its doubles: Kronrod nodes
-# x >= 0 and weights, Gauss weights of odd nodes; mirrored to scipy's 21 in order
+# x >= 0 and weights, Gauss weights of odd nodes; mirrored to all 21 nodes in order
 _XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
         0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
         0.2943928627014602, 0.14887433898163122, 0.0)
@@ -58,7 +56,7 @@ _WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.0750
 _WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
        0.29552422471475287)
 _XGK += tuple(-x for x in _XGK[-2::-1])
-_WGK, _WG = _WGK + _WGK[-2::-1], _WG + _WG[::-1]
+_WGK, _WG = np.array(_WGK + _WGK[-2::-1]), np.array(_WG + _WG[::-1])
 
 # Gauss-Legendre node counts (low, high) of the smf2 inner integral; their
 # difference is the inner error estimate the per-threshold gate adds
@@ -114,64 +112,21 @@ def _check_params(alpha, alpha_min, base, **positive):
             raise ValueError(f"{name} must lie in ({low:g}, inf), not {v}")
 
 
-def _gk21(f, a, b):
-    """qk21 on [a, b]: integral, QUADPACK's max-norm error, rounding error; scipy's bits."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = [f(c + h * x) for x in _XGK]
-    s_k = s_k_abs = s_g = s_dabs = 0.0
-    for v, y in zip(_WGK, fv):
-        s_k += v * y
-        s_k_abs += v * abs(y)
-    for w, y in zip(_WG, fv[1::2]):
-        s_g += w * y
-    for v, y in zip(_WGK, fv):
-        s_dabs += v * abs(y - s_k / 2.0)
-    err = float(np.max(abs((s_k - s_g) * h)))
-    dabs = float(np.max(abs(s_dabs * h)))
-    if dabs != 0 and err != 0:
-        err = dabs * min(1.0, (200 * err / dabs)**1.5)
-    round_err = float(np.max(abs(50 * np.finfo(float).eps * h * s_k_abs)))
-    err = max(err, round_err) if round_err > np.finfo(float).tiny else err
-    return h * s_k, err, round_err
+def _qk21(outer, a, b, m):
+    """QUADPACK's qk21 on [a, b] for each entry of outer's (r, m) array.
 
-
-def quad_vec(f, a, b, epsrel, limit, points):
-    """Integral over [a, b] of f, a function to 1-D arrays: (value, max-norm error).
-
-    scipy.integrate.quad_vec(f, a, b, epsrel=epsrel, norm="max", limit=limit,
-    points=points), bit for bit and node for node: from the intervals between
-    the points, each round halves up to 128 of largest error until the error
-    is below epsrel/8 of the max norm or the rounding error, or is not finite,
-    or there are limit intervals.
+    Returns the integral, QUADPACK's error estimate (at least the rounding
+    error) and the rounding error 50*eps times the integral of |outer|.
     """
-    edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
-    heap = []  # (-err, x1, x2, integral) per interval; no two share (x1, x2)
-    total = error = rounding = 0.0  # 0.0 + x is x: no rule returns -0.0
-    for x1, x2 in zip(edges, edges[1:]):
-        ig, err, rnd = _gk21(f, x1, x2)
-        total, error, rounding = total + ig, error + err, rounding + rnd
-        heap.append((-err, x1, x2, ig))
-    heapq.heapify(heap)
-    tol = max(1e-200, epsrel * np.max(abs(total)))  # 1e-200 is scipy's epsabs
-    while heap and len(heap) < limit:
-        split, err_sum = [], 0.0
-        while heap and len(split) < 128 and not (split and err_sum > error - tol / 8):
-            split.append(heapq.heappop(heap))
-            err_sum += -split[-1][0]
-        for neg_err, x1, x2, old in split:
-            mid = 0.5 * (x1 + x2)
-            (s1, e1, r1), (s2, e2, r2) = _gk21(f, x1, mid), _gk21(f, mid, x2)
-            total += s1 + s2 - old
-            error += e1 + e2 + neg_err
-            rounding += r1 + r2
-            for half in ((-e1, x1, mid, s1), (-e2, mid, x2, s2)):
-                heapq.heappush(heap, half)
-        tol = max(1e-200, epsrel * np.max(abs(total)))
-        if (len(heap) >= 2 and (error < tol / 8 or error < rounding)
-                or not (np.isfinite(error) and np.isfinite(rounding))):
-            break
-    return total, error + rounding
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    f = np.reshape([outer(c + h * x) for x in _XGK], (21, -1, m))
+    s_k = np.tensordot(_WGK, f, 1)
+    err = np.abs(h * (s_k - np.tensordot(_WG, f[1::2], 1)))
+    dabs = h * np.tensordot(_WGK, np.abs(f - 0.5 * s_k), 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where(dabs > 0, dabs * np.minimum(1.0, (200.0 * err / dabs)**1.5), err)
+    rnd = 50.0 * np.finfo(float).eps * h * np.tensordot(_WGK, np.abs(f), 1)
+    return h * s_k, np.maximum(err, rnd), rnd
 
 
 def quad(hi, outer, m, what):
@@ -179,34 +134,31 @@ def quad(hi, outer, m, what):
 
     outer(u) is an (r, m) array, a column per threshold; row 0 is the
     integrand.  With r = 2, row 1 is a lower-order inner rule whose distance
-    from row 0 is added to the error.  Row 0's integral I is returned once
-    each threshold's error is at most max(REL_TOL*|I|, 1e-13).  quad_vec's
-    max-norm error is relative to the largest component, so a coarse pass
-    estimates each I and the real pass integrates outer over scale =
-    max(|coarse|, 1e-13/REL_TOL): its max-norm error times each scale bounds
-    that threshold's error.  The real pass requests every coarse node again,
-    so each coarse node's array is kept until it does: every node is computed
-    once.  cloudbench/layers.py counts calls by this name.
+    from row 0 is added to the error.  One adaptive qk21 loop starts from the
+    intervals between the OUTER_BREAKS and stops on the gate's own rule:
+    once each threshold's error is at most max(REL_TOL*|I|, 1e-13) of its
+    row-0 integral I, or is all rounding error.  Each round halves the
+    interval whose error is largest relative to the tolerance of a threshold
+    not yet done; the first round halves one whatever the errors.  At 200
+    intervals or a non-finite error the loop stops and the gate raises.
+    Every node is evaluated once.  cloudbench/layers.py counts calls by this
+    name.
     """
-    def integral(f, epsrel):
-        return quad_vec(f, hi - LOG_SPAN, hi, epsrel=epsrel, limit=200,
-                        points=[hi - b for b in OUTER_BREAKS])
-
-    raw = {}  # u -> outer(u) of the coarse pass's nodes, until the real pass takes it
-
-    def coarse_node(u):
-        raw[u] = r = outer(u)
-        return r.ravel()
-
-    def real_node(u):
-        r = raw.pop(u) if u in raw else outer(u)
-        return (r / scale).ravel()
-
-    coarse, _ = integral(coarse_node, 1e-3)
-    scale = np.maximum(np.abs(coarse[:m]), 1e-13 / REL_TOL)
-    val, err = integral(real_node, REL_TOL)
-    val = val.reshape(-1, m) * scale
-    return _check_quad(val[0], err * scale + np.abs(val[0] - val[-1]), what)
+    edges = [hi - LOG_SPAN, *sorted(hi - d for d in OUTER_BREAKS), hi]
+    parts = [(a, b, *_qk21(outer, a, b, m)) for a, b in zip(edges, edges[1:])]
+    while True:
+        S, E, R = (np.array([p[k] for p in parts]) for k in (2, 3, 4))
+        val, err = S.sum(0), E.sum(0)
+        total = err.max(0) + np.abs(val[0] - val[-1])
+        tol = np.maximum(REL_TOL * np.abs(val[0]), 1e-13)
+        # a peak well inside a break's interval can leave qk21's two rules in
+        # agreement, so every threshold takes part in the first round
+        live = ~((total <= tol) | np.all(err <= R.sum(0), axis=0)) | (len(parts) < len(edges))
+        if not live.any() or len(parts) >= 200 or not np.all(np.isfinite(err)):
+            return _check_quad(val[0], total, what)
+        a, b = parts.pop(int(np.argmax((E[:, :, live] / tol[live]).max(axis=(1, 2)))))[:2]
+        mid = 0.5 * (a + b)
+        parts += [(a, mid, *_qk21(outer, a, mid, m)), (mid, b, *_qk21(outer, mid, b, m))]
 
 
 def _coverage(lam, sigma_sq, mu, thresholds, alpha, base, formula, with_interference=False):

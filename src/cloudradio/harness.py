@@ -191,12 +191,10 @@ PRESETS = {
 }
 
 
-def preset_config(name, **overrides) -> ExperimentConfig:
+def preset_config(name) -> ExperimentConfig:
     if name not in PRESETS:
         raise ConfigError(f"preset: unknown preset '{name}'")
-    merged = dict(PRESETS[name])
-    merged.update(overrides)
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**PRESETS[name])
 
 
 def load_config_file(path) -> ExperimentConfig:
@@ -617,14 +615,15 @@ def crossvalidate(config: ExperimentConfig) -> dict:
                                      config.mu, config.alpha, config.log_base, rng)
     report = {}
     for scheme, samples in per_scheme.items():
-        grid = np.linspace(0.0, float(np.quantile(samples, 0.9999)) + 0.5, 241)
+        cdf = build_cdf(samples)
+        grid = np.linspace(0.0, cdf.quantile(0.9999) + 0.5, 241)
         curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, sigma_sq, config.mu, grid,
                                             alpha=config.alpha, base=config.log_base)
-        mc_cov = 1.0 - np.searchsorted(np.sort(samples), grid, side="right") / samples.size
+        mc_cov = 1.0 - cdf.cdf_at(grid)
         gap = float(np.max(np.abs(mc_cov - curve)))
         shift = _snr_shift_db(grid, mc_cov, curve, config.log_base)
         report[scheme] = {
-            "samples": int(samples.size),
+            "samples": cdf.n,
             "sup_gap": gap,
             "snr_shift_db_at_median": shift,
         }

@@ -15,6 +15,8 @@ __all__ = [
 ]
 
 CELL_EDGE_Q = 0.05
+# detect_saturation's bound on a step's relative gain, and the dB it is normalized to
+SATURATION_STEP, SATURATION_PER_DB = 0.02, 5.0
 
 
 @dataclass
@@ -80,13 +82,13 @@ class SaturationResult:
     plateau: float | None
 
 
-def detect_saturation(snr_grid, means, rel_step=0.02, per_db=5.0) -> SaturationResult:
+def detect_saturation(snr_grid, means) -> SaturationResult:
     """Find where a mean-rate SNR sweep stops growing.
 
     Saturation is the smallest grid SNR beyond which every relative increase,
-    normalized per `per_db` dB, stays below `rel_step`.  The plateau is the
-    mean of the tail from that point on.  Returns saturated=False when no
-    such point exists in range.
+    normalized per SATURATION_PER_DB dB, stays below SATURATION_STEP.  The
+    plateau is the mean of the tail from that point on.  Returns
+    saturated=False when no such point exists in range.
     """
     snr = np.asarray(snr_grid, dtype=float)
     m = np.asarray(means, dtype=float)
@@ -94,8 +96,8 @@ def detect_saturation(snr_grid, means, rel_step=0.02, per_db=5.0) -> SaturationR
         raise ValueError("need at least 4 sweep points")
     if np.any(np.diff(snr) <= 0):
         raise ValueError("SNR grid must be strictly increasing")
-    steps = np.diff(m) / m[:-1] * (per_db / np.diff(snr))
+    steps = np.diff(m) / m[:-1] * (SATURATION_PER_DB / np.diff(snr))
     for i in range(steps.size):
-        if np.all(steps[i:] < rel_step):
+        if np.all(steps[i:] < SATURATION_STEP):
             return SaturationResult(True, float(snr[i]), float(m[i:].mean()))
     return SaturationResult(False, None, None)

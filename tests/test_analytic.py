@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad
 from scipy.linalg import block_diag
 from scipy.special import erfcx
 
@@ -282,7 +282,7 @@ def test_tau_tic_alpha3_found_threshold_matches_mpmath(monkeypatch):
 def test_tau_tic_curve_matches_tight_scalar_quad(alpha):
     # the vector pass over the crossval grid against one scalar quad per
     # threshold at epsrel 1e-13, from the same breaks: measured at most
-    # 1.8e-15 relative (alpha 3) and 6.3e-16 (alpha 5); one quad per threshold
+    # 1.9e-15 relative (alpha 3) and 5.8e-14 (alpha 5); one quad per threshold
     # at epsrel 1e-6 was off by more than 1e-12 (2.1e-12 at alpha 3, t = 14.0)
     lam, s2 = 0.3, 0.1
     grid = np.linspace(0.0, 27.8, 241)
@@ -445,9 +445,9 @@ def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, lam
 def smf2_coverage_per_request(lam, sigma_sq, mu, g, with_interference, alpha):
     """Reference analytic._smf2_coverage: every node computed at every request.
 
-    The same two quad_vec passes, inner rules and gate, with each branch's
-    noise and Laplace factors as two exponentials and the second branch's
-    Laplace exponent evaluated over the whole (nodes x thresholds) array.
+    The same analytic.quad, inner rules and gate, with each branch's noise
+    and Laplace factors as two exponentials and the second branch's Laplace
+    exponent evaluated over the whole (nodes x thresholds) array.
     """
     q = lam * np.pi
     c = mu * g
@@ -476,25 +476,14 @@ def smf2_coverage_per_request(lam, sigma_sq, mu, g, with_interference, alpha):
             out[near] = F(x, e) - x * ((F(x + h, e) - F(x - h, e)) / (2.0 * h))
         return out
 
-    def outer(u, scale):
+    def outer(u):
         z1 = math.exp(u)
         L = hi - u
         z2 = z1 * np.exp(L * nodes)
         f = z2 * z2 * np.exp(-q * z2 * z2) * bracket(z1, z2)
-        return (z1 * z1 * L * (weights @ f) / scale).ravel()
+        return z1 * z1 * L * (weights @ f)
 
-    def integral(scale, epsrel):
-        return quad_vec(lambda u: outer(u, scale), hi - analytic.LOG_SPAN, hi,
-                        epsrel=epsrel, norm="max", limit=200,
-                        points=[hi - b for b in analytic.OUTER_BREAKS])
-
-    m = g.size
-    coarse, _ = integral(1.0, 1e-3)
-    scale = np.maximum(np.abs(coarse[:m]), 1e-13 / REL_TOL)
-    val, err = integral(scale, REL_TOL)
-    val_high, val_low = val[:m] * scale, val[m:] * scale
-    err = err * scale + np.abs(val_high - val_low)
-    return np.clip(_check_quad(val_high, err, "tau_smf2") * two_pi_lam**2, 0.0, 1.0)
+    return np.clip(analytic.quad(hi, outer, g.size, "tau_smf2") * two_pi_lam**2, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha, with_interference, lam, sigma_sq, thresholds", SMF2_ROWS)
@@ -517,21 +506,20 @@ def test_tau_smf2_curve_computes_each_outer_node_once(monkeypatch, alpha):
     # with interference, a node's work calls _laplace_exponent_integral once,
     # for the first branch; the second branch's exponent is one call per curve
     requested, work = [], []
-    real_quad_vec, real_exponent = analytic.quad_vec, analytic._laplace_exponent_integral
+    real_rule, real_exponent = analytic._qk21, analytic._laplace_exponent_integral
 
-    def recording_quad_vec(f, a, b, **kw):
-        return real_quad_vec(lambda u: requested.append(u) or f(u), a, b, **kw)
+    def recording_rule(outer, a, b, m):
+        return real_rule(lambda u: requested.append(u) or outer(u), a, b, m)
 
     def counting_exponent(*args):
         work.append(args)
         return real_exponent(*args)
 
-    monkeypatch.setattr(analytic, "quad_vec", recording_quad_vec)
+    monkeypatch.setattr(analytic, "_qk21", recording_rule)
     monkeypatch.setattr(analytic, "_laplace_exponent_integral", counting_exponent)
     tau_smf2_curve(0.3, 0.1, 1.0, np.linspace(0.0, 27.8, 241), True, alpha=alpha)
-    distinct = set(requested)
-    assert len(requested) > len(distinct)  # the real pass asks for the coarse pass's nodes
-    assert len(work) == 1 + len(distinct)
+    assert len(requested) == len(set(requested))
+    assert len(work) == 1 + len(requested)
 
 
 @pytest.mark.parametrize("with_interference", [False, True])
@@ -542,20 +530,20 @@ def test_tau_smf2_removable_singularity_rows(monkeypatch, with_interference):
     grid = np.array([0.5, 1.5, 3.0, 6.0])
     default = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference)
     integrands, requested = [], []
-    real = analytic.quad_vec
+    real = analytic._qk21
 
-    def capturing_quad_vec(f, a, b, **kw):
-        integrands.append(f)
-        return real(lambda u: requested.append(u) or f(u), a, b, **kw)
+    def capturing_rule(outer, a, b, m):
+        integrands.append(outer)
+        return real(lambda u: requested.append(u) or outer(u), a, b, m)
 
-    monkeypatch.setattr(analytic, "quad_vec", capturing_quad_vec)
+    monkeypatch.setattr(analytic, "_qk21", capturing_rule)
     monkeypatch.setattr(analytic, "OUTER_BREAKS", (1e-9,) + analytic.OUTER_BREAKS)
     curve = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference)
     assert np.all(np.isfinite(curve))
     assert np.max(np.abs(curve - default)) < 1e-12
     hi = math.log(trunc_radius(lam))
     assert len({u for u in requested if hi - u < 1e-9}) == 21
-    # the coarse pass's integrand per unit L = ln zmax - u is smooth across the
+    # the outer integrand per unit L = ln zmax - u is smooth across the
     # switch: its near-row value at L = 1e-9 and 1e-7 matches the straight
     # line through L = 1e-6 and 1e-5, where most rows take the divided
     # difference.  The residual, at most 4e-6, is the line's own error plus
@@ -587,22 +575,28 @@ def test_quadrature_gate_is_per_threshold():
 
 
 def test_tau_smf2_curve_raises_on_over_tolerance_error(monkeypatch):
-    real = analytic.quad_vec
+    # a rule whose every error is 1e-3 of rounding error, which no split can
+    # reduce, stops the loop after its first round; the gate raises
+    calls = []
+    real = analytic._qk21
 
-    def over_tolerance(f, a, b, **kw):
-        val, err = real(f, a, b, **kw)
-        return val, max(err, 1e-3)
+    def over_tolerance(outer, a, b, m):
+        calls.append((a, b))
+        val, err, _ = real(outer, a, b, m)
+        err = np.maximum(err, 1e-3)
+        return val, err, err
 
-    monkeypatch.setattr(analytic, "quad_vec", over_tolerance)
+    monkeypatch.setattr(analytic, "_qk21", over_tolerance)
     with pytest.raises(NumericalError):
         tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
     with pytest.raises(NumericalError):
         tau_smf2(0.3, 0.1, 1.0, 2.0, with_interference=True)
+    assert len(calls) == 2 * 8
 
 
 def test_tau_smf2_curve_gates_inner_rule_error(monkeypatch):
     # a 4-node low-order rule leaves |I_high - I_low| far above the tolerance;
-    # the outer quad_vec error alone would pass
+    # the outer error alone would pass
     monkeypatch.setattr(analytic, "INNER_RULE_NODES", (4, 64))
     with pytest.raises(NumericalError):
         tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
@@ -620,88 +614,43 @@ CURVES = {
 }
 
 
-def bits(x):
-    return np.asarray(x, dtype=float).tobytes()
+def test_quad_limit_exit_fails_the_gate(monkeypatch):
+    # a rule whose error never falls below 1e-3 halves intervals until there
+    # are 200, 194 splits after the 6 intervals of the breaks; the gate then
+    # raises on the unconverged error
+    calls = []
+    real = analytic._qk21
 
+    def stuck(outer, a, b, m):
+        calls.append((a, b))
+        val, err, rnd = real(outer, a, b, m)
+        return val, np.maximum(err, 1e-3), rnd
 
-def both_loops(records):
-    """A stand-in for analytic.quad_vec that also runs scipy's loop on its integrand.
-
-    Each call appends ((value, error), nodes, (scipy value, scipy error),
-    scipy nodes) to records and returns analytic.quad_vec's result.  Both loops
-    get the same array at each node, computed once.
-    """
-    real = analytic.quad_vec
-
-    def run(f, a, b, **kw):
-        seen = {}
-
-        def logged(nodes):
-            def g(u):
-                nodes.append(u)
-                if u not in seen:
-                    seen[u] = f(u)
-                return seen[u]
-            return g
-
-        ours, theirs = [], []
-        got = real(logged(ours), a, b, **kw)
-        ref = quad_vec(logged(theirs), a, b, norm="max", **kw)
-        records.append((got, ours, ref, theirs))
-        return got
-
-    return run
-
-
-def assert_same_as_scipy(records):
-    for (val, err), nodes, (ref_val, ref_err), ref_nodes in records:
-        assert bits(val) == bits(ref_val)
-        assert bits(err) == bits(ref_err)
-        assert nodes == ref_nodes
-
-
-@pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
-@pytest.mark.parametrize("curve", list(CURVES))
-def test_quad_vec_matches_scipy_bit_for_bit(monkeypatch, curve, alpha):
-    # analytic.quad_vec is scipy's max-norm GK21 loop written out: on every
-    # outer integrand, in both of quad's passes, it requests scipy's nodes in
-    # scipy's order and returns scipy's value and error, bit for bit.  The
-    # generic-alpha Laplace exponent costs 1.3-1.8 s per 241-point curve, so
-    # those two curves take 25 points
-    n = 25 if curve == "smf2-interf" and alpha != 4.0 else 241
-    records = []
-    monkeypatch.setattr(analytic, "quad_vec", both_loops(records))
-    CURVES[curve](0.3, 0.1, np.linspace(0.0, 27.8, n), alpha)
-    assert len(records) == 2
-    assert_same_as_scipy(records)
-
-
-def test_quad_vec_limit_exit_matches_scipy_and_fails_the_gate(monkeypatch):
-    # 8 intervals, 2 more than the breaks make, stop the loop unconverged:
-    # its error is scipy's, and quad's gate raises
-    records = []
-    run = both_loops(records)
-    monkeypatch.setattr(analytic, "quad_vec",
-                        lambda f, a, b, **kw: run(f, a, b, **{**kw, "limit": 8}))
+    monkeypatch.setattr(analytic, "_qk21", stuck)
     grid = np.linspace(0.0, 27.8, 25)
     for curve in ("tic", "smf2"):
+        calls.clear()
         with pytest.raises(NumericalError, match="quadrature"):
             CURVES[curve](0.3, 0.1, grid, 3.0)
-    assert len(records) == 4
-    assert_same_as_scipy(records)
+        assert len(calls) == 6 + 2 * 194
 
 
-def test_quad_vec_stops_on_a_nan_integrand_and_the_gate_raises(monkeypatch):
-    # the integrand turns NaN half a unit below ln zmax: both loops stop with
-    # a non-finite error, and quad's gate, which fails closed, raises on it
-    records = []
-    run = both_loops(records)
-    monkeypatch.setattr(analytic, "quad_vec", lambda f, a, b, **kw: run(
-        lambda u: f(u) * (math.nan if u > b - 0.5 else 1.0), a, b, **kw))
+def test_quad_stops_on_a_nan_integrand_and_the_gate_raises(monkeypatch):
+    # the integrand turns NaN half a unit below ln zmax: the six intervals of
+    # the breaks give a non-finite error, the loop stops on them, and quad's
+    # gate, which fails closed, raises on it
+    hi = math.log(trunc_radius(0.3))
+    calls = []
+    real = analytic._qk21
+
+    def nan_near_zmax(outer, a, b, m):
+        calls.append((a, b))
+        return real(lambda u: outer(u) * (math.nan if u > hi - 0.5 else 1.0), a, b, m)
+
+    monkeypatch.setattr(analytic, "_qk21", nan_near_zmax)
     with pytest.raises(NumericalError, match="quadrature"):
         tau_tic_curve(0.3, 0.1, 1.0, np.linspace(0.0, 27.8, 25), alpha=3.0)
-    assert records and not np.isfinite(records[-1][0][1])
-    assert_same_as_scipy(records)
+    assert len(calls) == 6
 
 
 def test_quadrature_gate_fails_on_a_nan_error(monkeypatch):
@@ -709,9 +658,13 @@ def test_quadrature_gate_fails_on_a_nan_error(monkeypatch):
     # a NaN error with a finite value
     with pytest.raises(NumericalError):
         _check_quad(np.array([0.5]), np.array([np.nan]), "x")
-    real = analytic.quad_vec
-    monkeypatch.setattr(analytic, "quad_vec",
-                        lambda f, a, b, **kw: (real(f, a, b, **kw)[0], math.nan))
+    real = analytic._qk21
+
+    def nan_error(outer, a, b, m):
+        val, err, rnd = real(outer, a, b, m)
+        return val, err * math.nan, rnd
+
+    monkeypatch.setattr(analytic, "_qk21", nan_error)
     grid = np.linspace(0.0, 27.8, 25)
     with pytest.raises(NumericalError, match="quadrature"):
         tau_tic_curve(0.3, 0.1, 1.0, grid, alpha=3.0)

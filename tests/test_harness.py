@@ -10,7 +10,7 @@ import pytest
 from cloudradio import (ConfigError, ExperimentConfig, PRESETS, Region, crossvalidate,
                         load_config_file, preset_config, run, sample_ppp, simulate_drop,
                         tagged_rate_samples, validate)
-from cloudradio import harness, precoding, qam_constellation
+from cloudradio import cli, harness, precoding, qam_constellation
 from cloudradio.analytic import trunc_radius
 from cloudradio.cli import main
 from cloudradio.harness import SCHEMES, Drop
@@ -702,6 +702,29 @@ def test_cli_run_assert_failure_exits_4(tmp_path, capsys):
                  "--output-dir", str(tmp_path), "--assert"])
     assert code == 4
     assert "assertion failed" in capsys.readouterr().err
+
+
+def test_cli_crossvalidate_assert_exits_4_per_scheme(monkeypatch, capsys):
+    # no sup gap is below a limit of 0: one assertion line per scheme
+    monkeypatch.setattr(cli, "CROSSVAL_LIMITS", dict.fromkeys(cli.CROSSVAL_LIMITS, 0.0))
+    code = main(["crossvalidate", "--schemes", "tic,smf2", "--samples", "2000", "--seed", "3",
+                 "--assert"])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" sup gap ")[0] for line in err] == [
+        "assertion failed: tic crossval", "assertion failed: smf2 crossval"]
+
+
+def test_cli_run_crossvalidate_assert_exits_4_per_scheme(tmp_path, monkeypatch, capsys):
+    # the run preset has no expectations of its own, so the crossval gap is the one failure
+    monkeypatch.setattr(cli, "CROSSVAL_LIMITS", dict.fromkeys(cli.CROSSVAL_LIMITS, 0.0))
+    path = tmp_path / "tic.cfg"
+    path.write_text("schemes = tic\ndrops = 2\ncrossval_samples = 2000\n")
+    code = main(["run", "--config", str(path), "--crossvalidate", "--assert",
+                 "--output-dir", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" sup gap ")[0] for line in err] == ["assertion failed: tic crossval"]
 
 
 def test_cli_crossvalidate_rejects_zero_samples(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """No command loads scipy.integrate or scipy.optimize, and no alpha = 4 command loads scipy.
 
 scipy.integrate and scipy.optimize cost every process about a quarter of a
-second and 14 MB at start-up, and no command needs them: analytic.quad_vec is
+second and 14 MB at start-up, and no command needs them: analytic.quad is
 the adaptive loop.  The rest of scipy cost about 0.3 s and 28 MB more; only
 the alpha != 4 interference curves need it (scipy.special.hyp2f1).
 """
