@@ -17,9 +17,12 @@ loop over u for the whole threshold grid, which stops once each threshold
 passes the per-threshold error gate.  At alpha = 2 (harmonic) and
 alpha = 4 (the module's erfcx) the single-branch curve is a closed form,
 returned after a cross-check against quad.  The two-branch inner integral over
-the second-nearest distance is two fixed Gauss-Legendre rules in ln(z2/z1).
-The interference Laplace exponent is an arctan at alpha = 4 and otherwise
-scipy's hyp2f1, the one scipy name here, imported in that branch.
+the second-nearest distance is two fixed Gauss-Legendre rules in ln(z2/z1),
+with the divided difference and the PPP density folded into the rule
+weights, so each outer node is two matmuls over the branch factors.  The
+interference Laplace exponent is (sqrt(A)/2)*arctan(sqrt(A)/excl**2) at
+alpha = 4 and otherwise scipy's hyp2f1, the one scipy name here, imported in
+that branch.
 
 Every curve takes one checked path, _coverage, which checks the parameters
 and the result.  tau_tic and tau_smf2 are one-element calls of their curves.
@@ -61,6 +64,9 @@ _WGK, _WG = np.array(_WGK + _WGK[-2::-1]), np.array(_WG + _WG[::-1])
 # Gauss-Legendre node counts (low, high) of the smf2 inner integral; their
 # difference is the inner error estimate the per-threshold gate adds
 INNER_RULE_NODES = (32, 64)
+# smf2 branch factors are exp of exponents floored here: exp(-700) ~ 1e-304 is far
+# below any gate, and the floor keeps np.exp off its slow underflow path
+EXP_FLOOR = -700.0
 # erfcx's switch from its definition to its continued fraction, and the latter's terms
 ERFCX_SPLIT, ERFCX_TERMS = 3.0, 50
 
@@ -234,11 +240,13 @@ def _laplace_exponent_integral(A, excl, alpha):
     A may be a vector.  With b = A / excl**alpha, integrating the series in
     A*v**(-alpha) term by term gives
         excl**2 * b/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -b),
-    which at alpha = 4 is the arctan form kept below.
+    which at alpha = 4 is (sqrt(A)/2) * arctan(sqrt(A)/excl**2): the
+    antiderivative's pi/2 - arctan(excl**2/sqrt(A)) without its cancellation
+    when sqrt(A) << excl**2.
     """
     if alpha == 4.0:
         s = np.sqrt(A)
-        return 0.5 * s * (np.pi / 2.0 - np.arctan(excl * excl / s))
+        return 0.5 * s * np.arctan(s / (excl * excl))
     from scipy.special import hyp2f1  # scipy is needed at alpha != 4 alone
     b = A / excl**alpha
     return excl**2 * b / (alpha - 2.0) * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b)
@@ -280,54 +288,83 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
     rule as row 0 and the lower-order one as row 1.
 
     Each branch's factor is one exponential of its noise exponent plus, with
-    interference, its Laplace exponent.  The second branch's Laplace argument
-    is gamma * z2**alpha / z2**alpha = gamma whatever z2, so its exponent is
-    z2**2 * psi(gamma), with psi computed once per curve.
+    interference, its Laplace exponent, floored at EXP_FLOOR.  The second
+    branch's Laplace argument is gamma * z2**alpha / z2**alpha = gamma whatever
+    z2, so its exponent is z2**2 * psi(gamma), with psi computed once per curve.
+
+    Inner row i adds w_i * z2_i**2 exp(-q z2_i**2) (x2_i F1_i - x1 F2_i)/(x2_i - x1),
+    x = z**alpha, which is linear in the branch factors F1 = F(x1) and F2 =
+    F(x2).  So the row factor c_i = z2_i**2 exp(-q z2_i**2)/(x2_i - x1) goes
+    into the weights W, and a node is
+        z1**2 L [(W c x2) @ F1 - (W c x1) @ F2 + near rows],
+    two matmuls; without interference F1 is one row, and its term an outer
+    product.  Rows with x2 within 1e-6 of x1 would cancel, or divide 0 by 0:
+    they take the limit F(x) - x F'(x) by a central difference, in a third
+    small matmul, and their c is exactly 0, since 0 * inf would poison the
+    matmuls.
     """
     q = lam * np.pi
     noise = -(mu * g) * sigma_sq  # noise exponent per unit z**alpha
     hi = math.log(trunc_radius(lam))
     two_pi_lam = 2.0 * np.pi * lam
-    # the inner rules on [0, 1]: one node column, one weight row per rule
+    # the inner rules on [0, 1]: one node vector, one weight row per rule
     low, high = (leggauss(n) for n in INNER_RULE_NODES)
-    nodes = 0.5 * (np.concatenate([high[0], low[0]]) + 1.0)[:, None]
+    nodes = 0.5 * (np.concatenate([high[0], low[0]]) + 1.0)
     weights = np.zeros((2, nodes.size))
     weights[0, :high[1].size] = 0.5 * high[1]
     weights[1, high[1].size:] = 0.5 * low[1]
+    # second-branch exponents: rows (x2, -z2**2) times columns (noise, psi),
+    # one matmul per node into a buffer kept for the curve
+    slopes = np.zeros((2, g.size))
+    slopes[0] = noise
     if with_interference:
-        psi = two_pi_lam * _laplace_exponent_integral(g, 1.0, alpha)
+        slopes[1] = two_pi_lam * _laplace_exponent_integral(g, 1.0, alpha)
+    rows = np.empty((nodes.size, 2))
+    buf = np.empty((nodes.size, g.size))
+
+    def floored_exp(e):
+        # exp in place, of e floored at EXP_FLOOR
+        return np.exp(np.maximum(e, EXP_FLOOR, out=e), out=e)
 
     def F(x, excl):
         # per-branch factor, a row per row of the x or excl column and a
         # column per threshold: noise exponential times (optionally) the
         # Laplace average over interference beyond the second-nearest BS
-        if with_interference:
-            return np.exp(noise * x - two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
-        return np.exp(noise * x)
-
-    def bracket(z1, z2):
-        # z2 is a column; rows with x2 next to x1 take the removable-singularity
-        # limit F(x) - x F'(x) by a central difference
-        x1 = z1**alpha
-        x2 = z2**alpha
-        near = (x2 - x1 < 1e-6 * x2)[:, 0]
-        F2 = np.exp(noise * x2 - z2 * z2 * psi) if with_interference else np.exp(noise * x2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (x2 * F(x1, z2) - x1 * F2) / (x2 - x1)
-        if near.any():
-            x = 0.5 * (x1 + x2[near])
-            h = 1e-5 * x
-            e = z2[near]
-            out[near] = F(x, e) - x * ((F(x + h, e) - F(x - h, e)) / (2.0 * h))
-        return out
+        if not with_interference:
+            return floored_exp(noise * x)
+        e = _laplace_exponent_integral(g * x, excl, alpha)
+        e *= -two_pi_lam
+        e += noise * x
+        return floored_exp(e)
 
     def outer(u):
         # exp(2u) times both rules' integrals over z2 in [z1, zmax], high first
         z1 = math.exp(u)
         L = hi - u
         z2 = z1 * np.exp(L * nodes)
-        f = z2 * z2 * np.exp(-q * z2 * z2) * bracket(z1, z2)
-        return z1 * z1 * L * (weights @ f)
+        x1 = z1**alpha
+        x2 = z2**alpha
+        ppp = z2 * z2 * np.exp(-q * z2 * z2)
+        # rows with x2 next to x1 take the removable-singularity limit below;
+        # their fold factor is exactly 0, as 0 * inf would poison the matmuls
+        near = x2 - x1 < 1e-6 * x2
+        with np.errstate(divide="ignore"):
+            c = weights * np.where(near, 0.0, ppp / (x2 - x1))
+        rows[:, 0] = x2
+        np.multiply(z2, -z2, out=rows[:, 1])
+        acc = (c * -x1) @ floored_exp(np.matmul(rows, slopes, out=buf))
+        if with_interference:
+            acc += (c * x2) @ F(x1, z2[:, None])
+        else:  # the first branch's factor is one row
+            acc += np.multiply.outer(c @ x2, F(x1, None))
+        if near.any():
+            # the limit F(x) - x F'(x) by a central difference
+            x = 0.5 * (x1 + x2[near, None])
+            h = 1e-5 * x
+            e = z2[near, None]
+            lim = F(x, e) - x * ((F(x + h, e) - F(x - h, e)) / (2.0 * h))
+            acc += weights[:, near] @ (ppp[near, None] * lim)
+        return z1 * z1 * L * acc
 
     return np.clip(quad(hi, outer, g.size, "tau_smf2") * two_pi_lam**2, 0.0, 1.0)
 

@@ -136,6 +136,28 @@ def test_laplace_alpha4_closed_form_vs_quadrature():
         assert closed == pytest.approx(laplace_exponent_quad(A, excl, 4.0), rel=1e-6)
 
 
+def test_laplace_alpha4_matches_mpmath_across_ratios():
+    # integral_excl^inf v*A/(A + v**4) dv = (sqrt(A)/2)*(pi/2 - arctan(excl**2/sqrt(A)))
+    # at 50 digits, against the module's (sqrt(A)/2)*arctan(sqrt(A)/excl**2),
+    # which does not cancel when sqrt(A) << excl**2.  Rounding, u = 2**-53:
+    # sqrt, excl**2 and the quotient put at most 3u on arctan's argument y,
+    # which arctan passes on times y/((1 + y**2)*arctan(y)) <= 1; arctan adds
+    # at most 2u, sqrt(A)/2 and the last product u each: 7u < 4*eps.  The
+    # pi/2 - arctan form erred by 8.3e-8 at A = 1e-20, excl = 1 and returned
+    # 0 at A = 1e-30, excl = 1e3.  Measured: at most 2.8e-16
+    import mpmath
+    cases = [(r * e**4, e) for e in (1e-3, 1.0, 1e3) for r in np.logspace(-30.0, 30.0, 61)]
+    cases += [(1e-20, 1.0), (1e-12, 1.0), (1e-30, 1e3)]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for A, excl in cases:
+            s = mpmath.sqrt(mpmath.mpf(A))
+            ref = s / 2 * (mpmath.pi / 2 - mpmath.atan(mpmath.mpf(excl)**2 / s))
+            got = _laplace_exponent_integral(np.array([A]), excl, 4.0)[0]
+            worst = max(worst, float(abs(mpmath.mpf(float(got)) / ref - 1)))
+    assert worst < 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 5.0, 6.0])
 def test_laplace_generic_alpha_closed_form_vs_quadrature(alpha):
     # the hypergeometric form, one vector call, against one quad per element
@@ -486,19 +508,31 @@ def smf2_coverage_per_request(lam, sigma_sq, mu, g, with_interference, alpha):
     return np.clip(analytic.quad(hi, outer, g.size, "tau_smf2") * two_pi_lam**2, 0.0, 1.0)
 
 
+# u = 2**-53.  Each rule row above sums 64 (or 32) products w*f, f > 0; the
+# fold sums the two branches' terms w*c*x2*F1 and w*c*x1*F2 apart and
+# subtracts.  A sum of n terms errs by at most (n - 1)*u times the sum of
+# |terms|, and over SMF2_ROWS' curves the two branch sums total at most
+# kappa = 10 times the value (6.8 at alpha 4, 9.5 at alpha 3), so the sums
+# differ by at most 2*64*kappa*u.  With interference the second branch's
+# exponent E2 is z2**2 * psi here and the direct Laplace exponent there, each
+# a few roundings from exact; 20*u*|E2| per term, whose weighted total is at
+# most 2 times the value, adds 40*u.  Measured: at most 8.9e-16
+SMF2_FOLD_RTOL = (2 * 64 * 10 + 20 * 2) * 2.0**-53
+
+
 @pytest.mark.parametrize("alpha, with_interference, lam, sigma_sq, thresholds", SMF2_ROWS)
 def test_tau_smf2_curve_matches_per_request_integrand(alpha, with_interference, lam, sigma_sq,
                                                       thresholds):
-    # one evaluation per node and the hoisted second-branch exponent change
-    # what a node costs, not its value beyond rounding
+    # one evaluation per node, the hoisted second-branch exponent and the
+    # divided difference folded into the rule weights change what a node
+    # costs, not its value beyond rounding
     curve = tau_smf2_curve(lam, sigma_sq, 1.0, thresholds, with_interference, alpha=alpha)
     ref = analytic._coverage(lam, sigma_sq, 1.0, thresholds, alpha, 2.0,
                              lambda g: smf2_coverage_per_request(lam, sigma_sq, 1.0, g,
                                                                  with_interference, alpha),
                              with_interference)
     assert np.max(np.abs(curve - ref)) < 1e-13
-    if not with_interference:
-        assert curve.tobytes() == ref.tobytes()
+    assert np.max(np.abs(curve / ref - 1.0)) < SMF2_FOLD_RTOL
 
 
 @pytest.mark.parametrize("alpha", [3.0, 4.0])
@@ -554,6 +588,60 @@ def test_tau_smf2_removable_singularity_rows(monkeypatch, with_interference):
     for L in (1e-9, 1e-7):
         line = g[1e-6] - slope * (1e-6 - L)
         assert np.max(np.abs(g[L] / line - 1.0)) < 1e-5, L
+
+
+def smf2_fold_magnitudes(lam, sigma_sq, g, with_interference, alpha, u):
+    """Near-row count of the outer node u, and per rule row and threshold the
+    sums over far rows of |w*c*x2*F1| + |w*c*x1*F2| and of |w*c*x1*F2*E2|,
+    times z1**2 * L as in the integrand; E2 = log F2 is the second-branch
+    exponent."""
+    q, two_pi_lam = lam * np.pi, 2.0 * np.pi * lam
+    hi = math.log(trunc_radius(lam))
+    low, high = (np.polynomial.legendre.leggauss(n) for n in analytic.INNER_RULE_NODES)
+    nodes = 0.5 * (np.concatenate([high[0], low[0]]) + 1.0)
+    weights = 0.5 * block_diag(high[1], low[1])
+    z1, L = math.exp(u), hi - u
+    z2 = z1 * np.exp(L * nodes)
+    x1, x2 = z1**alpha, z2**alpha
+    near = x2 - x1 < 1e-6 * x2
+    c = np.where(near, 0.0, z2 * z2 * np.exp(-q * z2 * z2) / np.where(near, 1.0, x2 - x1))
+    e1, e2 = -g * sigma_sq * x1, -np.outer(x2, g * sigma_sq)
+    if with_interference:
+        e1 = e1 - two_pi_lam * _laplace_exponent_integral(g * x1, z2[:, None], alpha)
+        e2 = e2 - np.outer(z2 * z2, two_pi_lam * _laplace_exponent_integral(g, 1.0, alpha))
+    a, b = (c * x2)[:, None] * np.exp(e1), (c * x1)[:, None] * np.exp(e2)
+    return near.sum(), z1 * z1 * L * (weights @ (a + b)), z1 * z1 * L * (weights @ (b * -e2))
+
+
+@pytest.mark.parametrize("with_interference", [False, True])
+def test_tau_smf2_partly_near_node_matches_per_request(monkeypatch, with_interference):
+    # at L = ln zmax - u = 1e-4 three inner rows take the central-difference
+    # limit and the others the divided difference folded into the weights.
+    # There the two branch sums nearly cancel (their total is 3e3 to 2e4 times
+    # the value), so the bound is the rounding argument of SMF2_FOLD_RTOL with the
+    # node's own sums S and SE: two sums of at most 64 terms and at most 5
+    # roundings per term on either side, (2*64 + 10)*u*S; the second-branch
+    # exponents, 20*u*SE; and the near rows summed in another order, 64*u*|value|.
+    # Measured: at most 1.0*u*S without interference and 155*u*S with
+    lam, sigma_sq, alpha = 0.3, 1e-3, 4.0
+    g = gamma_threshold(np.array([0.5, 1.5, 3.0, 6.0]))
+    u = math.log(trunc_radius(lam)) - 1e-4
+    integrands = []
+    real = analytic._qk21
+
+    def capturing_rule(outer, a, b, m):
+        integrands.append(outer)
+        return real(outer, a, b, m)
+
+    monkeypatch.setattr(analytic, "_qk21", capturing_rule)
+    analytic._smf2_coverage(lam, sigma_sq, 1.0, g, with_interference, alpha)
+    smf2_coverage_per_request(lam, sigma_sq, 1.0, g, with_interference, alpha)
+    folded, ref = integrands[0](u), integrands[-1](u)
+    near, S, SE = smf2_fold_magnitudes(lam, sigma_sq, g, with_interference, alpha, u)
+    assert 1 <= near <= 5
+    assert np.all(ref > 0.0)
+    bound = ((2 * 64 + 10) * S + 20 * SE + 64 * ref) * 2.0**-53
+    assert np.all(np.abs(folded - ref) <= bound)
 
 
 @pytest.mark.parametrize("with_interference", [False, True])
