@@ -7,6 +7,7 @@ Default output directory comes from $CLOUDRADIO_OUTPUT_DIR when set.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -16,7 +17,7 @@ from .harness import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
                       load_config_file, parse_field, preset_config, run, validate)
 from .numerics import NumericalError
 
-# reference expectations applied under --assert; (scheme, snr, stat) -> (lo, hi)
+# reference expectations in bps/Hz applied under --assert; (scheme, snr, stat) -> (lo, hi)
 PRESET_CHECKS = {
     "fig-conv-zf": [
         ("conventional", "10", "mean", 1.467, 1.793),
@@ -32,7 +33,8 @@ CROSSVAL_LIMITS = {"tic": 0.02, "smf2": 0.02, "smf2-interf": 0.03}
 OVERRIDES = ("drops", "snr_db", "lambda_b", "lambda_u", "csi_l", "cluster_radius_km", "smf_l",
              "schemes", "log_base", "seed", "output_dir")
 OVERRIDE_HELP = {"snr_db": "scalar or comma list, e.g. '10' or '-6,0,10,20'",
-                 "schemes": "comma list of scheme names"}
+                 "schemes": "comma list of scheme names",
+                 "log_base": "rate log base (2: bps/Hz); THP power and crossvalidate ignore it"}
 
 
 def _add_overrides(p):
@@ -166,10 +168,11 @@ def _crossval_failures(crossval) -> list:
 
 
 def _check_preset(name, report) -> list:
+    bits = math.log2(report.config["log_base"])  # summaries are in log_base units
     failures = []
     for scheme, snr, stat, lo, hi in PRESET_CHECKS.get(name, []):
         try:
-            value = report.summaries[scheme][snr][stat]
+            value = report.summaries[scheme][snr][stat] * bits
         except KeyError:
             failures.append(f"{scheme}@{snr}dB missing from report")
             continue

@@ -275,10 +275,6 @@ class Drop:
     cluster: tuple | None  # (H_in, i_r); None without clustered schemes or in-cluster BSs
     sigma_sq: np.ndarray  # noise power of each SNR point
 
-    @property
-    def base(self):
-        return self.config.log_base
-
     @cached_property
     def lq(self):
         # one factorization shared by the THP schemes and, with them, zfdpc
@@ -296,7 +292,7 @@ class Drop:
         modes = {s: _THP_MODES[s] for s in c.schemes if s in _THP_MODES}
         seed = SeedSequence(c.seed, spawn_key=(self.index, 1))
         power = thp.drop_power_sample(self.lq, self.sigma_sq, modes.values(), seed,
-                                      c.thp_vectors, c.log_base)
+                                      c.thp_vectors)
         return {s: power[mode][:, None] for s, mode in modes.items()}
 
 
@@ -307,8 +303,10 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     Returns {(scheme, snr_db): rates array}.  Each scheme in SCHEMES runs once
     over the whole SNR sweep, so the channel, the fades and every
     factorization are shared by the sweep, which isolates the noise effect.
-    Power schemes produce a single sample per drop and SNR.  With debug_dir
-    set, the drop writes the point sets and the channel matrix it drew there.
+    The kernels' bps/Hz become config.log_base units here alone, by a factor
+    of exactly 1.0 at base 2.  Power schemes (THP) produce a single sample
+    per drop and SNR, in no rate unit.  With debug_dir set, the drop writes
+    the point sets and the channel matrix it drew there.
     """
     rng = _drop_rng(config.seed, drop_index)
     region = Region(*config.region_km)
@@ -334,9 +332,10 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     snrs = config.snr_list
     sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in snrs])
     drop = Drop(config, drop_index, H, cluster, sigma_sq)
-    per_scheme = {s: SCHEMES[s](drop) for s in config.schemes}
-    return {(s, snr): rates[j] for j, snr in enumerate(snrs)
-            for s, rates in per_scheme.items() if rates is not None}
+    unit = math.log(2.0) / math.log(config.log_base)
+    rows = {s: SCHEMES[s](drop) for s in config.schemes}
+    rows = {s: r if s in _THP_MODES else r * unit for s, r in rows.items() if r is not None}
+    return {(s, snr): r[j] for j, snr in enumerate(snrs) for s, r in rows.items()}
 
 
 def _cluster_channel(config, region, bs, cohort, z, rng):
@@ -373,25 +372,23 @@ _THP_MODES = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
              "thp-fixed64": 64}
 
 
-# scheme name -> fn(drop) -> one row of rates per SNR point of drop.sigma_sq, or
-# None when the drop has no streams for the scheme
+# scheme name -> fn(drop) -> one row of rates in bps/Hz (THP: of powers) per SNR
+# point of drop.sigma_sq, or None when the drop has no streams for the scheme
 SCHEMES = {
-    "conventional": lambda d: precoding.conventional_rates(d.H, d.sigma_sq, d.base),
+    "conventional": lambda d: precoding.conventional_rates(d.H, d.sigma_sq),
     # the THP schemes factor H anyway; without them the R-only QR gives the gains
     "zfdpc": lambda d: precoding.zfdpc_rates(
-        d.lq if _THP_MODES.keys() & set(d.config.schemes) else d.H, d.sigma_sq, d.base),
-    "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq, d.base),
-    "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq, d.base),
-    "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq, d.base),
-    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(d.config.smf_l or len(d.H), len(d.H)),
-                                        d.base),
-    "smf2": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, len(d.H)), d.base),
+        d.lq if _THP_MODES.keys() & set(d.config.schemes) else d.H, d.sigma_sq),
+    "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq),
+    "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq),
+    "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq),
+    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(d.config.smf_l or len(d.H), len(d.H))),
+    "smf2": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, len(d.H))),
     "zfdpc-partial": lambda d: precoding.zfdpc_partial_rates(
-        d.H, take_partial_csi(d.H, min(d.config.csi_l, len(d.H))), d.sigma_sq, d.base),
-    "clustered": lambda d: d.cluster and precoding.clustered_rates(*d.cluster, d.sigma_sq,
-                                                                   d.base),
+        d.H, take_partial_csi(d.H, min(d.config.csi_l, len(d.H))), d.sigma_sq),
+    "clustered": lambda d: d.cluster and precoding.clustered_rates(*d.cluster, d.sigma_sq),
     "clustered-partial": lambda d: d.cluster and precoding.clustered_rates(
-        *d.cluster, d.sigma_sq, d.base, csi_l=d.config.csi_l),
+        *d.cluster, d.sigma_sq, csi_l=d.config.csi_l),
     **{s: (lambda d, s=s: d.thp_power[s]) for s in _THP_MODES},
 }
 
@@ -485,7 +482,7 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
     gains = {}
     for (scheme, snr), cdf in cdfs.items():
         basecdf = cdfs.get(("conventional", snr))
-        if basecdf is not None and scheme != "conventional" and not scheme.startswith("thp"):
+        if basecdf is not None and scheme != "conventional" and scheme not in _THP_MODES:
             gains.setdefault(scheme, {})[_snr_key(snr)] = {
                 "mean_pct": gain_percent(cdf, basecdf, "mean"),
                 "cell_edge_pct": gain_percent(cdf, basecdf, "cell_edge"),
@@ -536,8 +533,8 @@ def _write_rates_csv(path, chunks, templates):
 _BLOCK_ROWS = 512
 
 
-def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, base, rng):
-    """{scheme: n rate samples} of tagged users, each centred in its own field.
+def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, rng):
+    """{scheme: n rate samples in bps/Hz} of tagged users, each centred in its own field.
 
     The user sits at the centre of a disc whose radius covers the coverage
     truncation radius plus a 10 km interference margin; the mean interference
@@ -569,7 +566,7 @@ def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, base, rng):
         i_r = p[:, 2:].sum(axis=1) + tail_mean
         for s in schemes:
             sinr = CROSSVAL_SCHEMES[s][1](p[:, 0], p[:, 1], i_r, sigma_sq)
-            out[s][row:row + m] = np.log1p(sinr) / np.log(base)
+            out[s][row:row + m] = np.log1p(sinr) / np.log(2.0)
 
     out = {s: np.empty(n) for s in schemes}
     for row in range(0, n, _BLOCK_ROWS):
@@ -607,21 +604,22 @@ def crossvalidate(config: ExperimentConfig) -> dict:
     CDF gap and the SNR shift (dB) between the two curves at CDF level 0.5.
     Every scheme reads the same tagged samples' fields, drawn once, block by
     block, from the (seed, 0xC0FFEE) substream that no drop draws from.
+    log_base is not read: gaps and dB shifts have no rate unit.
     """
     wanted = _crossval_schemes(config)
     sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])
     rng = default_rng(SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
     per_scheme = tagged_rate_samples(wanted, config.crossval_samples, config.lambda_b, sigma_sq,
-                                     config.mu, config.alpha, config.log_base, rng)
+                                     config.mu, config.alpha, rng)
     report = {}
     for scheme, samples in per_scheme.items():
         cdf = build_cdf(samples)
         grid = np.linspace(0.0, cdf.quantile(0.9999) + 0.5, 241)
         curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, sigma_sq, config.mu, grid,
-                                            alpha=config.alpha, base=config.log_base)
+                                            alpha=config.alpha)
         mc_cov = 1.0 - cdf.cdf_at(grid)
         gap = float(np.max(np.abs(mc_cov - curve)))
-        shift = _snr_shift_db(grid, mc_cov, curve, config.log_base)
+        shift = _snr_shift_db(grid, mc_cov, curve)
         report[scheme] = {
             "samples": cdf.n,
             "sup_gap": gap,
@@ -654,11 +652,9 @@ def _median_threshold(grid, coverage):
     return grid[i - 1] + w * (grid[i] - grid[i - 1])
 
 
-def _snr_shift_db(grid, cov_a, cov_b, base):
-    ta = _median_threshold(grid, cov_a)
-    tb = _median_threshold(grid, cov_b)
-    ga = analytic.gamma_threshold(ta, base)
-    gb = analytic.gamma_threshold(tb, base)
+def _snr_shift_db(grid, cov_a, cov_b):
+    ga = analytic.gamma_threshold(_median_threshold(grid, cov_a))
+    gb = analytic.gamma_threshold(_median_threshold(grid, cov_b))
     if ga <= 0 or gb <= 0:
         return 0.0
     return float(10.0 * np.log10(ga / gb))

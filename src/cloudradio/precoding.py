@@ -1,8 +1,8 @@
 """Per-stream achievable rates for every transmission scheme.
 
-Rates are log_base(1 + SINR) in bps/Hz (base 2 unless configured otherwise),
-with unit transmit power per stream throughout: no water-filling, no uplink
-power control.  Degenerate factorization streams get rate 0.
+Rates are log2(1 + SINR) in bps/Hz, whatever a run's log_base, with unit
+transmit power per stream throughout: no water-filling, no uplink power
+control.  Degenerate factorization streams get rate 0.
 
 Every rate function takes the channel as a k x k complex array and the noise
 power as a scalar sigma^2 or a 1-D array of m sigma^2 values.  A scalar gives
@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 
-def _rate(sinr, base):
-    return np.log1p(sinr) / np.log(base)
+def _rate(sinr):
+    return np.log1p(sinr) / np.log(2.0)
 
 
 def _sigma(noise):
@@ -41,7 +41,7 @@ def _sigma(noise):
     return s2[:, None] if s2.ndim else s2
 
 
-def conventional_rates(H, noise, base=2.0) -> np.ndarray:
+def conventional_rates(H, noise) -> np.ndarray:
     """Nearest-BS baseline: every other cohort BS interferes.
 
     rate_i = log(1 + |H_ii|^2 / (sigma^2 + sum_{j != i} |H_ij|^2))
@@ -49,10 +49,10 @@ def conventional_rates(H, noise, base=2.0) -> np.ndarray:
     P = np.abs(H) ** 2
     sig = np.diag(P)
     interf = P.sum(axis=1) - sig
-    return _rate(sig / (_sigma(noise) + interf), base)
+    return _rate(sig / (_sigma(noise) + interf))
 
 
-def zfdpc_rates(H, noise, base=2.0) -> np.ndarray:
+def zfdpc_rates(H, noise) -> np.ndarray:
     """Downlink ZF-DPC: factor H = L Q, rate_i = log(1 + l_ii^2 / sigma^2).
 
     H may also be given as its TriangularFactorization, whose gains are then
@@ -62,20 +62,20 @@ def zfdpc_rates(H, noise, base=2.0) -> np.ndarray:
         g = H.stream_gains
     else:
         g = stream_gains(H)
-    return _rate(g**2 / _sigma(noise), base)
+    return _rate(g**2 / _sigma(noise))
 
 
-def uplink_sic_rates(H, noise, base=2.0) -> np.ndarray:
+def uplink_sic_rates(H, noise) -> np.ndarray:
     """Uplink successive cancellation: same factorization applied to H^T.
 
     Cancellation of previously decoded streams is assumed ideal, so the rates
     are log(1 + m_ii^2 / sigma^2) with H^T = M Q'.
     """
     g = stream_gains(H.T)
-    return _rate(g**2 / _sigma(noise), base)
+    return _rate(g**2 / _sigma(noise))
 
 
-def _partial_rates(He, known, s2, base):
+def _partial_rates(He, known, s2):
     # s2 is sigma^2 as _sigma returns it, or that plus per-stream interference
     fact = lq_factor(known)
     E = He @ fact.Q.conj().T
@@ -87,10 +87,10 @@ def _partial_rates(He, known, s2, base):
     # (s2 + below) + above, in this order: the grouping changes the rounding
     sinr = np.diag(Esq) / (s2 + below + above)
     sinr = np.where(fact.degenerate, 0.0, sinr)
-    return _rate(sinr, base)
+    return _rate(sinr)
 
 
-def zfdpc_partial_rates(H, known, noise, base=2.0) -> np.ndarray:
+def zfdpc_partial_rates(H, known, noise) -> np.ndarray:
     """ZF-DPC driven by the partial-CSI factorization.
 
     `known` is H masked to the known entries (see take_partial_csi).  Factor
@@ -101,10 +101,10 @@ def zfdpc_partial_rates(H, known, noise, base=2.0) -> np.ndarray:
 
         SINR_i = |E_ii|^2 / (sigma^2 + sum_{j<i} |Z_ij|^2 + sum_{j>i} |E_ij|^2)
     """
-    return _partial_rates(H, known, _sigma(noise), base)
+    return _partial_rates(H, known, _sigma(noise))
 
 
-def clustered_rates(H_in, interference, noise, base=2.0, csi_l=None) -> np.ndarray:
+def clustered_rates(H_in, interference, noise, csi_l=None) -> np.ndarray:
     """ZF-DPC inside the cluster with inter-cluster power added to the noise.
 
     H_in spans the in-cluster cohort only; `interference` is the per-stream
@@ -113,12 +113,12 @@ def clustered_rates(H_in, interference, noise, base=2.0, csi_l=None) -> np.ndarr
     """
     noise_eff = _sigma(noise) + np.asarray(interference, dtype=float)
     if csi_l is None:
-        return _rate(stream_gains(H_in) ** 2 / noise_eff, base)
+        return _rate(stream_gains(H_in) ** 2 / noise_eff)
     known = take_partial_csi(H_in, min(csi_l, H_in.shape[0]))
-    return _partial_rates(H_in, known, noise_eff, base)
+    return _partial_rates(H_in, known, noise_eff)
 
 
-def mmse_rates(H, noise, base=2.0) -> np.ndarray:
+def mmse_rates(H, noise) -> np.ndarray:
     """Joint linear MMSE uplink receiver on the transposed channel H^T.
 
     As for uplink SIC, the streams are the UEs, i.e. the rows of H, so with
@@ -138,18 +138,18 @@ def mmse_rates(H, noise, base=2.0) -> np.ndarray:
         A = gram + s * np.eye(k)
         A = 0.5 * (A + A.conj().T)
         mse = s * np.real(np.diag(hpd_inverse(A)))
-        return -np.log(mse) / np.log(base)
+        return -np.log(mse) / np.log(2.0)
 
     return rates_at(s2) if s2.ndim == 0 else np.array([rates_at(s) for s in s2[:, 0]])
 
 
-def tic_rate(H, noise, base=2.0) -> np.ndarray:
+def tic_rate(H, noise) -> np.ndarray:
     """Total interference cancellation: interference removed, not reused."""
     sig = np.abs(np.diag(H)) ** 2
-    return _rate(sig / _sigma(noise), base)
+    return _rate(sig / _sigma(noise))
 
 
-def smf_rate(H, noise, l, base=2.0) -> np.ndarray:
+def smf_rate(H, noise, l) -> np.ndarray:
     """Spatial matched filter over the l strongest streams per row.
 
     The remaining k - l streams stay as interference:
@@ -166,4 +166,4 @@ def smf_rate(H, noise, l, base=2.0) -> np.ndarray:
     srt = np.sort(P, axis=1)[:, ::-1]
     sig = srt[:, :l].sum(axis=1)
     rest = srt[:, l:].sum(axis=1)
-    return _rate(sig / (_sigma(noise) + rest), base)
+    return _rate(sig / (_sigma(noise) + rest))

@@ -58,7 +58,7 @@ def _rows(orders):
 def select_modulation(caps):
     """Adaptive constellation order of each stream from its ZF-DPC capacity.
 
-    M = 64 for C > 7, M = 16 for 4 < C <= 7, M = 4 for C <= 4.
+    M = 64 for C > 7, M = 16 for 4 < C <= 7, M = 4 for C <= 4, C in bps/Hz.
     """
     caps = np.asarray(caps)
     if np.any(caps < 0):
@@ -144,21 +144,22 @@ def thp_loopback(L, u, taus) -> np.ndarray:
     return symmetric_modulo(y / np.real(np.diag(L)), taus)
 
 
-def _orders(L, sigma_sq, mode, base):
+def _orders(L, sigma_sq, mode):
     """Constellation order of each stream: one row per noise power for
-    "adaptive" (from the ZF-DPC capacity), a single row for a fixed order."""
+    "adaptive" (from the ZF-DPC capacity in bps/Hz), a single row for a fixed order."""
     if mode != "adaptive":
         return np.full((1, L.shape[0]), int(mode))
     sigma_sq = np.reshape(sigma_sq, (-1, 1))
-    return select_modulation(np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base))
+    return select_modulation(np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(2.0))
 
 
-def drop_power_sample(fact, sigma_sq, modes, seed, vectors=100, base=2.0) -> dict:
+def drop_power_sample(fact, sigma_sq, modes, seed, vectors=100) -> dict:
     """Total THP transmit power of one drop, averaged over random data vectors.
 
     fact is the drop's TriangularFactorization; its degenerate streams
     transmit nothing.  Each of modes is "adaptive" (constellations from the
-    per-stream ZF-DPC capacity) or a fixed order in {4, 16, 64}.  Returns
+    per-stream ZF-DPC capacity in bps/Hz, whatever a run's log_base) or a
+    fixed order in {4, 16, 64}.  Returns
     {mode: one sample per entry of sigma_sq}, every mode at every noise power
     from one precode pass.  Each sample draws its data from
     np.random.default_rng(seed): a fresh generator per sample when seed is a
@@ -168,7 +169,7 @@ def drop_power_sample(fact, sigma_sq, modes, seed, vectors=100, base=2.0) -> dic
     """
     L = fact.L
     sigma_sq = np.atleast_1d(sigma_sq)
-    orders = {mode: _orders(L, sigma_sq, mode, base) for mode in modes}
+    orders = {mode: _orders(L, sigma_sq, mode) for mode in modes}
     rows = np.concatenate(list(orders.values()))
     data = np.concatenate([draw_symbols(o, np.random.default_rng(seed), vectors) for o in rows])
     taus = np.repeat(_BASES[_rows(rows)], vectors, axis=0)

@@ -234,7 +234,7 @@ def test_tau_smf2_monte_carlo_oracle(rng):
     from cloudradio import tagged_rate_samples
 
     lam, s2 = 0.3, 0.1
-    samples = tagged_rate_samples(("smf2",), 20000, lam, s2, 1.0, 4.0, 2.0, rng)["smf2"]
+    samples = tagged_rate_samples(("smf2",), 20000, lam, s2, 1.0, 4.0, rng)["smf2"]
     for t in (0.5, 1.5, 3.0):
         emp = np.mean(samples > t)
         assert abs(emp - tau_smf2(lam, s2, 1.0, t)) < 0.02

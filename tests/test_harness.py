@@ -10,7 +10,7 @@ import pytest
 from cloudradio import (ConfigError, ExperimentConfig, PRESETS, Region, crossvalidate,
                         load_config_file, preset_config, run, sample_ppp, simulate_drop,
                         tagged_rate_samples, validate)
-from cloudradio import cli, harness, precoding, qam_constellation
+from cloudradio import channel, cli, harness, precoding, qam_constellation
 from cloudradio.analytic import trunc_radius
 from cloudradio.cli import main
 from cloudradio.harness import SCHEMES, Drop
@@ -118,6 +118,100 @@ def test_sweep_equals_its_single_snr_runs():
         assert {s for s, _ in sweep} == set(SCHEMES)
         for key, rates in singles.items():
             assert np.array_equal(sweep[key], rates), key
+
+
+def test_log_base_scales_rates_once_and_leaves_thp_alone():
+    # every kernel, THP's adaptive orders and the tagged sampler work in
+    # bps/Hz; simulate_drop alone converts the rates, by s = fl(fl(ln 2) /
+    # fl(ln b)).  Bound, fixed before measuring, with u = 2**-53: libm's log
+    # is within 1 ulp (2u relative), so s is within 5u of ln 2 / ln b, and the
+    # product r2 * s adds u.  The reference r2 * f, f = ln 2 / ln b rounded
+    # once from 50 digits, is within 2u.  So the two differ by at most 8u
+    # relative, plus terms in u**2: 9u.  THP powers and the crossvalidate
+    # report have no rate unit and must not move a bit
+    import mpmath
+
+    cfg = ExperimentConfig(schemes=tuple(SCHEMES), snr_db=[0.0, 10.0, 30.0], csi_l=4,
+                           cluster_radius_km=4.0, smf_l=3, thp_vectors=20, seed=3)
+    xv = ExperimentConfig(schemes=("tic", "smf2", "smf2-interf"), crossval_samples=2000, seed=3)
+    xv_bits = crossvalidate(xv)
+    seen = set()
+    for b in (math.e, 10.0):
+        with mpmath.workdps(50):
+            f = float(mpmath.log(2) / mpmath.log(b))
+        for i in range(3):
+            bits = simulate_drop(cfg, i)
+            other = simulate_drop(replace(cfg, log_base=b), i)
+            assert other.keys() == bits.keys()
+            for key, r2 in bits.items():
+                seen.add(key[0])
+                if key[0] in harness._THP_MODES:
+                    assert other[key].tobytes() == r2.tobytes(), (b, i, key)
+                else:
+                    want = r2 * f
+                    assert np.all(np.abs(other[key] - want) <= 9 * 2.0**-53 * want), (b, i, key)
+        assert crossvalidate(replace(xv, log_base=b)) == xv_bits
+    assert seen == set(SCHEMES)
+
+
+# presets that together run every rate scheme and THP
+SCALE_PRESETS = ("fig-bounds", "fig-uplink", "fig-partial", "fig-partial-8", "fig-tx-pow")
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_drop_pipeline_is_scale_invariant(monkeypatch, c):
+    # A PPP network is scale-free: every length times c, both intensities over
+    # c**2 and the SNR up by 10 alpha log10(c) dB leave every SINR unchanged.
+    # The one length the pipeline fixes, channel.MIN_DISTANCE_KM (the 1 m
+    # clamp), is scaled by c through monkeypatch for the scaled runs.
+    # At a power of two the scaled drop draws the same numbers: lam * area,
+    # each uniform times the region, the association's squared offsets and
+    # band, the cluster centre and radius and every coordinate difference
+    # scale exactly, so the counts, cohort, fades and cluster split are equal.
+    # Bound, fixed before measuring, u = 2**-53, libm within 1 ulp (2u):
+    # - what rounds differently: sigma^2 from the shifted dB value (the
+    #   shift's log10 and product, the sum, /10 and 10**x amplified by ln 10:
+    #   under 24u); a distance (hypot at both scales, 4u); a channel entry
+    #   (z**(-alpha/2), 2 * 4u + 2 * 2u, and its product: 14u); a received
+    #   power (38u); the inter-cluster power (22u per term and its sum's
+    #   2(n - 1)u, n < 240 BSs).  Every input is within delta = 2**9 u;
+    # - the kernels amplify that by their conditioning: conventional takes
+    #   the signal from its row sum, and the factorizations (ZF-DPC, SIC,
+    #   partial CSI, clustering, the MMSE inverse) by the cohort channel's
+    #   condition.  Neither has an a priori bound; the test allows 2**15, so
+    #   an SINR, or an MMSE error, moves by at most 2**-29 relative;
+    # - a rate moves by that over ln 2 in absolute bits: |d log2(1 + x)| <=
+    #   (dx / x) / ln 2 and |d log2(mse)| = (dmse / mse) / ln 2.  A relative
+    #   bound would not hold where a rate is near 0, as MMSE's -log(mse) can
+    #   be; the rates' own log and division add 4u |r|.
+    # So |scaled - unscaled| <= 2**-28 (1 + |r|).  A length or intensity the
+    # pipeline failed to scale moves rates by a good fraction of a bit.
+    # THP samples are stated apart: a sample is a mean of modulo-reduced
+    # powers, so rounding that moves one modulo wrap, or one adaptive order
+    # (a capacity across 4 or 7 bits), moves it by O(1 / vectors), and nothing
+    # bounds how near a drop comes to either.  Without such a move the
+    # feedback l_ij / l_ii is scale-free and the power moves by rounding alone.
+    # THP samples are held to 2**-20 relative, which also states that no wrap
+    # or order moved on these drops
+    for name in SCALE_PRESETS:
+        cfg = replace(preset_config(name), drops=20, seed=11)
+        scaled = replace(cfg, region_km=tuple(c * w for w in cfg.region_km),
+                         lambda_b=cfg.lambda_b / c**2,
+                         lambda_u=cfg.lambda_u and cfg.lambda_u / c**2,
+                         snr_db=cfg.snr_db + 10.0 * cfg.alpha * math.log10(c),
+                         cluster_radius_km=cfg.cluster_radius_km and cfg.cluster_radius_km * c)
+        for i in range(cfg.drops):
+            want = {s: r for (s, _), r in simulate_drop(cfg, i).items()}
+            with monkeypatch.context() as m:
+                m.setattr(channel, "MIN_DISTANCE_KM", channel.MIN_DISTANCE_KM * c)
+                got = {s: r for (s, _), r in simulate_drop(scaled, i).items()}
+            assert got.keys() == want.keys(), (name, i)
+            for s, r in want.items():
+                assert got[s].shape == r.shape, (name, i, s)
+                if s in harness._THP_MODES:
+                    assert np.all(np.abs(got[s] - r) <= 2.0**-20 * r), (name, i, s)
+                else:
+                    assert np.all(np.abs(got[s] - r) <= 2.0**-28 * (1.0 + r)), (name, i, s)
 
 
 def test_run_identical_bytes_and_worker_invariance(tmp_path):
@@ -258,10 +352,10 @@ def test_run_thp_power_scheme(tmp_path):
     assert report.summaries["thp-fixed4"]["10"]["mean"] > 0
 
 
-def _per_stream_thp_power(L, sigma_sq, mode, rng, vectors, base):
+def _per_stream_thp_power(L, sigma_sq, mode, rng, vectors):
     """THP power as one draw and one modulo per stream (the unbatched algorithm)."""
     if mode == "adaptive":
-        caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(base)
+        caps = np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(2.0)
         orders = [64 if c > 7 else 16 if c > 4 else 4 for c in caps]
     else:
         orders = [mode] * L.shape[0]
@@ -300,7 +394,7 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
         assert rows.shape == (3, 1)
         for j, s2 in enumerate(sigma_sq):
             sub = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(5, 1)))
-            want = _per_stream_thp_power(L, s2, mode, sub, 37, 2.0)
+            want = _per_stream_thp_power(L, s2, mode, sub, 37)
             assert rows[j, 0] == want, (scheme, s2)
 
 
@@ -343,14 +437,14 @@ TAGGED = ("tic", "smf2", "smf2-interf")
 def test_tagged_samples_schemes(rng):
     before = rng.bit_generator.state
     with pytest.raises(ConfigError, match="zfdpc"):
-        tagged_rate_samples(("tic", "zfdpc"), 10, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+        tagged_rate_samples(("tic", "zfdpc"), 10, 0.3, 0.1, 1.0, 4.0, rng)
     assert rng.bit_generator.state == before
-    s = tagged_rate_samples(("tic",), 2000, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+    s = tagged_rate_samples(("tic",), 2000, 0.3, 0.1, 1.0, 4.0, rng)
     assert list(s) == ["tic"]
     assert s["tic"].shape == (2000,) and np.all(s["tic"] >= 0)
 
 
-def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
+def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=20000):
     """Reference tagged sampler: one lexsort over (sample, distance) per batch.
 
     Same draws as tagged_rate_samples; the smf2-interf field beyond the two
@@ -378,7 +472,7 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=2
             i_r = np.array([math.fsum(p[a + 2:b]) for a, b in zip(starts[:-1], starts[1:])])
             i_r += tail_mean
             sinr = (z1p + z2p) / (sigma_sq + i_r)
-        out.append(np.log1p(sinr) / np.log(base))
+        out.append(np.log1p(sinr) / np.log(2.0))
     return np.concatenate(out)
 
 
@@ -386,7 +480,7 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=2
 def test_tagged_samples_match_lexsort_reference(scheme):
     # ten blocks; for smf2-interf, subtracting the two nearest powers from
     # the whole field instead of summing the rest misses this by up to 1.9e-5
-    args = (5000, 0.3, 0.1, 1.0, 4.0, 2.0)
+    args = (5000, 0.3, 0.1, 1.0, 4.0)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = tagged_rate_samples(TAGGED, *args, rng)[scheme]
     ref = lexsort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
@@ -397,7 +491,7 @@ def test_tagged_samples_match_lexsort_reference(scheme):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, batch=20000):
+def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=20000):
     """Reference tagged sampler: each whole batch as one inf-padded, row-sorted array."""
     radius = trunc_radius(lam) + 10.0
     tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
@@ -423,7 +517,7 @@ def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, base, rng, bat
         else:
             i_r = p[:, 2:].sum(axis=1) + tail_mean
             sinr = (z1p + z2p) / (sigma_sq + i_r)
-        out[done:done + m] = np.log1p(sinr) / np.log(base)
+        out[done:done + m] = np.log1p(sinr) / np.log(2.0)
         done += m
     return out
 
@@ -443,7 +537,7 @@ def test_tagged_samples_match_padded_sort_bits(scheme, n, alpha_mu):
     # the reference's bits, block by block, and the generator ends where the
     # reference leaves it
     for alpha, mu in alpha_mu:
-        args = (n, 0.3, 0.1, mu, alpha, 2.0)
+        args = (n, 0.3, 0.1, mu, alpha)
         ref_rng = np.random.default_rng(n)
         want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
         for schemes in ((scheme,), TAGGED):
@@ -473,7 +567,7 @@ def test_tagged_samples_memory_is_per_block(schemes):
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        tagged_rate_samples(schemes, 20000, 0.3, 0.1, 1.0, 4.0, 2.0, rng)
+        tagged_rate_samples(schemes, 20000, 0.3, 0.1, 1.0, 4.0, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +578,7 @@ def test_tagged_samples_memory_is_per_block(schemes):
 def test_tagged_samples_take_any_generator(bit_generator):
     # every draw comes straight from the generator, so any bit generator gives
     # the reference's bits and end state
-    args = (1500, 0.3, 0.1, 1.0, 4.0, 2.0)
+    args = (1500, 0.3, 0.1, 1.0, 4.0)
     rng, ref_rng = (np.random.Generator(bit_generator(3)) for _ in range(2))
     got = tagged_rate_samples(("smf2-interf",), *args, rng)["smf2-interf"]
     want = padded_sort_rate_samples("smf2-interf", *args, ref_rng, batch=harness._BLOCK_ROWS)
@@ -499,7 +593,7 @@ def test_tagged_samples_keep_a_buffered_uint32(scheme):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     for g in (rng, ref_rng):
         g.integers(2**32, dtype=np.uint32)
-    args = (5001, 0.3, 0.1, 1.0, 4.0, 2.0)
+    args = (5001, 0.3, 0.1, 1.0, 4.0)
     got = tagged_rate_samples((scheme,), *args, rng)[scheme]
     want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -702,6 +796,22 @@ def test_cli_run_assert_failure_exits_4(tmp_path, capsys):
                  "--output-dir", str(tmp_path), "--assert"])
     assert code == 4
     assert "assertion failed" in capsys.readouterr().err
+
+
+def test_cli_run_assert_reads_its_bands_in_bps_per_hz(tmp_path, capsys):
+    # the bands are in bps/Hz and the summaries in log_base units; on these
+    # drops the conventional mean is 2.272 bps/Hz, which once read 1.575 at
+    # base e and passed [1.467, 1.793]
+    lines = {}
+    for base in ("2", str(math.e)):
+        code = main(["run", "--preset", "fig-conv-zf", "--drops", "100", "--seed", "20240811",
+                     "--log-base", base, "--output-dir", str(tmp_path / base), "--assert"])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        lines[base] = [line for line in err if line.startswith("assertion failed:")]
+    assert lines["2"] == lines[str(math.e)]
+    assert any(line.startswith("assertion failed: conventional@10dB mean=2.272")
+               for line in lines["2"])
 
 
 def test_cli_crossvalidate_assert_exits_4_per_scheme(monkeypatch, capsys):

@@ -191,13 +191,6 @@ def test_rates_non_negative_finite(rng):
         assert np.all(r >= 0) and np.all(np.isfinite(r))
 
 
-def test_log_base_configurable():
-    H = np.eye(2, dtype=complex)
-    nats = zfdpc_rates(H, 0.1, base=np.e)
-    bits = zfdpc_rates(H, 0.1)
-    assert np.allclose(nats * np.log2(np.e), bits)
-
-
 @pytest.mark.parametrize("rates", [
     conventional_rates,
     zfdpc_rates,
