@@ -32,8 +32,8 @@ for i in range(cfg.drops):
 means = [float(np.mean(np.concatenate(acc[s]))) for s in cfg.snr_list]
 for snr, m in zip(cfg.snr_list, means):
     print(f"  {snr:5.0f} dB: mean {m:.2f} bps/Hz")
-sat = detect_saturation(cfg.snr_list, means)
-if sat.saturated:
-    print(f"saturates at {sat.snr_db:.0f} dB with plateau {sat.plateau:.2f} bps/Hz")
+snr_db, plateau = detect_saturation(cfg.snr_list, means)
+if snr_db is not None:
+    print(f"saturates at {snr_db:.0f} dB with plateau {plateau:.2f} bps/Hz")
 else:
     print("not saturated in range")

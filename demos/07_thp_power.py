@@ -9,8 +9,7 @@ when every stream is forced onto QPSK.
 import numpy as np
 
 from cloudradio import (Region, associate, build_cdf, build_channel, lq_factor,
-                        qam_constellation, sample_ppp, select_cohort, thp, thp_loopback,
-                        thp_precode)
+                        qam_constellation, sample_ppp, select_cohort, thp, thp_precode)
 from cloudradio.channel import sigma_sq_from_snr_db
 from cloudradio.geometry import distance_block
 from cloudradio.thp import draw_symbols, select_modulation
@@ -40,7 +39,11 @@ orders = select_modulation(np.log2(1.0 + fact.stream_gains**2 / sigma_sq))
 taus = np.array([qam_constellation(M)[1] for M in orders])
 data = draw_symbols(orders, rng)
 u = thp_precode(fact.L, data, taus, fact.degenerate)
-rec = thp_loopback(fact.L, u, taus)
+# the receiver scales y = L u by 1/l_ii and takes the precoder's symmetric
+# modulo, mod(x + tau/2, tau) - tau/2, of the real and imaginary parts
+y = (fact.L @ u.T).T / np.real(np.diag(fact.L))
+half = taus / 2.0
+rec = (np.mod(y.real + half, taus) - half) + 1j * (np.mod(y.imag + half, taus) - half)
 print(f"one drop, k = {data.shape[1]}: max loopback error = {np.max(np.abs(rec - data)):.2e}")
 print(f"adaptive constellations in use: {sorted(set(orders.tolist()))}")
 

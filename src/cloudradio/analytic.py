@@ -3,9 +3,10 @@
 Closed forms and integrals for the probability tau(t) that a tagged user's
 rate exceeds t, under total interference cancellation (single-branch) and
 two-branch matched-filter combining, with an optional Laplace-transform
-average over the uncancellable interference field.  Thresholds enter through
-gamma(t) = base**t - 1 (base e gives natural-log rate units), fades are
-exponential with mean 1/mu, and received power decays as z**(-alpha).
+average over the uncancellable interference field.  Thresholds are rates in
+bps/Hz and enter through gamma(t) = 2**t - 1 (a threshold of x nats is
+x / ln 2 bits), fades are exponential with mean 1/mu, and received power
+decays as z**(-alpha).
 
 Both formulas integrate over the log of the nearest distance, u = ln z on
 [ln zmax - LOG_SPAN, ln zmax] with zmax = trunc_radius(lam).  At a deep
@@ -25,7 +26,7 @@ alpha = 4 and otherwise scipy's hyp2f1, the one scipy name here, imported in
 that branch.
 
 Every curve takes one checked path, _coverage, which checks the parameters
-and the result.  tau_tic and tau_smf2 are one-element calls of their curves.
+and the result.
 """
 
 import math
@@ -35,8 +36,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .numerics import NumericalError
 
-__all__ = ["gamma_threshold", "laplace_ir", "tau_smf2", "tau_smf2_curve", "tau_tic",
-           "tau_tic_curve"]
+__all__ = ["gamma_threshold", "tau_smf2_curve", "tau_tic_curve"]
 
 # relative error tolerance of every quadrature
 REL_TOL = 1e-6
@@ -76,9 +76,9 @@ def trunc_radius(lam) -> float:
     return float(np.sqrt(np.log(1.0 / TRUNC_CUTOFF) / (np.pi * lam)))
 
 
-def gamma_threshold(t, base=2.0):
-    """SINR threshold implied by a rate threshold: gamma = base**t - 1."""
-    return np.power(base, t) - 1.0
+def gamma_threshold(t):
+    """SINR threshold implied by a rate threshold t in bps/Hz: gamma = 2**t - 1."""
+    return np.power(2.0, t) - 1.0
 
 
 def erfcx(x) -> np.ndarray:
@@ -109,10 +109,10 @@ def _check_quad(value, abserr, what):
     return value
 
 
-def _check_params(alpha, alpha_min, base, **positive):
-    """ValueError unless alpha > alpha_min, base > 1, each keyword > 0, all finite."""
+def _check_params(alpha, alpha_min, **positive):
+    """ValueError unless alpha > alpha_min, each keyword > 0, all finite."""
     bounds = {name: (0.0, v) for name, v in positive.items()}
-    bounds.update(alpha=(alpha_min, alpha), base=(1.0, base))
+    bounds.update(alpha=(alpha_min, alpha))
     for name, (low, v) in bounds.items():
         if not low < v < math.inf:
             raise ValueError(f"{name} must lie in ({low:g}, inf), not {v}")
@@ -167,7 +167,7 @@ def quad(hi, outer, m, what):
         parts += [(a, mid, *_qk21(outer, a, mid, m)), (mid, b, *_qk21(outer, mid, b, m))]
 
 
-def _coverage(lam, sigma_sq, mu, thresholds, alpha, base, formula, with_interference=False):
+def _coverage(lam, sigma_sq, mu, thresholds, alpha, formula, with_interference=False):
     """Coverage at each rate threshold, through the one checked path.
 
     Parameters out of range (alpha must exceed 2 with interference) and a NaN
@@ -175,14 +175,14 @@ def _coverage(lam, sigma_sq, mu, thresholds, alpha, base, formula, with_interfer
     to their coverage; gamma <= 0 is covered with probability 1.  The result
     must lie in [0, 1] and not increase with the threshold.
     """
-    _check_params(alpha, 2.0 if with_interference else -math.inf, base,
+    _check_params(alpha, 2.0 if with_interference else -math.inf,
                   lam=lam, sigma_sq=sigma_sq, mu=mu)
     t = np.asarray(thresholds, dtype=float)
     nan = np.flatnonzero(np.isnan(t))
     if nan.size:
         # a NaN would fail `gamma > 0` and pass as covered with probability 1
         raise ValueError(f"threshold {nan[0]} of {t.size} is NaN")
-    g = gamma_threshold(t, base)
+    g = gamma_threshold(t)
     cov = np.ones(t.shape)
     live = g > 0
     if live.any():
@@ -217,7 +217,7 @@ def _tic_coverage(lam, sigma_sq, mu, g, alpha):
     return closed
 
 
-def tau_tic_curve(lam, sigma_sq, mu, thresholds, alpha=4.0, base=2.0) -> np.ndarray:
+def tau_tic_curve(lam, sigma_sq, mu, thresholds, alpha=4.0) -> np.ndarray:
     """Coverage with the serving branch only and interference cancelled.
 
     Evaluates 2*pi*lam * integral of z * exp(-z**2*lam*pi
@@ -225,13 +225,14 @@ def tau_tic_curve(lam, sigma_sq, mu, thresholds, alpha=4.0, base=2.0) -> np.ndar
     alpha in {2, 4} the closed form is returned after asserting agreement
     with the quadrature to 1e-6 at each threshold.
     """
-    return _coverage(lam, sigma_sq, mu, thresholds, alpha, base,
+    return _coverage(lam, sigma_sq, mu, thresholds, alpha,
                      lambda g: _tic_coverage(lam, sigma_sq, mu, g, alpha))
 
 
-def tau_tic(lam, sigma_sq, mu, t, alpha=4.0, base=2.0) -> float:
+# kept for cloudbench/layers.py, which binds it by name when it starts tracing
+def tau_tic(lam, sigma_sq, mu, t, alpha=4.0) -> float:
     """tau_tic_curve at the one threshold t."""
-    return float(tau_tic_curve(lam, sigma_sq, mu, [t], alpha, base)[0])
+    return float(tau_tic_curve(lam, sigma_sq, mu, [t], alpha)[0])
 
 
 def _laplace_exponent_integral(A, excl, alpha):
@@ -250,28 +251,6 @@ def _laplace_exponent_integral(A, excl, alpha):
     from scipy.special import hyp2f1  # scipy is needed at alpha != 4 alone
     b = A / excl**alpha
     return excl**2 * b / (alpha - 2.0) * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b)
-
-
-def laplace_ir(z, t, lam, alpha=4.0, base=2.0) -> float:
-    """Laplace transform of the interference beyond z, at s = mu*gamma*z**alpha.
-
-    E[exp(-s I_r)] over PPP interferer positions (all farther than z) and
-    exponential fades of mean 1/mu:
-        exp(-2*pi*lam * integral_z^inf gamma*v / (gamma + (v/z)**alpha) dv).
-    The value does not depend on mu: I_r is 1/mu times the field of unit-mean
-    fades, so s*I_r is that of mu = 1.  lam may be 0; a parameter out of
-    range or a NaN t raises ValueError.
-    """
-    _check_params(alpha, 2.0, base, z=z)
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be finite and not negative, not {lam}")
-    if np.isnan(t):
-        raise ValueError("threshold is NaN")
-    g = gamma_threshold(t, base)
-    if g <= 0 or lam == 0:
-        return 1.0
-    A = g * z**alpha
-    return float(np.exp(-2.0 * np.pi * lam * _laplace_exponent_integral(A, z, alpha)))
 
 
 def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
@@ -370,7 +349,7 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
 
 
 def tau_smf2_curve(lam, sigma_sq, mu, thresholds, with_interference=False,
-                   alpha=4.0, base=2.0) -> np.ndarray:
+                   alpha=4.0) -> np.ndarray:
     """Coverage for two-branch matched-filter combining of the nearest BSs.
 
     Double integral over 0 < z1 < z2 of the nearest-distance density
@@ -380,11 +359,12 @@ def tau_smf2_curve(lam, sigma_sq, mu, thresholds, with_interference=False,
     multiplies each exponential term by the Laplace transform of the field
     beyond z2 at the matching argument.
     """
-    return _coverage(lam, sigma_sq, mu, thresholds, alpha, base,
+    return _coverage(lam, sigma_sq, mu, thresholds, alpha,
                      lambda g: _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha),
                      with_interference)
 
 
-def tau_smf2(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0, base=2.0) -> float:
+# kept for cloudbench/layers.py, which binds it by name when it starts tracing
+def tau_smf2(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0) -> float:
     """tau_smf2_curve at the one threshold t."""
-    return float(tau_smf2_curve(lam, sigma_sq, mu, [t], with_interference, alpha, base)[0])
+    return float(tau_smf2_curve(lam, sigma_sq, mu, [t], with_interference, alpha)[0])

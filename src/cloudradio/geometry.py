@@ -58,6 +58,7 @@ class Region:
         return (0.5 * self.width, 0.5 * self.height)
 
 
+# a class, not a pair of arrays, because cloudbench/layers.py counts streams by its .k
 @dataclass
 class Cohort:
     """One scheduling round: k (BS, UE) pairs, every UE at its primary BS.

@@ -1,4 +1,4 @@
-"""Aggregation of rate samples: empirical CDFs, gains, KS distance, saturation."""
+"""Aggregation of rate samples: empirical CDFs, gains, saturation."""
 
 from dataclasses import dataclass
 
@@ -7,10 +7,8 @@ import numpy.ma  # noqa: F401  np.quantile imports it on first use, through np.u
 
 __all__ = [
     "RateCdf",
-    "SaturationResult",
     "build_cdf",
     "gain_percent",
-    "ks_distance",
     "detect_saturation",
 ]
 
@@ -69,26 +67,13 @@ def gain_percent(test: RateCdf, baseline: RateCdf, statistic="mean") -> float:
     return 100.0 * (t - b) / b
 
 
-def ks_distance(a: RateCdf, b: RateCdf) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
-    grid = np.concatenate([a.samples, b.samples])
-    return float(np.max(np.abs(a.cdf_at(grid) - b.cdf_at(grid))))
-
-
-@dataclass
-class SaturationResult:
-    saturated: bool
-    snr_db: float | None
-    plateau: float | None
-
-
-def detect_saturation(snr_grid, means) -> SaturationResult:
+def detect_saturation(snr_grid, means):
     """Find where a mean-rate SNR sweep stops growing.
 
     Saturation is the smallest grid SNR beyond which every relative increase,
     normalized per SATURATION_PER_DB dB, stays below SATURATION_STEP.  The
-    plateau is the mean of the tail from that point on.  Returns
-    saturated=False when no such point exists in range.
+    plateau is the mean of the tail from that point on.  Returns the pair
+    (snr_db, plateau), or (None, None) when no such point exists in range.
     """
     snr = np.asarray(snr_grid, dtype=float)
     m = np.asarray(means, dtype=float)
@@ -99,5 +84,5 @@ def detect_saturation(snr_grid, means) -> SaturationResult:
     steps = np.diff(m) / m[:-1] * (SATURATION_PER_DB / np.diff(snr))
     for i in range(steps.size):
         if np.all(steps[i:] < SATURATION_STEP):
-            return SaturationResult(True, float(snr[i]), float(m[i:].mean()))
-    return SaturationResult(False, None, None)
+            return float(snr[i]), float(m[i:].mean())
+    return None, None

@@ -11,7 +11,9 @@ array.  qam_constellation gives an order's points and modulo base as a plain
 (array, float) pair, and the two are rows of two tables built once from it.
 thp_precode runs the k sequential steps over a whole batch of data vectors at
 once, and drop_power_sample evaluates every mode of a drop over a whole SNR
-sweep in one precode pass.
+sweep in one precode pass.  The program needs only the transmit power, so the
+receiver's modulo, which recovers the data, is a test oracle in
+tests/test_thp.py.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ import numpy as np
 __all__ = [
     "qam_constellation",
     "thp_precode",
-    "thp_loopback",
 ]
 
 SUPPORTED_ORDERS = (4, 16, 64)
@@ -77,15 +78,6 @@ def draw_symbols(orders, rng, batch=1):
     return _POINTS[_rows(orders)[:, None], idx].T.copy()
 
 
-def symmetric_modulo(x, tau):
-    """Wrap real and imaginary parts independently into [-tau/2, tau/2)."""
-    # (re, im) pairs of a float view, each wrapped by the same np.mod
-    parts = np.asarray(x, dtype=complex)[..., None].view(np.float64)
-    tau = np.asarray(tau)[..., None]
-    wrapped = np.mod(parts + tau / 2.0, tau) - tau / 2.0
-    return wrapped.view(complex)[..., 0][()]
-
-
 def thp_precode(L, data, taus, off=None):
     """Successive modulo pre-subtraction of the known triangular interference.
 
@@ -102,8 +94,8 @@ def thp_precode(L, data, taus, off=None):
     feedback coefficients l_ij / l_ii are divided once, so a step broadcasts
     nothing.  A step is the feedback product, then, each in place: subtract
     it, add tau/2, take mod tau on the (batch, 2) float view, and subtract
-    tau/2 straight into u's column.  The result is bit-identical to one
-    symmetric_modulo call per stream.
+    tau/2 straight into u's column.  The result is bit-identical to the
+    reference in tests/test_thp.py, one symmetric_modulo call per stream.
     """
     k = L.shape[0]
     off = np.zeros(k, dtype=bool) if off is None else np.asarray(off)
@@ -132,16 +124,6 @@ def thp_precode(L, data, taus, off=None):
         np.mod(parts, tau[i], out=parts)
         np.subtract(x, half[i], out=u[:, i])
     return u
-
-
-def thp_loopback(L, u, taus) -> np.ndarray:
-    """Recover symbols over the noiseless channel y = L u, u of shape (k,) or (batch, k).
-
-    recovered_i = mod_tau_i(y_i / l_ii); with correct precoding this equals
-    the data exactly, which is the precoder's primary correctness property.
-    """
-    y = (L @ np.transpose(u)).T
-    return symmetric_modulo(y / np.real(np.diag(L)), taus)
 
 
 def _orders(L, sigma_sq, mode):

@@ -8,10 +8,10 @@ from scipy.integrate import quad
 from scipy.linalg import block_diag
 from scipy.special import erfcx
 
-from cloudradio import (NumericalError, analytic, cli, gamma_threshold, laplace_ir, tau_smf2,
-                        tau_smf2_curve, tau_tic, tau_tic_curve)
-from cloudradio.analytic import (REL_TOL, _check_quad, _laplace_exponent_integral,
-                                 trunc_radius)
+from cloudradio import (NumericalError, analytic, cli, gamma_threshold, tau_smf2_curve,
+                        tau_tic_curve)
+from cloudradio.analytic import (REL_TOL, _check_quad, _laplace_exponent_integral, tau_smf2,
+                                 tau_tic, trunc_radius)
 
 
 def test_trunc_radius_tail_mass():
@@ -21,7 +21,6 @@ def test_trunc_radius_tail_mass():
 def test_gamma_threshold_bases():
     assert gamma_threshold(0.0) == 0.0
     assert gamma_threshold(1.0) == pytest.approx(1.0)
-    assert gamma_threshold(1.0, base=np.e) == pytest.approx(np.e - 1.0)
 
 
 def test_tau_tic_zero_threshold():
@@ -33,8 +32,13 @@ def test_tau_tic_noiseless_limit():
 
 
 def test_tau_tic_harmonic_closed_form():
-    # natural-log mode, alpha = 2: lam*pi / (lam*pi + mu*(e-1)*sigma^2)
-    got = tau_tic(0.3, 0.1, 1.0, 1.0, alpha=2.0, base=np.e)
+    # alpha = 2 at t = 1 nat: lam*pi / (lam*pi + mu*(e-1)*sigma^2).  A nat is
+    # 1/ln 2 bits, and 2**(1/ln 2) - 1 is the double e - 1, so the curve in
+    # bits gives the natural-log value to the last bit
+    nat = 1.0 / math.log(2.0)
+    assert gamma_threshold(nat) == math.e - 1.0
+    got = tau_tic(0.3, 0.1, 1.0, nat, alpha=2.0)
+    assert tau_tic_curve(0.3, 0.1, 1.0, [nat], alpha=2.0)[0] == got == 0.8457980248728412
     q = 0.3 * np.pi
     assert got == pytest.approx(q / (q + (np.e - 1.0) * 0.1), rel=1e-9)
     assert got == pytest.approx(0.8458, abs=2e-4)
@@ -105,6 +109,19 @@ def test_tau_tic_parameter_errors():
         tau_tic(0.0, 0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         tau_tic(0.3, 0.0, 1.0, 1.0)
+
+
+def laplace_ir(z, t, lam, alpha=4.0):
+    """Laplace transform of the interference beyond z, at s = mu*gamma*z**alpha.
+
+    E[exp(-s I_r)] over PPP interferer positions (all farther than z) and
+    exponential fades of mean 1/mu:
+        exp(-2*pi*lam * integral_z^inf gamma*v / (gamma + (v/z)**alpha) dv),
+    the factor the smf2 curve applies per branch.  It does not depend on mu:
+    I_r is 1/mu times the field of unit-mean fades, so s*I_r is that of mu = 1.
+    """
+    A = gamma_threshold(t) * z**alpha
+    return float(np.exp(-2.0 * np.pi * lam * _laplace_exponent_integral(A, z, alpha)))
 
 
 def test_laplace_trivial_cases():
@@ -182,7 +199,7 @@ def test_laplace_exponent_scales_out_of_the_exclusion_radius(alpha):
 
 
 def test_laplace_monte_carlo_oracle(rng):
-    # E[exp(-gamma I_r)] over PPP draws beyond z = 1, gamma = 1 (base 2, t = 1)
+    # E[exp(-gamma I_r)] over PPP draws beyond z = 1, gamma = 1 (t = 1 bps/Hz)
     lam, alpha, z = 0.3, 4.0, 1.0
     R = 25.0
     n = 100000
@@ -347,36 +364,6 @@ def test_interference_needs_alpha_above_two():
     for alpha in (2.0, 1.5):
         with pytest.raises(ValueError, match="alpha must lie in"):
             tau_smf2_curve(0.3, 0.1, 1.0, [1.0], True, alpha=alpha)
-        with pytest.raises(ValueError, match="alpha must lie in"):
-            laplace_ir(1.0, 1.0, 0.3, alpha=alpha)
-
-
-def test_base_must_exceed_one():
-    # at base <= 1 every gamma is <= 0 and every threshold passed as covered
-    for base in (1.0, 0.5, float("nan"), math.inf):
-        with pytest.raises(ValueError, match="base"):
-            tau_tic_curve(0.3, 0.1, 1.0, [1.0], base=base)
-        with pytest.raises(ValueError, match="base"):
-            tau_smf2_curve(0.3, 0.1, 1.0, [1.0], base=base)
-        with pytest.raises(ValueError, match="base"):
-            laplace_ir(1.0, 1.0, 0.3, base=base)
-
-
-def test_laplace_nan_threshold_raises():
-    # it returned nan
-    with pytest.raises(ValueError, match="NaN"):
-        laplace_ir(1.0, float("nan"), 0.3)
-
-
-def test_laplace_lam_must_be_finite_and_not_negative():
-    # lam = -0.3 returned 2.096, which is not a probability; lam = 0 is no interferers
-    assert laplace_ir(1.0, 1.0, 0.0) == 1.0
-    for lam in (-0.3, float("nan"), math.inf):
-        with pytest.raises(ValueError, match="lam"):
-            laplace_ir(1.0, 1.0, lam)
-    for name, bad in (("z", 0.0), ("z", float("nan"))):
-        with pytest.raises(ValueError, match=name):
-            laplace_ir(**{**dict(z=1.0, t=1.0, lam=0.3), name: bad})
 
 
 @settings(max_examples=25, deadline=None)
@@ -393,13 +380,13 @@ def test_curve_builders_and_csv():
     assert np.all(smf >= tic)
 
 
-def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0, base=2.0):
+def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0):
     """Reference tau_smf2: one nested scalar quad per threshold, outer error gated.
 
     The outer quad runs over u = ln z1, so it finds the integrand's peak at a
     deep threshold, where it sits far inside the PPP scale.
     """
-    g = gamma_threshold(t, base)
+    g = gamma_threshold(t)
     if g <= 0:
         return 1.0
     q = lam * np.pi
@@ -527,7 +514,7 @@ def test_tau_smf2_curve_matches_per_request_integrand(alpha, with_interference, 
     # divided difference folded into the rule weights change what a node
     # costs, not its value beyond rounding
     curve = tau_smf2_curve(lam, sigma_sq, 1.0, thresholds, with_interference, alpha=alpha)
-    ref = analytic._coverage(lam, sigma_sq, 1.0, thresholds, alpha, 2.0,
+    ref = analytic._coverage(lam, sigma_sq, 1.0, thresholds, alpha,
                              lambda g: smf2_coverage_per_request(lam, sigma_sq, 1.0, g,
                                                                  with_interference, alpha),
                              with_interference)
