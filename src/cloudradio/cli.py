@@ -10,7 +10,6 @@ import json
 # argparse's gettext imports locale on the first parse; imported with the
 # module, it is not imported inside main, where it would count as run time
 import locale  # noqa: F401
-import math
 import os
 import re
 import sys
@@ -33,11 +32,10 @@ CROSSVAL_LIMITS = {"tic": 0.02, "smf2": 0.02, "smf2-interf": 0.03}
 
 
 # config fields that --field-name options set, each parsed as a config file line is
-OVERRIDES = ("drops", "snr_db", "lambda_b", "lambda_u", "csi_l", "cluster_radius_km", "smf_l",
-             "schemes", "log_base", "seed", "output_dir")
+OVERRIDES = ("drops", "snr_db", "lambda_b", "lambda_u", "csi_l", "cluster_radius_km", "schemes",
+             "seed", "output_dir")
 OVERRIDE_HELP = {"snr_db": "scalar or comma list, e.g. '10' or '-6,0,10,20'",
-                 "schemes": "comma list of scheme names",
-                 "log_base": "rate log base (2: bps/Hz); THP power and crossvalidate ignore it"}
+                 "schemes": "comma list of scheme names"}
 
 
 def _add_overrides(p):
@@ -171,11 +169,10 @@ def _crossval_failures(crossval) -> list:
 
 
 def _check_preset(name, report) -> list:
-    bits = math.log2(report.config["log_base"])  # summaries are in log_base units
     failures = []
     for scheme, snr, stat, lo, hi in PRESET_CHECKS.get(name, []):
         try:
-            value = report.summaries[scheme][snr][stat] * bits
+            value = report.summaries[scheme][snr][stat]
         except KeyError:
             failures.append(f"{scheme}@{snr}dB missing from report")
             continue

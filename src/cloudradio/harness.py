@@ -72,11 +72,8 @@ class ExperimentConfig:
     schemes: tuple = ("conventional", "zfdpc")
     csi_l: int | None = None
     cluster_radius_km: float | None = None
-    smf_l: int | None = None  # None: full combining (l = k)
-    log_base: float = 2.0
     seed: int = 1234
     output_dir: str | None = None
-    thp_vectors: int = 100
     crossval_samples: int = 100_000
 
     @property
@@ -135,12 +132,6 @@ def validate(config: ExperimentConfig):
             errors.append(f"csi_l: required by scheme '{s}'")
         if s.startswith("clustered") and (config.cluster_radius_km or 0) <= 0:
             errors.append(f"cluster_radius_km: required by scheme '{s}'")
-    if config.smf_l is not None and config.smf_l < 1:
-        errors.append("smf_l: must be at least 1")
-    if config.log_base <= 1:
-        errors.append("log_base: must exceed 1")
-    if config.thp_vectors < 1:
-        errors.append("thp_vectors: must be at least 1")
     if config.crossval_samples < 1:
         errors.append("crossval_samples: must be at least 1")
     if config.seed < 0:
@@ -200,9 +191,12 @@ def preset_config(name) -> ExperimentConfig:
 def load_config_file(path) -> ExperimentConfig:
     """Parse a flat `key = value` text file into an ExperimentConfig."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config: cannot read '{path}': {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: cannot read '{path}': not UTF-8 text, {exc.reason} at "
+                          f"byte {exc.start}") from exc
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -238,7 +232,7 @@ def parse_field(key, val):
         if key == "snr_db":
             parts = [_finite(p) for p in val.split(",")]
             return parts if len(parts) > 1 else parts[0]
-        if key in ("drops", "csi_l", "smf_l", "seed", "thp_vectors", "crossval_samples"):
+        if key in ("drops", "csi_l", "seed", "crossval_samples"):
             return int(val)
         if key == "output_dir":
             return val
@@ -291,8 +285,7 @@ class Drop:
         c = self.config
         modes = {s: _THP_MODES[s] for s in c.schemes if s in _THP_MODES}
         seed = SeedSequence(c.seed, spawn_key=(self.index, 1))
-        power = thp.drop_power_sample(self.lq, self.sigma_sq, modes.values(), seed,
-                                      c.thp_vectors)
+        power = thp.drop_power_sample(self.lq, self.sigma_sq, modes.values(), seed)
         return {s: power[mode][:, None] for s, mode in modes.items()}
 
 
@@ -300,13 +293,12 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
                   dump_geometry=False, dump_channels=False) -> dict:
     """One network realization evaluated for every configured scheme.
 
-    Returns {(scheme, snr_db): rates array}.  Each scheme in SCHEMES runs once
-    over the whole SNR sweep, so the channel, the fades and every
+    Returns {(scheme, snr_db): rates array in bps/Hz}.  Each scheme in SCHEMES
+    runs once over the whole SNR sweep, so the channel, the fades and every
     factorization are shared by the sweep, which isolates the noise effect.
-    The kernels' bps/Hz become config.log_base units here alone, by a factor
-    of exactly 1.0 at base 2.  Power schemes (THP) produce a single sample
-    per drop and SNR, in no rate unit.  With debug_dir set, the drop writes
-    the point sets and the channel matrix it drew there.
+    Power schemes (THP) produce a single sample per drop and SNR.  With
+    debug_dir set, the drop writes the point sets and the channel matrix it
+    drew there.
     """
     rng = _drop_rng(config.seed, drop_index)
     region = Region(*config.region_km)
@@ -332,10 +324,9 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     snrs = config.snr_list
     sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in snrs])
     drop = Drop(config, drop_index, H, cluster, sigma_sq)
-    unit = math.log(2.0) / math.log(config.log_base)
     rows = {s: SCHEMES[s](drop) for s in config.schemes}
-    rows = {s: r if s in _THP_MODES else r * unit for s, r in rows.items() if r is not None}
-    return {(s, snr): r[j] for j, snr in enumerate(snrs) for s, r in rows.items()}
+    return {(s, snr): r[j] for j, snr in enumerate(snrs) for s, r in rows.items()
+            if r is not None}
 
 
 def _cluster_channel(config, region, bs, cohort, z, rng):
@@ -382,7 +373,7 @@ SCHEMES = {
     "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq),
     "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq),
     "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq),
-    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(d.config.smf_l or len(d.H), len(d.H))),
+    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, len(d.H)),
     "smf2": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, len(d.H))),
     "zfdpc-partial": lambda d: precoding.zfdpc_partial_rates(
         d.H, take_partial_csi(d.H, min(d.config.csi_l, len(d.H))), d.sigma_sq),
@@ -444,10 +435,13 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
     out_root = Path(config.output_dir or ".") / name
     dumps = {}
     if dump_geometry or dump_channels:
-        debug_dir = out_root / "debug"
-        debug_dir.mkdir(parents=True, exist_ok=True)
-        dumps = dict(debug_dir=debug_dir, dump_geometry=dump_geometry,
+        dumps = dict(debug_dir=out_root / "debug", dump_geometry=dump_geometry,
                      dump_channels=dump_channels)
+    # made before the first drop, so a path that cannot be a directory costs no drop
+    try:
+        dumps.get("debug_dir", out_root).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create '{exc.filename}': {exc.strerror}") from exc
     jobs = [(config, i, dumps if i < DEBUG_DROPS else {}) for i in range(config.drops)]
     # a fork pool starts all its processes at once, so never more than there are drops
     workers = min(workers, len(jobs))
@@ -469,8 +463,6 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
             effective += 1
         for key, rates in drop.items():
             collected.setdefault(key, []).append((i, rates))
-
-    out_root.mkdir(parents=True, exist_ok=True)
 
     sweep = len(config.snr_list) > 1
     # each CDF's sorted samples are freed once its summary and CSV are
@@ -610,7 +602,6 @@ def crossvalidate(config: ExperimentConfig) -> dict:
     CDF gap and the SNR shift (dB) between the two curves at CDF level 0.5.
     Every scheme reads the same tagged samples' fields, drawn once, block by
     block, from the (seed, 0xC0FFEE) substream that no drop draws from.
-    log_base is not read: gaps and dB shifts have no rate unit.
     """
     wanted = _crossval_schemes(config)
     sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])

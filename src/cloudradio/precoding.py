@@ -1,8 +1,8 @@
 """Per-stream achievable rates for every transmission scheme.
 
-Rates are log2(1 + SINR) in bps/Hz, whatever a run's log_base, with unit
-transmit power per stream throughout: no water-filling, no uplink power
-control.  Degenerate factorization streams get rate 0.
+Rates are log2(1 + SINR) in bps/Hz, with unit transmit power per stream
+throughout: no water-filling, no uplink power control.  Degenerate
+factorization streams get rate 0.
 
 Every rate function takes the channel as a k x k complex array and the noise
 power as a scalar sigma^2 or a 1-D array of m sigma^2 values.  A scalar gives

@@ -140,10 +140,9 @@ def drop_power_sample(fact, sigma_sq, modes, seed, vectors=100) -> dict:
 
     fact is the drop's TriangularFactorization; its degenerate streams
     transmit nothing.  Each of modes is "adaptive" (constellations from the
-    per-stream ZF-DPC capacity in bps/Hz, whatever a run's log_base) or a
-    fixed order in {4, 16, 64}.  Returns
-    {mode: one sample per entry of sigma_sq}, every mode at every noise power
-    from one precode pass.  Each sample draws its data from
+    per-stream ZF-DPC capacity in bps/Hz) or a fixed order in {4, 16, 64}.
+    Returns {mode: one sample per entry of sigma_sq}, every mode at every
+    noise power from one precode pass.  Each sample draws its data from
     np.random.default_rng(seed): a fresh generator per sample when seed is a
     seed, and seed itself when it is a Generator, so one mode at one noise
     power continues that generator's stream.  A fixed order does not depend

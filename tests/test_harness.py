@@ -42,7 +42,7 @@ def test_validate_names_fields():
 
 @pytest.mark.parametrize("field, value", [
     ("snr_db", math.inf), ("snr_db", [0.0, math.nan]), ("lambda_b", math.nan),
-    ("lambda_b", math.inf), ("log_base", math.nan), ("region_km", (10.0, math.inf)),
+    ("lambda_b", math.inf), ("mu", math.nan), ("region_km", (10.0, math.inf)),
     ("cluster_radius_km", math.inf),
 ])
 def test_validate_rejects_non_finite_floats(field, value):
@@ -108,8 +108,7 @@ def test_sweep_equals_its_single_snr_runs():
     # every scheme runs once per drop over the whole sweep; each SNR row must
     # be bit-identical to a run configured with that SNR alone
     cfg = ExperimentConfig(region_km=(12.0, 12.0), schemes=tuple(SCHEMES),
-                           snr_db=[0.0, 10.0, 30.0], csi_l=3, smf_l=4, cluster_radius_km=4.0,
-                           thp_vectors=10, seed=8)
+                           snr_db=[0.0, 10.0, 30.0], csi_l=3, cluster_radius_km=4.0, seed=8)
     for i in range(5):
         sweep = simulate_drop(cfg, i)
         singles = {}
@@ -119,40 +118,6 @@ def test_sweep_equals_its_single_snr_runs():
         assert {s for s, _ in sweep} == set(SCHEMES)
         for key, rates in singles.items():
             assert np.array_equal(sweep[key], rates), key
-
-
-def test_log_base_scales_rates_once_and_leaves_thp_alone():
-    # every kernel, THP's adaptive orders and the tagged sampler work in
-    # bps/Hz; simulate_drop alone converts the rates, by s = fl(fl(ln 2) /
-    # fl(ln b)).  Bound, fixed before measuring, with u = 2**-53: libm's log
-    # is within 1 ulp (2u relative), so s is within 5u of ln 2 / ln b, and the
-    # product r2 * s adds u.  The reference r2 * f, f = ln 2 / ln b rounded
-    # once from 50 digits, is within 2u.  So the two differ by at most 8u
-    # relative, plus terms in u**2: 9u.  THP powers and the crossvalidate
-    # report have no rate unit and must not move a bit
-    import mpmath
-
-    cfg = ExperimentConfig(schemes=tuple(SCHEMES), snr_db=[0.0, 10.0, 30.0], csi_l=4,
-                           cluster_radius_km=4.0, smf_l=3, thp_vectors=20, seed=3)
-    xv = ExperimentConfig(schemes=("tic", "smf2", "smf2-interf"), crossval_samples=2000, seed=3)
-    xv_bits = crossvalidate(xv)
-    seen = set()
-    for b in (math.e, 10.0):
-        with mpmath.workdps(50):
-            f = float(mpmath.log(2) / mpmath.log(b))
-        for i in range(3):
-            bits = simulate_drop(cfg, i)
-            other = simulate_drop(replace(cfg, log_base=b), i)
-            assert other.keys() == bits.keys()
-            for key, r2 in bits.items():
-                seen.add(key[0])
-                if key[0] in harness._THP_MODES:
-                    assert other[key].tobytes() == r2.tobytes(), (b, i, key)
-                else:
-                    want = r2 * f
-                    assert np.all(np.abs(other[key] - want) <= 9 * 2.0**-53 * want), (b, i, key)
-        assert crossvalidate(replace(xv, log_base=b)) == xv_bits
-    assert seen == set(SCHEMES)
 
 
 # presets that together run every rate scheme and THP
@@ -346,7 +311,7 @@ def test_run_clustered_schemes(tmp_path):
 
 def test_run_thp_power_scheme(tmp_path):
     cfg = ExperimentConfig(drops=4, seed=2, schemes=("thp-adaptive", "thp-fixed4"),
-                           thp_vectors=20, output_dir=str(tmp_path))
+                           output_dir=str(tmp_path))
     report = run(cfg, name="p")
     # one power sample per drop, roughly k with the modulo penalty on top
     assert report.summaries["thp-adaptive"]["10"]["n"] == 4
@@ -381,8 +346,7 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
     # substream, bit for bit
     modes = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
              "thp-fixed64": 64}
-    cfg = ExperimentConfig(schemes=tuple(modes), snr_db=[0.0, 10.0, 30.0], thp_vectors=37,
-                           seed=8)
+    cfg = ExperimentConfig(schemes=tuple(modes), snr_db=[0.0, 10.0, 30.0], seed=8)
     gen = np.random.default_rng(4)
     H = random_complex(gen, 9) * np.geomspace(0.3, 30.0, 9)[:, None]
     sigma_sq = np.array([1.0, 0.1, 0.001])
@@ -395,7 +359,7 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
         assert rows.shape == (3, 1)
         for j, s2 in enumerate(sigma_sq):
             sub = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(5, 1)))
-            want = _per_stream_thp_power(L, s2, mode, sub, 37)
+            want = _per_stream_thp_power(L, s2, mode, sub, 100)
             assert rows[j, 0] == want, (scheme, s2)
 
 
@@ -420,7 +384,7 @@ def test_zfdpc_scheme_reads_the_shared_factorization():
 
 
 def test_run_thp_sweep_identical_bytes_at_any_workers(tmp_path):
-    cfg = ExperimentConfig(drops=6, seed=9, snr_db=[0.0, 20.0], thp_vectors=21,
+    cfg = ExperimentConfig(drops=6, seed=9, snr_db=[0.0, 20.0],
                            schemes=("zfdpc", "thp-adaptive", "thp-fixed4", "thp-fixed64"),
                            output_dir=str(tmp_path))
     run(cfg, workers=1, name="w1")
@@ -707,7 +671,8 @@ def test_cli_dumped_channels_are_the_drops_own(tmp_path):
     (None, ["--lambda-b", "nan"], "lambda_b"),
     (None, ["--lambda-b", "inf"], "lambda_b"),
     (None, ["--snr-db", "nan"], "snr_db"),
-    (None, ["--log-base", "nan"], "log_base"),
+    # the deleted settings are unknown keys
+    ("log_base = 2\n", [], "line 1: unknown key 'log_base'"),
     ("region_km = 10xinf\n", [], "line 1: region_km"),
     # finite SNRs whose noise power underflows to 0 or overflows
     (None, ["--snr-db", "3300"], "snr_db"),
@@ -716,11 +681,17 @@ def test_cli_dumped_channels_are_the_drops_own(tmp_path):
     (None, ["--lambda-u", "-1"], "lambda_u"),
     # a preset and a config file are two starting points; neither is read
     (None, ["--preset", "fig-conv-zf", "--config", "missing.cfg"], "--preset"),
+    ("smf_l = 3\n", [], "line 1: unknown key 'smf_l'"),
+    ("thp_vectors = 10\n", [], "line 1: unknown key 'thp_vectors'"),
+    # a config file that is not UTF-8 text
+    (b"\xff\xfe = 3\n", [], "config: cannot read 'bad.cfg'"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text, argv, named):
     monkeypatch.chdir(tmp_path)
     if config_text is not None:
-        (tmp_path / "bad.cfg").write_text(config_text)
+        if isinstance(config_text, str):
+            config_text = config_text.encode()
+        (tmp_path / "bad.cfg").write_bytes(config_text)
         argv = ["--config", "bad.cfg"]
     assert main(["validate"] + argv) == 2
     err = capsys.readouterr().err
@@ -800,19 +771,42 @@ def test_cli_run_assert_failure_exits_4(tmp_path, capsys):
 
 
 def test_cli_run_assert_reads_its_bands_in_bps_per_hz(tmp_path, capsys):
-    # the bands are in bps/Hz and the summaries in log_base units; on these
-    # drops the conventional mean is 2.272 bps/Hz, which once read 1.575 at
-    # base e and passed [1.467, 1.793]
-    lines = {}
-    for base in ("2", str(math.e)):
-        code = main(["run", "--preset", "fig-conv-zf", "--drops", "100", "--seed", "20240811",
-                     "--log-base", base, "--output-dir", str(tmp_path / base), "--assert"])
-        assert code == 4
-        err = capsys.readouterr().err.splitlines()
-        lines[base] = [line for line in err if line.startswith("assertion failed:")]
-    assert lines["2"] == lines[str(math.e)]
-    assert any(line.startswith("assertion failed: conventional@10dB mean=2.272")
-               for line in lines["2"])
+    # the bands and the summaries are both in bps/Hz; on these drops the
+    # conventional mean is 2.272 bps/Hz, outside [1.467, 1.793]
+    code = main(["run", "--preset", "fig-conv-zf", "--drops", "100", "--seed", "20240811",
+                 "--output-dir", str(tmp_path), "--assert"])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("assertion failed: conventional@10dB mean=2.272") for line in err)
+
+
+@pytest.mark.parametrize("flag", ["--log-base", "--smf-l"])
+def test_cli_run_rejects_deleted_settings(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", flag, "3", "--drops", "2", "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dumps", [[], ["--dump-channels"]])
+def test_cli_run_output_dir_that_cannot_be_made_exits_2_before_any_drop(
+        tmp_path, monkeypatch, capsys, dumps):
+    # a regular file where the output directory, or with a dump flag its
+    # debug/, would go
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop was simulated")
+
+    monkeypatch.setattr(harness, "simulate_drop", no_drop)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "out" / "run").mkdir(parents=True)
+    (tmp_path / "out" / "run" / "debug").write_text("")
+    made = "run/debug" if dumps else "run"
+    for out in [tmp_path / "taken"] + ([tmp_path / "out"] if dumps else []):
+        assert main(["run", "--schemes", "zfdpc", "--drops", "2", "--output-dir", str(out)]
+                    + dumps) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output_dir: cannot create '{out / made}'"), err
 
 
 def test_cli_crossvalidate_assert_exits_4_per_scheme(monkeypatch, capsys):
