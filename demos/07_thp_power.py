@@ -28,7 +28,7 @@ while len(facts) < 150:
     if cohort.k < 2:
         continue
     z = distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices])
-    facts.append(lq_factor(build_channel(z, 1.0, 4.0, rng)))
+    facts.append(lq_factor(build_channel(z, 4.0, rng)))
     sizes.append(cohort.k)
 
 sigma_sq = sigma_sq_from_snr_db(10.0)

@@ -10,12 +10,12 @@ import math
 
 from cloudradio import ExperimentConfig, crossvalidate, tau_smf2_curve, tau_tic_curve
 
-print("point values at lam=0.3, sigma^2=0.1, mu=1, alpha=4 (rates in bps/Hz):")
+print("point values at lam=0.3, sigma^2=0.1, alpha=4 (rates in bps/Hz):")
 print(f"{'t':>5} {'tau_tic':>9} {'tau_smf2':>9} {'tau_smf2+interf':>16}")
 for t in (0.5, 1.0, 2.0, 4.0):
-    print(f"{t:5.1f} {tau_tic_curve(0.3, 0.1, 1.0, [t])[0]:9.4f} "
-          f"{tau_smf2_curve(0.3, 0.1, 1.0, [t])[0]:9.4f} "
-          f"{tau_smf2_curve(0.3, 0.1, 1.0, [t], with_interference=True)[0]:16.4f}")
+    print(f"{t:5.1f} {tau_tic_curve(0.3, 0.1, [t])[0]:9.4f} "
+          f"{tau_smf2_curve(0.3, 0.1, [t])[0]:9.4f} "
+          f"{tau_smf2_curve(0.3, 0.1, [t], with_interference=True)[0]:16.4f}")
 
 # at alpha = 4 the exponent integral beyond z is (sqrt(A)/2) arctan(sqrt(A)/z**2),
 # A = gamma z**4: pi/8 at gamma = z = 1, so the transform is exp(-2 pi lam pi/8)

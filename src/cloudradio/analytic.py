@@ -5,12 +5,12 @@ rate exceeds t, under total interference cancellation (single-branch) and
 two-branch matched-filter combining, with an optional Laplace-transform
 average over the uncancellable interference field.  Thresholds are rates in
 bps/Hz and enter through gamma(t) = 2**t - 1 (a threshold of x nats is
-x / ln 2 bits), fades are exponential with mean 1/mu, and received power
+x / ln 2 bits), fades are exponential with unit mean, and received power
 decays as z**(-alpha).
 
 Both formulas integrate over the log of the nearest distance, u = ln z on
 [ln zmax - LOG_SPAN, ln zmax] with zmax = trunc_radius(lam).  At a deep
-threshold the integrand peaks near z = (mu*gamma*sigma**2)**(-1/alpha), far
+threshold the integrand peaks near z = (gamma*sigma**2)**(-1/alpha), far
 inside the PPP scale (4e-4 km at t = 48 and 10 dB), where an adaptive rule
 over z in [0, zmax] can step over it; one over u cannot.  Every curve is one
 call of quad, the one outer integrator: one adaptive 21-point Gauss-Kronrod
@@ -177,7 +177,7 @@ def quad(hi, outer, m, what):
         parts += [(a, mid, *_qk21(outer, a, mid, m)), (mid, b, *_qk21(outer, mid, b, m))]
 
 
-def _coverage(lam, sigma_sq, mu, thresholds, alpha, formula, with_interference=False):
+def _coverage(lam, sigma_sq, thresholds, alpha, formula, with_interference=False):
     """Coverage at each rate threshold, through the one checked path.
 
     Parameters out of range (alpha must exceed 2 with interference) and a NaN
@@ -186,7 +186,7 @@ def _coverage(lam, sigma_sq, mu, thresholds, alpha, formula, with_interference=F
     must lie in [0, 1] and not increase with the threshold.
     """
     _check_params(alpha, 2.0 if with_interference else -math.inf,
-                  lam=lam, sigma_sq=sigma_sq, mu=mu)
+                  lam=lam, sigma_sq=sigma_sq)
     t = np.asarray(thresholds, dtype=float)
     nan = np.flatnonzero(np.isnan(t))
     if nan.size:
@@ -204,10 +204,10 @@ def _coverage(lam, sigma_sq, mu, thresholds, alpha, formula, with_interference=F
     return cov
 
 
-def _tic_coverage(lam, sigma_sq, mu, g, alpha):
+def _tic_coverage(lam, sigma_sq, g, alpha):
     """tau_tic at every SINR threshold of the vector g > 0, one quad over u."""
     q = lam * np.pi
-    c = mu * g * sigma_sq
+    c = g * sigma_sq
 
     def outer(u):  # one row, a column per threshold
         return np.exp(2 * u - q * math.exp(2 * u) - c * math.exp(alpha * u))[None]
@@ -227,22 +227,22 @@ def _tic_coverage(lam, sigma_sq, mu, g, alpha):
     return closed
 
 
-def tau_tic_curve(lam, sigma_sq, mu, thresholds, alpha=4.0) -> np.ndarray:
+def tau_tic_curve(lam, sigma_sq, thresholds, alpha=4.0) -> np.ndarray:
     """Coverage with the serving branch only and interference cancelled.
 
     Evaluates 2*pi*lam * integral of z * exp(-z**2*lam*pi
-    - mu*gamma*sigma**2*z**alpha) dz at each threshold of the grid.  For
+    - gamma*sigma**2*z**alpha) dz at each threshold of the grid.  For
     alpha in {2, 4} the closed form is returned after asserting agreement
     with the quadrature to 1e-6 at each threshold.
     """
-    return _coverage(lam, sigma_sq, mu, thresholds, alpha,
-                     lambda g: _tic_coverage(lam, sigma_sq, mu, g, alpha))
+    return _coverage(lam, sigma_sq, thresholds, alpha,
+                     lambda g: _tic_coverage(lam, sigma_sq, g, alpha))
 
 
 # kept for cloudbench/layers.py, which binds it by name when it starts tracing
-def tau_tic(lam, sigma_sq, mu, t, alpha=4.0) -> float:
+def tau_tic(lam, sigma_sq, t, alpha=4.0) -> float:
     """tau_tic_curve at the one threshold t."""
-    return float(tau_tic_curve(lam, sigma_sq, mu, [t], alpha)[0])
+    return float(tau_tic_curve(lam, sigma_sq, [t], alpha)[0])
 
 
 def _laplace_exponent_integral(A, excl, alpha):
@@ -263,7 +263,7 @@ def _laplace_exponent_integral(A, excl, alpha):
     return excl**2 * b / (alpha - 2.0) * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b)
 
 
-def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
+def _smf2_coverage(lam, sigma_sq, g, with_interference, alpha):
     """tau_smf2 at every SINR threshold of the vector g > 0, one quad over u.
 
     Each threshold's double integral I = tau / (2*pi*lam)**2 goes through
@@ -293,7 +293,7 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
     matmuls.
     """
     q = lam * np.pi
-    noise = -(mu * g) * sigma_sq  # noise exponent per unit z**alpha
+    noise = -g * sigma_sq  # noise exponent per unit z**alpha
     hi = math.log(trunc_radius(lam))
     two_pi_lam = 2.0 * np.pi * lam
     # the inner rules on [0, 1]: one node vector, one weight row per rule
@@ -357,7 +357,7 @@ def _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha):
     return np.clip(quad(hi, outer, g.size, "tau_smf2") * two_pi_lam**2, 0.0, 1.0)
 
 
-def tau_smf2_curve(lam, sigma_sq, mu, thresholds, with_interference=False,
+def tau_smf2_curve(lam, sigma_sq, thresholds, with_interference=False,
                    alpha=4.0) -> np.ndarray:
     """Coverage for two-branch matched-filter combining of the nearest BSs.
 
@@ -368,12 +368,12 @@ def tau_smf2_curve(lam, sigma_sq, mu, thresholds, with_interference=False,
     multiplies each exponential term by the Laplace transform of the field
     beyond z2 at the matching argument.
     """
-    return _coverage(lam, sigma_sq, mu, thresholds, alpha,
-                     lambda g: _smf2_coverage(lam, sigma_sq, mu, g, with_interference, alpha),
+    return _coverage(lam, sigma_sq, thresholds, alpha,
+                     lambda g: _smf2_coverage(lam, sigma_sq, g, with_interference, alpha),
                      with_interference)
 
 
 # kept for cloudbench/layers.py, which binds it by name when it starts tracing
-def tau_smf2(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0) -> float:
+def tau_smf2(lam, sigma_sq, t, with_interference=False, alpha=4.0) -> float:
     """tau_smf2_curve at the one threshold t."""
-    return float(tau_smf2_curve(lam, sigma_sq, mu, [t], with_interference, alpha)[0])
+    return float(tau_smf2_curve(lam, sigma_sq, [t], with_interference, alpha)[0])

@@ -3,7 +3,7 @@
 The cohort channel is a k x k complex matrix with entry (i, j) equal to
 h_ij * z_ij^(-alpha/2), where row i is UE i (stream i) and column j is BS j,
 z_ij the UE-to-BS distance and h_ij a circularly-symmetric complex Gaussian
-fade with mean power 1/mu.  Nearest-BS association makes the diagonal the
+fade with unit mean power.  Nearest-BS association makes the diagonal the
 row-wise distance minimum, which is what the triangular precoder exploits.
 
 Every function here takes its distances as a block that geometry computed
@@ -38,11 +38,11 @@ def sigma_sq_from_snr_db(snr_db) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def build_channel(z, mu, alpha, rng) -> np.ndarray:
+def build_channel(z, alpha, rng) -> np.ndarray:
     """Draw fades over the k x k distance block z (km) and return the channel.
 
     Distances are clamped to MIN_DISTANCE_KM.  Requires alpha > 2
-    (interference field integrability) and mu > 0.  The row-wise distance
+    (interference field integrability).  The row-wise distance
     dominance of the diagonal is checked exhaustively.
     """
     k = len(z)
@@ -50,20 +50,18 @@ def build_channel(z, mu, alpha, rng) -> np.ndarray:
         raise ValueError("cohort is empty")
     if not alpha > 2:
         raise ValueError("path-loss exponent must exceed 2")
-    if not mu > 0:
-        raise ValueError("mu must be positive")
     z = np.maximum(z, MIN_DISTANCE_KM)
     zd = np.diag(z)
     if np.any(zd > z.min(axis=1) + 1e-12):
         raise ValueError("cohort violates nearest-BS association")
     # one complex array filled in place, real part drawn first; each part
-    # scaled as (x * sqrt(0.5/mu)) * z^(-alpha/2), the bits of the complex formula
+    # scaled as (x * sqrt(0.5)) * z^(-alpha/2), the bits of the complex formula
     h = np.empty((k, k), dtype=complex)
     h.real = rng.standard_normal((k, k))
     h.imag = rng.standard_normal((k, k))
     amplitude = z ** (-alpha / 2.0)
     for part in (h.real, h.imag):
-        part *= np.sqrt(0.5 / mu)
+        part *= np.sqrt(0.5)
         part *= amplitude
     return h
 
@@ -83,7 +81,7 @@ def take_partial_csi(H, l) -> np.ndarray:
     return known
 
 
-def inter_cluster_interference(z, mu, alpha, rng) -> np.ndarray:
+def inter_cluster_interference(z, alpha, rng) -> np.ndarray:
     """Received power at each in-cluster UE from all out-of-cluster BSs.
 
     z is the distance block (km), row per in-cluster UE and column per
@@ -93,7 +91,7 @@ def inter_cluster_interference(z, mu, alpha, rng) -> np.ndarray:
     Without out-of-cluster BSs nothing is drawn and every UE gets 0.
     """
     z = np.maximum(z, MIN_DISTANCE_KM)
-    fades = rng.exponential(1.0 / mu, size=z.shape)
+    fades = rng.exponential(1.0, size=z.shape)
     return np.sum(fades * z ** (-alpha), axis=1)
 
 

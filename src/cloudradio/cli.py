@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .harness import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
                       load_config_file, parse_field, preset_config, run, validate)
@@ -128,6 +129,7 @@ def _dispatch(args) -> int:
 
     if args.command == "validate":
         errors, warnings = validate(cfg)
+        errors += _output_dir_errors(cfg, args.preset or "run")
         for w in warnings:
             print(f"warning: {w}")
         if errors:
@@ -153,6 +155,19 @@ def _dispatch(args) -> int:
     if args.check:
         return _fail_on(_check_preset(name, report) + _crossval_failures(report.crossval or {}))
     return 0
+
+
+def _output_dir_errors(cfg, name) -> list:
+    """The error run would meet making its output directory, found without making it.
+
+    run writes to <output_dir>/<name>; it cannot make that directory when the
+    nearest path on the way that exists is not a directory.
+    """
+    path = Path(cfg.output_dir or ".") / name
+    existing = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
+    if existing is None or existing.is_dir():
+        return []
+    return [f"output_dir: cannot create '{path}': '{existing}' is not a directory"]
 
 
 def _fail_on(failures) -> int:

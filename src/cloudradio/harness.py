@@ -10,6 +10,7 @@ the --dump-* files are written by the drop from what it drew.
 
 import json
 import math
+import re
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
@@ -66,7 +67,6 @@ class ExperimentConfig:
     lambda_b: float = 0.3
     lambda_u: float | None = None  # default: 10 * lambda_b (occupancy margin)
     alpha: float = 4.0
-    mu: float = 1.0
     snr_db: float | list = 10.0
     drops: int = 500
     schemes: tuple = ("conventional", "zfdpc")
@@ -111,8 +111,6 @@ def validate(config: ExperimentConfig):
         warnings.append("lambda_u: below lambda_b, BS occupancy may fail")
     if not config.alpha > 2:
         errors.append("alpha: must exceed 2")
-    if config.mu <= 0:
-        errors.append("mu: must be positive")
     if config.drops < 1:
         errors.append("drops: must be at least 1")
     if not config.schemes:
@@ -189,7 +187,12 @@ def preset_config(name) -> ExperimentConfig:
 
 
 def load_config_file(path) -> ExperimentConfig:
-    """Parse a flat `key = value` text file into an ExperimentConfig."""
+    """Parse a flat `key = value` text file into an ExperimentConfig.
+
+    A `#` at the start of a line or after whitespace starts a comment that
+    runs to the end of the line; any other `#` is part of the value, so
+    `output_dir = out#1` names the directory `out#1`.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -200,7 +203,7 @@ def load_config_file(path) -> ExperimentConfig:
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -278,9 +281,10 @@ class Drop:
     def thp_power(self):
         """{scheme: power samples, one row per SNR point} of every configured THP scheme.
 
-        One precode pass serves them all.  Every (mode, SNR) sample draws its
-        data from a fresh (seed, (drop, 1)) substream, so the THP draws leave
-        the rate schemes' stream alone and each sample equals its own run.
+        One precode pass serves them all.  Every (mode, SNR) sample averages
+        thp.DATA_VECTORS data vectors drawn from a fresh (seed, (drop, 1))
+        substream, so the THP draws leave the rate schemes' stream alone and
+        each sample equals its own run.
         """
         c = self.config
         modes = {s: _THP_MODES[s] for s in c.schemes if s in _THP_MODES}
@@ -314,7 +318,7 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     if cohort.k == 0:
         return {}
     z = distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices])
-    H = build_channel(z, config.mu, config.alpha, rng)
+    H = build_channel(z, config.alpha, rng)
     if stem and dump_channels:
         _write_channel_csv(f"{stem}_H.csv", H)
     cluster = None
@@ -340,8 +344,8 @@ def _cluster_channel(config, region, bs, cohort, z, rng):
     inside, outside = np.flatnonzero(disc), np.flatnonzero(~disc)
     if not inside.size:
         return None
-    H_in = build_channel(z[np.ix_(inside, inside)], config.mu, config.alpha, rng)
-    i_r = inter_cluster_interference(z[np.ix_(inside, outside)], config.mu, config.alpha, rng)
+    H_in = build_channel(z[np.ix_(inside, inside)], config.alpha, rng)
+    i_r = inter_cluster_interference(z[np.ix_(inside, outside)], config.alpha, rng)
     return H_in, i_r
 
 
@@ -531,7 +535,7 @@ def _write_rates_csv(path, chunks, templates):
 _BLOCK_ROWS = 512
 
 
-def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, rng):
+def tagged_rate_samples(schemes, n, lam, sigma_sq, alpha, rng):
     """{scheme: n rate samples in bps/Hz} of tagged users, each centred in its own field.
 
     The user sits at the centre of a disc whose radius covers the coverage
@@ -554,13 +558,13 @@ def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, rng):
         if scheme not in CROSSVAL_SCHEMES:
             raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
     radius = analytic.trunc_radius(lam) + 10.0
-    tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
+    tail_mean = 2.0 * np.pi * lam / (alpha - 2.0) * radius ** (2.0 - alpha)
 
     def reduce_block(row, m):
         # a call per block, so one block's arrays are freed before the next draws
         counts = rng.poisson(lam * np.pi * radius**2, size=m)
         counts = np.maximum(counts, 3)  # P[count < 3] is astronomically small
-        p = _faded_powers(counts, radius, alpha, mu, rng)
+        p = _faded_powers(counts, radius, alpha, rng)
         i_r = p[:, 2:].sum(axis=1) + tail_mean
         for s in schemes:
             sinr = CROSSVAL_SCHEMES[s][1](p[:, 0], p[:, 1], i_r, sigma_sq)
@@ -572,7 +576,7 @@ def tagged_rate_samples(schemes, n, lam, sigma_sq, mu, alpha, rng):
     return out
 
 
-def _faded_powers(counts, radius, alpha, mu, rng):
+def _faded_powers(counts, radius, alpha, rng):
     """One block's faded powers, a zero-padded row per sample, nearest BS first.
 
     Each row of an inf-padded array holds one sample's uniforms u.  The
@@ -589,7 +593,7 @@ def _faded_powers(counts, radius, alpha, mu, rng):
     np.sqrt(p, out=p)
     p *= radius
     np.power(p, -alpha, out=p)
-    p *= rng.exponential(1.0 / mu, size=p.size)
+    p *= rng.exponential(1.0, size=p.size)
     u.fill(0.0)
     u[filled] = p
     return u
@@ -607,13 +611,12 @@ def crossvalidate(config: ExperimentConfig) -> dict:
     sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])
     rng = default_rng(SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
     per_scheme = tagged_rate_samples(wanted, config.crossval_samples, config.lambda_b, sigma_sq,
-                                     config.mu, config.alpha, rng)
+                                     config.alpha, rng)
     report = {}
     for scheme, samples in per_scheme.items():
         cdf = build_cdf(samples)
         grid = np.linspace(0.0, cdf.quantile(0.9999) + 0.5, 241)
-        curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, sigma_sq, config.mu, grid,
-                                            alpha=config.alpha)
+        curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, sigma_sq, grid, alpha=config.alpha)
         mc_cov = 1.0 - cdf.cdf_at(grid)
         gap = float(np.max(np.abs(mc_cov - curve)))
         shift = _snr_shift_db(grid, mc_cov, curve)

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 SUPPORTED_ORDERS = (4, 16, 64)
+DATA_VECTORS = 100  # random data vectors averaged in one THP power sample
 
 
 def qam_constellation(M):
@@ -135,8 +136,8 @@ def _orders(L, sigma_sq, mode):
     return select_modulation(np.log1p(np.abs(np.diag(L)) ** 2 / sigma_sq) / np.log(2.0))
 
 
-def drop_power_sample(fact, sigma_sq, modes, seed, vectors=100) -> dict:
-    """Total THP transmit power of one drop, averaged over random data vectors.
+def drop_power_sample(fact, sigma_sq, modes, seed) -> dict:
+    """Total THP transmit power of one drop, averaged over DATA_VECTORS data vectors.
 
     fact is the drop's TriangularFactorization; its degenerate streams
     transmit nothing.  Each of modes is "adaptive" (constellations from the
@@ -152,9 +153,10 @@ def drop_power_sample(fact, sigma_sq, modes, seed, vectors=100) -> dict:
     sigma_sq = np.atleast_1d(sigma_sq)
     orders = {mode: _orders(L, sigma_sq, mode) for mode in modes}
     rows = np.concatenate(list(orders.values()))
-    data = np.concatenate([draw_symbols(o, np.random.default_rng(seed), vectors) for o in rows])
-    taus = np.repeat(_BASES[_rows(rows)], vectors, axis=0)
-    u = thp_precode(L, data, taus, fact.degenerate).reshape(len(rows), vectors, -1)
+    data = np.concatenate([draw_symbols(o, np.random.default_rng(seed), DATA_VECTORS)
+                           for o in rows])
+    taus = np.repeat(_BASES[_rows(rows)], DATA_VECTORS, axis=0)
+    u = thp_precode(L, data, taus, fact.degenerate).reshape(len(rows), DATA_VECTORS, -1)
     power = iter([float(np.mean(np.sum(np.abs(x) ** 2, axis=1))) for x in u])
     # np.resize repeats a fixed order's one sample over the sweep
     return {mode: np.resize([next(power) for _ in o], sigma_sq.size)

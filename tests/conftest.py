@@ -16,7 +16,7 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def standard_drop(rng, lambda_b=0.3, side=10.0, mu=1.0, alpha=4.0):
+def standard_drop(rng, lambda_b=0.3, side=10.0, alpha=4.0):
     """One full geometry + channel realization of the reference network.
 
     Returns (bs, ue, primary_bs, cohort, H): the two point arrays, the
@@ -31,8 +31,7 @@ def standard_drop(rng, lambda_b=0.3, side=10.0, mu=1.0, alpha=4.0):
             cohort = select_cohort(primary_bs, rng)
             if cohort.k >= 2:
                 break
-    H = build_channel(distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices]), mu, alpha,
-                      rng)
+    H = build_channel(distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices]), alpha, rng)
     return bs, ue, primary_bs, cohort, H
 
 

@@ -180,9 +180,9 @@ def test_criterion_06_tic_bound(base10, crossval_report):
     gap = crossval_report["tic"]["sup_gap"]
     c.check("Monte Carlo vs tau_tic sup gap < 0.02", gap < 0.02, f"gap = {gap:.4f}")
     # closed form vs quadrature to 1e-6 (asserted inside tau_tic on each call)
-    vals = [tau_tic(0.3, 0.1, 1.0, t) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    vals = [tau_tic(0.3, 0.1, t) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
     # t = 1 nat, which is 1/ln 2 bps/Hz
-    harmonic = tau_tic(0.3, 0.1, 1.0, 1.0 / math.log(2.0), alpha=2.0)
+    harmonic = tau_tic(0.3, 0.1, 1.0 / math.log(2.0), alpha=2.0)
     c.check("quadrature vs closed form to 1e-6 (alpha 2 and 4)",
             np.all(np.isfinite(vals)) and abs(harmonic - 0.8458) < 2e-4,
             f"natural-log alpha=2 value {harmonic:.4f} vs 0.8458")

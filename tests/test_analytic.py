@@ -24,21 +24,21 @@ def test_gamma_threshold_bases():
 
 
 def test_tau_tic_zero_threshold():
-    assert tau_tic(0.3, 0.1, 1.0, 0.0) == 1.0
+    assert tau_tic(0.3, 0.1, 0.0) == 1.0
 
 
 def test_tau_tic_noiseless_limit():
-    assert tau_tic(0.3, 1e-12, 1.0, 2.0) > 0.999999
+    assert tau_tic(0.3, 1e-12, 2.0) > 0.999999
 
 
 def test_tau_tic_harmonic_closed_form():
-    # alpha = 2 at t = 1 nat: lam*pi / (lam*pi + mu*(e-1)*sigma^2).  A nat is
+    # alpha = 2 at t = 1 nat: lam*pi / (lam*pi + (e-1)*sigma^2).  A nat is
     # 1/ln 2 bits, and 2**(1/ln 2) - 1 is the double e - 1, so the curve in
     # bits gives the natural-log value to the last bit
     nat = 1.0 / math.log(2.0)
     assert gamma_threshold(nat) == math.e - 1.0
-    got = tau_tic(0.3, 0.1, 1.0, nat, alpha=2.0)
-    assert tau_tic_curve(0.3, 0.1, 1.0, [nat], alpha=2.0)[0] == got == 0.8457980248728412
+    got = tau_tic(0.3, 0.1, nat, alpha=2.0)
+    assert tau_tic_curve(0.3, 0.1, [nat], alpha=2.0)[0] == got == 0.8457980248728412
     q = 0.3 * np.pi
     assert got == pytest.approx(q / (q + (np.e - 1.0) * 0.1), rel=1e-9)
     assert got == pytest.approx(0.8458, abs=2e-4)
@@ -46,13 +46,13 @@ def test_tau_tic_harmonic_closed_form():
 
 def test_tau_tic_alpha4_matches_quadrature_oracle():
     # direct Simpson evaluation of the same integrand, independent of QUADPACK
-    lam, s2, mu, t = 0.3, 0.1, 1.0, 1.7
-    c = mu * gamma_threshold(t) * s2
+    lam, s2, t = 0.3, 0.1, 1.7
+    c = gamma_threshold(t) * s2
     q = lam * np.pi
     z = np.linspace(0.0, 9.0, 20001)
     f = 2 * q * z * np.exp(-q * z * z - c * z**4)
     oracle = np.trapezoid(f, z)
-    assert tau_tic(lam, s2, mu, t) == pytest.approx(oracle, rel=1e-5)
+    assert tau_tic(lam, s2, t) == pytest.approx(oracle, rel=1e-5)
 
 
 @pytest.mark.parametrize("sigma_sq, t", [(0.1, 1.0), (0.1, 27.0), (0.1, 40.0), (0.1, 48.0),
@@ -67,7 +67,7 @@ def test_tau_tic_deep_tail_returns_closed_form(sigma_sq, t):
     c = gamma_threshold(t) * sigma_sq
     closed = q * np.sqrt(np.pi / (4.0 * c)) * math.exp(q * q / (4.0 * c)) * math.erfc(
         q / (2.0 * np.sqrt(c)))
-    assert tau_tic(0.3, sigma_sq, 1.0, t) == pytest.approx(closed, rel=1e-12)
+    assert tau_tic(0.3, sigma_sq, t) == pytest.approx(closed, rel=1e-12)
 
 
 def test_erfcx_matches_scipy():
@@ -109,30 +109,29 @@ def test_tau_tic_generic_alpha_deep_tail_matches_log_grid_oracle():
     u = np.linspace(-40.0, np.log(trunc_radius(lam)), 20001)
     oracle = np.trapezoid(2 * q * np.exp(2 * u - q * np.exp(2 * u) - c * np.exp(alpha * u)), u)
     assert oracle == pytest.approx(3.68295e-6, rel=1e-5)
-    assert tau_tic(lam, s2, 1.0, t, alpha=alpha) == pytest.approx(oracle, rel=1e-8)
+    assert tau_tic(lam, s2, t, alpha=alpha) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_tau_tic_monotone_in_threshold_and_noise():
-    taus = [tau_tic(0.3, 0.1, 1.0, t) for t in (0.5, 1.0, 2.0, 4.0)]
+    taus = [tau_tic(0.3, 0.1, t) for t in (0.5, 1.0, 2.0, 4.0)]
     assert np.all(np.diff(taus) < 0)
-    assert tau_tic(0.3, 0.2, 1.0, 1.0) < tau_tic(0.3, 0.1, 1.0, 1.0)
+    assert tau_tic(0.3, 0.2, 1.0) < tau_tic(0.3, 0.1, 1.0)
 
 
 def test_tau_tic_parameter_errors():
     with pytest.raises(ValueError):
-        tau_tic(0.0, 0.1, 1.0, 1.0)
+        tau_tic(0.0, 0.1, 1.0)
     with pytest.raises(ValueError):
-        tau_tic(0.3, 0.0, 1.0, 1.0)
+        tau_tic(0.3, 0.0, 1.0)
 
 
 def laplace_ir(z, t, lam, alpha=4.0):
-    """Laplace transform of the interference beyond z, at s = mu*gamma*z**alpha.
+    """Laplace transform of the interference beyond z, at s = gamma*z**alpha.
 
     E[exp(-s I_r)] over PPP interferer positions (all farther than z) and
-    exponential fades of mean 1/mu:
+    unit-mean exponential fades:
         exp(-2*pi*lam * integral_z^inf gamma*v / (gamma + (v/z)**alpha) dv),
-    the factor the smf2 curve applies per branch.  It does not depend on mu:
-    I_r is 1/mu times the field of unit-mean fades, so s*I_r is that of mu = 1.
+    the factor the smf2 curve applies per branch.
     """
     A = gamma_threshold(t) * z**alpha
     return float(np.exp(-2.0 * np.pi * lam * _laplace_exponent_integral(A, z, alpha)))
@@ -231,33 +230,33 @@ def test_laplace_monte_carlo_oracle(rng):
 
 
 def test_tau_smf2_zero_threshold():
-    assert tau_smf2(0.3, 0.1, 1.0, 0.0) == 1.0
+    assert tau_smf2(0.3, 0.1, 0.0) == 1.0
 
 
 def test_nan_threshold_raises():
     # a NaN used to take the gamma <= 0 branch and come back as coverage 1
     nan = float("nan")
-    for call in (lambda: tau_tic(0.3, 0.1, 1.0, nan),
-                 lambda: tau_smf2(0.3, 0.1, 1.0, nan),
-                 lambda: tau_smf2(0.3, 0.1, 1.0, nan, with_interference=True)):
+    for call in (lambda: tau_tic(0.3, 0.1, nan),
+                 lambda: tau_smf2(0.3, 0.1, nan),
+                 lambda: tau_smf2(0.3, 0.1, nan, with_interference=True)):
         with pytest.raises(ValueError, match="threshold 0 of 1 is NaN"):
             call()
     grid = [0.0, 0.5, nan, 2.0]
     with pytest.raises(ValueError, match="threshold 2 of 4 is NaN"):
-        tau_tic_curve(0.3, 0.1, 1.0, grid)
+        tau_tic_curve(0.3, 0.1, grid)
     with pytest.raises(ValueError, match="threshold 2 of 4 is NaN"):
-        tau_smf2_curve(0.3, 0.1, 1.0, grid)
+        tau_smf2_curve(0.3, 0.1, grid)
 
 
 def test_tau_smf2_dominates_tau_tic():
     for t in (0.5, 1.0, 2.0, 4.0):
-        assert tau_smf2(0.3, 0.1, 1.0, t) > tau_tic(0.3, 0.1, 1.0, t)
+        assert tau_smf2(0.3, 0.1, t) > tau_tic(0.3, 0.1, t)
 
 
 def test_tau_smf2_interference_reduces_coverage():
     for t in (0.5, 2.0):
-        assert (tau_smf2(0.3, 0.1, 1.0, t, with_interference=True)
-                < tau_smf2(0.3, 0.1, 1.0, t))
+        assert (tau_smf2(0.3, 0.1, t, with_interference=True)
+                < tau_smf2(0.3, 0.1, t))
 
 
 def test_tau_smf2_monte_carlo_oracle(rng):
@@ -265,26 +264,26 @@ def test_tau_smf2_monte_carlo_oracle(rng):
     from cloudradio import tagged_rate_samples
 
     lam, s2 = 0.3, 0.1
-    samples = tagged_rate_samples(("smf2",), 20000, lam, s2, 1.0, 4.0, rng)["smf2"]
+    samples = tagged_rate_samples(("smf2",), 20000, lam, s2, 4.0, rng)["smf2"]
     for t in (0.5, 1.5, 3.0):
         emp = np.mean(samples > t)
-        assert abs(emp - tau_smf2(lam, s2, 1.0, t)) < 0.02
+        assert abs(emp - tau_smf2(lam, s2, t)) < 0.02
 
 
 def test_coverage_check_raises_numerical_error(monkeypatch):
     # every curve goes through one check: coverage in [0, 1], not increasing
     # with the threshold; at alpha = 3 tau_tic returns 2*pi*lam times quad's
     # integral and tau_smf2 returns (2*pi*lam)**2 times it
-    assert np.all(np.diff(tau_tic_curve(0.3, 0.1, 1.0, [2.0, 1.0])) > 0)  # descending grid
+    assert np.all(np.diff(tau_tic_curve(0.3, 0.1, [2.0, 1.0])) > 0)  # descending grid
     two_pi_lam = 2 * np.pi * 0.3
     for curve, per_integral in ((tau_tic_curve, two_pi_lam), (tau_smf2_curve, two_pi_lam**2)):
         monkeypatch.setattr(analytic, "quad",
                             lambda hi, outer, m, what: np.array([0.5, 0.9]) / per_integral)
         with pytest.raises(NumericalError, match="increase"):
-            curve(0.3, 0.1, 1.0, [0.5, 1.0], alpha=3.0)
+            curve(0.3, 0.1, [0.5, 1.0], alpha=3.0)
     monkeypatch.setattr(analytic, "quad", lambda hi, outer, m, what: np.array([1.5 / two_pi_lam]))
     with pytest.raises(NumericalError, match="must lie in"):
-        tau_tic(0.3, 0.1, 1.0, 1.0, alpha=3.0)
+        tau_tic(0.3, 0.1, 1.0, alpha=3.0)
 
 
 def test_each_curve_is_one_quad_call(monkeypatch):
@@ -293,10 +292,10 @@ def test_each_curve_is_one_quad_call(monkeypatch):
     real = analytic.quad
     monkeypatch.setattr(analytic, "quad", lambda *a: calls.append(a[2:]) or real(*a))
     grid = np.linspace(0.0, 27.8, 25)
-    tau_tic_curve(0.3, 0.1, 1.0, grid, alpha=3.0)
-    tau_tic_curve(0.3, 0.1, 1.0, grid)
-    tau_smf2_curve(0.3, 0.1, 1.0, grid)
-    tau_smf2_curve(0.3, 0.1, 1.0, grid, True)
+    tau_tic_curve(0.3, 0.1, grid, alpha=3.0)
+    tau_tic_curve(0.3, 0.1, grid)
+    tau_smf2_curve(0.3, 0.1, grid)
+    tau_smf2_curve(0.3, 0.1, grid, True)
     assert calls == [(24, "tau_tic")] * 2 + [(24, "tau_smf2")] * 2
 
 
@@ -316,7 +315,7 @@ def test_tau_tic_alpha3_found_threshold_matches_mpmath(monkeypatch):
         return real(value, abserr, what)
 
     monkeypatch.setattr(analytic, "_check_quad", recording_check)
-    got = tau_tic(lam, s2, 1.0, t, alpha=alpha)
+    got = tau_tic(lam, s2, t, alpha=alpha)
     with mpmath.workdps(30):
         q = mpmath.pi * lam
         c = mpmath.mpf(float(gamma_threshold(t))) * s2
@@ -339,7 +338,7 @@ def test_tau_tic_curve_matches_tight_scalar_quad(alpha):
     # at epsrel 1e-6 was off by more than 1e-12 (2.1e-12 at alpha 3, t = 14.0)
     lam, s2 = 0.3, 0.1
     grid = np.linspace(0.0, 27.8, 241)
-    curve = tau_tic_curve(lam, s2, 1.0, grid, alpha=alpha)
+    curve = tau_tic_curve(lam, s2, grid, alpha=alpha)
     q = lam * np.pi
     hi = np.log(trunc_radius(lam))
     for t, got in zip(grid[1:], curve[1:]):
@@ -354,22 +353,22 @@ def test_tau_tic_curve_matches_tight_scalar_quad(alpha):
 
 
 @pytest.mark.parametrize("curve", [tau_tic_curve, tau_smf2_curve])
-@pytest.mark.parametrize("name", ["lam", "sigma_sq", "mu"])
+@pytest.mark.parametrize("name", ["lam", "sigma_sq"])
 def test_curve_parameters_must_be_finite_and_positive(curve, name):
     # a NaN lam used to fail `lam <= 0` and give tau_tic_curve [0.]
     for bad in (float("nan"), math.inf, -1.0, 0.0):
         with pytest.raises(ValueError, match=name):
-            curve(**{**dict(lam=0.3, sigma_sq=0.1, mu=1.0), name: bad}, thresholds=[1.0])
+            curve(**{**dict(lam=0.3, sigma_sq=0.1), name: bad}, thresholds=[1.0])
 
 
 def test_curve_alpha_must_be_finite():
     # alpha = NaN used to return [1.] after an IntegrationWarning
     for alpha in (float("nan"), math.inf, -math.inf):
         with pytest.raises(ValueError, match="alpha"):
-            tau_tic_curve(0.3, 0.1, 1.0, [1.0], alpha=alpha)
+            tau_tic_curve(0.3, 0.1, [1.0], alpha=alpha)
         for interf in (False, True):
             with pytest.raises(ValueError, match="alpha"):
-                tau_smf2_curve(0.3, 0.1, 1.0, [1.0], interf, alpha=alpha)
+                tau_smf2_curve(0.3, 0.1, [1.0], interf, alpha=alpha)
 
 
 def test_interference_needs_alpha_above_two():
@@ -377,24 +376,24 @@ def test_interference_needs_alpha_above_two():
     # NumericalError: the interference field is infinite for alpha <= 2
     for alpha in (2.0, 1.5):
         with pytest.raises(ValueError, match="alpha must lie in"):
-            tau_smf2_curve(0.3, 0.1, 1.0, [1.0], True, alpha=alpha)
+            tau_smf2_curve(0.3, 0.1, [1.0], True, alpha=alpha)
 
 
 @settings(max_examples=25, deadline=None)
 @given(t=st.floats(0.0, 6.0))
 def test_tau_tic_curve_values_in_range(t):
-    v = tau_tic(0.3, 0.1, 1.0, t)
+    v = tau_tic(0.3, 0.1, t)
     assert 0.0 <= v <= 1.0
 
 
 def test_curve_builders_and_csv():
     grid = np.linspace(0.0, 4.0, 9)
-    tic = tau_tic_curve(0.3, 0.1, 1.0, grid)
-    smf = tau_smf2_curve(0.3, 0.1, 1.0, grid)
+    tic = tau_tic_curve(0.3, 0.1, grid)
+    smf = tau_smf2_curve(0.3, 0.1, grid)
     assert np.all(smf >= tic)
 
 
-def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0):
+def smf2_per_threshold(lam, sigma_sq, t, with_interference=False, alpha=4.0):
     """Reference tau_smf2: one nested scalar quad per threshold, outer error gated.
 
     The outer quad runs over u = ln z1, so it finds the integrand's peak at a
@@ -404,12 +403,11 @@ def smf2_per_threshold(lam, sigma_sq, mu, t, with_interference=False, alpha=4.0)
     if g <= 0:
         return 1.0
     q = lam * np.pi
-    c = mu * g
     zmax = trunc_radius(lam)
     two_pi_lam = 2.0 * np.pi * lam
 
     def F(x, excl):
-        out = np.exp(-c * sigma_sq * x)
+        out = np.exp(-g * sigma_sq * x)
         if with_interference:
             out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
         return out
@@ -458,14 +456,14 @@ SMF2_ROWS = [
 def test_tau_smf2_curve_matches_per_threshold_quad(alpha, with_interference, lam, sigma_sq,
                                                    thresholds):
     grid = np.array(thresholds)
-    curve = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference, alpha=alpha)
-    ref = [smf2_per_threshold(lam, sigma_sq, 1.0, t, with_interference, alpha) for t in grid]
+    curve = tau_smf2_curve(lam, sigma_sq, grid, with_interference, alpha=alpha)
+    ref = [smf2_per_threshold(lam, sigma_sq, t, with_interference, alpha) for t in grid]
     assert np.max(np.abs(curve - ref)) < 1e-8
     assert np.all(curve[grid == 0.0] == 1.0)
     assert np.all(curve > 0.0)
 
 
-def smf2_coverage_per_request(lam, sigma_sq, mu, g, with_interference, alpha):
+def smf2_coverage_per_request(lam, sigma_sq, g, with_interference, alpha):
     """Reference analytic._smf2_coverage: every node computed at every request.
 
     The same analytic.quad, inner rules and gate, with each branch's noise
@@ -473,7 +471,6 @@ def smf2_coverage_per_request(lam, sigma_sq, mu, g, with_interference, alpha):
     exponent evaluated over the whole (nodes x thresholds) array.
     """
     q = lam * np.pi
-    c = mu * g
     hi = math.log(trunc_radius(lam))
     two_pi_lam = 2.0 * np.pi * lam
     low, high = (np.polynomial.legendre.leggauss(n) for n in analytic.INNER_RULE_NODES)
@@ -481,7 +478,7 @@ def smf2_coverage_per_request(lam, sigma_sq, mu, g, with_interference, alpha):
     weights = 0.5 * block_diag(high[1], low[1])
 
     def F(x, excl):
-        out = np.exp(-c * sigma_sq * x)
+        out = np.exp(-g * sigma_sq * x)
         if with_interference:
             out = out * np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
         return out
@@ -527,9 +524,9 @@ def test_tau_smf2_curve_matches_per_request_integrand(alpha, with_interference, 
     # one evaluation per node, the hoisted second-branch exponent and the
     # divided difference folded into the rule weights change what a node
     # costs, not its value beyond rounding
-    curve = tau_smf2_curve(lam, sigma_sq, 1.0, thresholds, with_interference, alpha=alpha)
-    ref = analytic._coverage(lam, sigma_sq, 1.0, thresholds, alpha,
-                             lambda g: smf2_coverage_per_request(lam, sigma_sq, 1.0, g,
+    curve = tau_smf2_curve(lam, sigma_sq, thresholds, with_interference, alpha=alpha)
+    ref = analytic._coverage(lam, sigma_sq, thresholds, alpha,
+                             lambda g: smf2_coverage_per_request(lam, sigma_sq, g,
                                                                  with_interference, alpha),
                              with_interference)
     assert np.max(np.abs(curve - ref)) < 1e-13
@@ -552,7 +549,7 @@ def test_tau_smf2_curve_computes_each_outer_node_once(monkeypatch, alpha):
 
     monkeypatch.setattr(analytic, "_qk21", recording_rule)
     monkeypatch.setattr(analytic, "_laplace_exponent_integral", counting_exponent)
-    tau_smf2_curve(0.3, 0.1, 1.0, np.linspace(0.0, 27.8, 241), True, alpha=alpha)
+    tau_smf2_curve(0.3, 0.1, np.linspace(0.0, 27.8, 241), True, alpha=alpha)
     assert len(requested) == len(set(requested))
     assert len(work) == 1 + len(requested)
 
@@ -563,7 +560,7 @@ def test_tau_smf2_removable_singularity_rows(monkeypatch, with_interference):
     # that every inner row takes the central-difference limit F(x) - x F'(x)
     lam, sigma_sq = 0.3, 1e-3
     grid = np.array([0.5, 1.5, 3.0, 6.0])
-    default = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference)
+    default = tau_smf2_curve(lam, sigma_sq, grid, with_interference)
     integrands, requested = [], []
     real = analytic._qk21
 
@@ -573,7 +570,7 @@ def test_tau_smf2_removable_singularity_rows(monkeypatch, with_interference):
 
     monkeypatch.setattr(analytic, "_qk21", capturing_rule)
     monkeypatch.setattr(analytic, "OUTER_BREAKS", (1e-9,) + analytic.OUTER_BREAKS)
-    curve = tau_smf2_curve(lam, sigma_sq, 1.0, grid, with_interference)
+    curve = tau_smf2_curve(lam, sigma_sq, grid, with_interference)
     assert np.all(np.isfinite(curve))
     assert np.max(np.abs(curve - default)) < 1e-12
     hi = math.log(trunc_radius(lam))
@@ -635,8 +632,8 @@ def test_tau_smf2_partly_near_node_matches_per_request(monkeypatch, with_interfe
         return real(outer, a, b, m)
 
     monkeypatch.setattr(analytic, "_qk21", capturing_rule)
-    analytic._smf2_coverage(lam, sigma_sq, 1.0, g, with_interference, alpha)
-    smf2_coverage_per_request(lam, sigma_sq, 1.0, g, with_interference, alpha)
+    analytic._smf2_coverage(lam, sigma_sq, g, with_interference, alpha)
+    smf2_coverage_per_request(lam, sigma_sq, g, with_interference, alpha)
     folded, ref = integrands[0](u), integrands[-1](u)
     near, S, SE = smf2_fold_magnitudes(lam, sigma_sq, g, with_interference, alpha, u)
     assert 1 <= near <= 5
@@ -648,12 +645,12 @@ def test_tau_smf2_partly_near_node_matches_per_request(monkeypatch, with_interfe
 @pytest.mark.parametrize("with_interference", [False, True])
 def test_tau_smf2_threshold_value_does_not_depend_on_grid(with_interference):
     # the outer pass must find a deep threshold's peak whatever else is on the grid
-    full = tau_smf2_curve(0.3, 0.1, 1.0, np.linspace(0.0, 48.0, 241), with_interference)[-1]
+    full = tau_smf2_curve(0.3, 0.1, np.linspace(0.0, 48.0, 241), with_interference)[-1]
     assert full > 1e-8
     for grid in ([48.0], [0.0, 48.0], [1.0, 48.0], [27.0, 48.0]):
-        got = tau_smf2_curve(0.3, 0.1, 1.0, np.array(grid), with_interference)[-1]
+        got = tau_smf2_curve(0.3, 0.1, np.array(grid), with_interference)[-1]
         assert got == pytest.approx(full, rel=REL_TOL)
-    assert tau_smf2(0.3, 0.1, 1.0, 48.0, with_interference) == pytest.approx(full, rel=REL_TOL)
+    assert tau_smf2(0.3, 0.1, 48.0, with_interference) == pytest.approx(full, rel=REL_TOL)
 
 
 def test_quadrature_gate_is_per_threshold():
@@ -677,9 +674,9 @@ def test_tau_smf2_curve_raises_on_over_tolerance_error(monkeypatch):
 
     monkeypatch.setattr(analytic, "_qk21", over_tolerance)
     with pytest.raises(NumericalError):
-        tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
+        tau_smf2_curve(0.3, 0.1, np.array([0.5, 2.0]))
     with pytest.raises(NumericalError):
-        tau_smf2(0.3, 0.1, 1.0, 2.0, with_interference=True)
+        tau_smf2(0.3, 0.1, 2.0, with_interference=True)
     assert len(calls) == 2 * 8
 
 
@@ -688,17 +685,15 @@ def test_tau_smf2_curve_gates_inner_rule_error(monkeypatch):
     # the outer error alone would pass
     monkeypatch.setattr(analytic, "INNER_RULE_NODES", (4, 64))
     with pytest.raises(NumericalError):
-        tau_smf2_curve(0.3, 0.1, 1.0, np.array([0.5, 2.0]))
+        tau_smf2_curve(0.3, 0.1, np.array([0.5, 2.0]))
     with pytest.raises(NumericalError):
-        tau_smf2(0.3, 0.1, 1.0, 2.0, with_interference=True)
+        tau_smf2(0.3, 0.1, 2.0, with_interference=True)
 
 
 CURVES = {
-    "tic": lambda lam, sigma_sq, grid, alpha: tau_tic_curve(lam, sigma_sq, 1.0, grid,
-                                                            alpha=alpha),
-    "smf2": lambda lam, sigma_sq, grid, alpha: tau_smf2_curve(lam, sigma_sq, 1.0, grid,
-                                                              alpha=alpha),
-    "smf2-interf": lambda lam, sigma_sq, grid, alpha: tau_smf2_curve(lam, sigma_sq, 1.0, grid,
+    "tic": lambda lam, sigma_sq, grid, alpha: tau_tic_curve(lam, sigma_sq, grid, alpha=alpha),
+    "smf2": lambda lam, sigma_sq, grid, alpha: tau_smf2_curve(lam, sigma_sq, grid, alpha=alpha),
+    "smf2-interf": lambda lam, sigma_sq, grid, alpha: tau_smf2_curve(lam, sigma_sq, grid,
                                                                      True, alpha=alpha),
 }
 
@@ -738,7 +733,7 @@ def test_quad_stops_on_a_nan_integrand_and_the_gate_raises(monkeypatch):
 
     monkeypatch.setattr(analytic, "_qk21", nan_near_zmax)
     with pytest.raises(NumericalError, match="quadrature"):
-        tau_tic_curve(0.3, 0.1, 1.0, np.linspace(0.0, 27.8, 25), alpha=3.0)
+        tau_tic_curve(0.3, 0.1, np.linspace(0.0, 27.8, 25), alpha=3.0)
     assert len(calls) == 6
 
 
@@ -756,9 +751,9 @@ def test_quadrature_gate_fails_on_a_nan_error(monkeypatch):
     monkeypatch.setattr(analytic, "_qk21", nan_error)
     grid = np.linspace(0.0, 27.8, 25)
     with pytest.raises(NumericalError, match="quadrature"):
-        tau_tic_curve(0.3, 0.1, 1.0, grid, alpha=3.0)
+        tau_tic_curve(0.3, 0.1, grid, alpha=3.0)
     with pytest.raises(NumericalError, match="quadrature"):
-        tau_smf2_curve(0.3, 0.1, 1.0, grid)
+        tau_smf2_curve(0.3, 0.1, grid)
 
 
 @pytest.mark.parametrize("alpha", [3.0, 4.0])

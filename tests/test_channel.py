@@ -14,21 +14,20 @@ from cloudradio.harness import _write_channel_csv
 def test_pathloss_exponent_law(rng):
     # doubling every distance divides each |entry| by 2^(alpha/2) = 4 at alpha=4
     z = np.array([[1.0, 2.0], [2.5, 1.5]])
-    h1 = build_channel(z, 1.0, 4.0, np.random.default_rng(9))
-    h2 = build_channel(2 * z, 1.0, 4.0, np.random.default_rng(9))
+    h1 = build_channel(z, 4.0, np.random.default_rng(9))
+    h2 = build_channel(2 * z, 4.0, np.random.default_rng(9))
     assert np.allclose(np.abs(h1) / np.abs(h2), 4.0)
 
 
 def test_fade_power_normalization(rng):
-    # unit distances strip the path loss, leaving E|h|^2 = 1/mu
-    for mu in (1.0, 2.5):
-        H = build_channel(np.ones((100, 100)), mu, 4.0, rng)
-        assert abs(np.mean(np.abs(H) ** 2) - 1.0 / mu) < 0.03 / mu
+    # unit distances strip the path loss, leaving E|h|^2 = 1
+    H = build_channel(np.ones((100, 100)), 4.0, rng)
+    assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.03
 
 
 def test_zero_distance_clamped():
     z = np.array([[0.0, 3.0], [3.0, 1.0]])
-    H = build_channel(z, 1.0, 4.0, np.random.default_rng(1))
+    H = build_channel(z, 4.0, np.random.default_rng(1))
     assert np.all(np.isfinite(H))
     # clamped magnitude corresponds to 1 m, not infinity
     assert np.abs(H[0, 0]) < 2.0 * MIN_DISTANCE_KM ** -2
@@ -37,13 +36,11 @@ def test_zero_distance_clamped():
 def test_build_channel_parameter_errors(rng):
     z = np.eye(2) + 1.0
     with pytest.raises(ValueError):
-        build_channel(z, 1.0, 2.0, rng)  # alpha must exceed 2
-    with pytest.raises(ValueError):
-        build_channel(z, 0.0, 4.0, rng)
+        build_channel(z, 2.0, rng)  # alpha must exceed 2
     # diagonal not the row minimum: cohort contradicts nearest-BS association
     bad = np.array([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
-        build_channel(bad, 1.0, 4.0, rng)
+        build_channel(bad, 4.0, rng)
 
 
 def test_distance_dominance_of_diagonal(drop):
@@ -67,7 +64,7 @@ def test_drop_memory_does_not_grow_as_ue_times_bs():
     try:
         cohort = select_cohort(associate(bs, ue), rng)
         z = distance_block(ue[cohort.ue_indices], bs[cohort.bs_indices])
-        H = build_channel(z, 1.0, 4.0, rng)
+        H = build_channel(z, 4.0, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -75,10 +72,10 @@ def test_drop_memory_does_not_grow_as_ue_times_bs():
     assert peak < 12e6
 
 
-def build_channel_two_temporaries(z, mu, alpha, rng):
+def build_channel_two_temporaries(z, alpha, rng):
     """Reference channel: the complex formula over full k x k temporaries."""
     k = z.shape[0]
-    h = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * np.sqrt(0.5 / mu)
+    h = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) * np.sqrt(0.5)
     return h * z ** (-alpha / 2.0)
 
 
@@ -90,11 +87,10 @@ def test_build_channel_matches_complex_formula(k):
         gen = np.random.default_rng(seed)
         z = gen.uniform(0.0, 20.0, (k, k))
         np.fill_diagonal(z, z.min(axis=1) * gen.uniform(0.0, 1.0, k))
-        mu, alpha = (1.0, 4.0) if seed % 2 else (gen.uniform(0.5, 3.0), gen.uniform(2.5, 6.0))
+        alpha = 4.0 if seed % 2 else gen.uniform(2.5, 6.0)
         got_rng, want_rng = (np.random.default_rng(seed + 1000) for _ in range(2))
-        H = build_channel(z, mu, alpha, got_rng)
-        want = build_channel_two_temporaries(np.maximum(z, MIN_DISTANCE_KM), mu, alpha,
-                                             want_rng)
+        H = build_channel(z, alpha, got_rng)
+        want = build_channel_two_temporaries(np.maximum(z, MIN_DISTANCE_KM), alpha, want_rng)
         assert H.tobytes() == want.tobytes(), seed
         assert got_rng.random() == want_rng.random()
 
@@ -112,7 +108,7 @@ def test_partial_csi_full_budget_is_identity(drop):
 
 
 def test_partial_csi_single_budget_keeps_row_argmax(rng):
-    H = build_channel(np.ones((4, 4)) + np.eye(4) * -0.5, 1.0, 4.0, rng)
+    H = build_channel(np.ones((4, 4)) + np.eye(4) * -0.5, 4.0, rng)
     known = take_partial_csi(H, 1)
     for i in range(4):
         j = np.argmax(np.abs(H[i]))
@@ -124,7 +120,7 @@ def test_partial_csi_single_budget_keeps_row_argmax(rng):
 
 def test_partial_csi_zero_pattern_matches_sort_oracle(rng):
     k, l = 5, 3
-    H = build_channel(np.ones((k, k)) - 0.5 * np.eye(k), 1.0, 4.0, rng)
+    H = build_channel(np.ones((k, k)) - 0.5 * np.eye(k), 4.0, rng)
     known = take_partial_csi(H, l)
     for i in range(k):
         keep = set(np.argsort(np.abs(H[i]))[::-1][:l].tolist())
@@ -143,7 +139,7 @@ def test_partial_csi_budget_range(drop):
         take_partial_csi(H, len(H) + 1)
 
 
-def interference_per_ue(out_cluster, ue_indices, distances, mu, alpha, rng):
+def interference_per_ue(out_cluster, ue_indices, distances, alpha, rng):
     """Reference I_r: one draw of out-of-cluster fades per UE, in UE order."""
     out = []
     for u in ue_indices:
@@ -151,21 +147,21 @@ def interference_per_ue(out_cluster, ue_indices, distances, mu, alpha, rng):
             out.append(0.0)
             continue
         z = np.maximum(distances[u, out_cluster], MIN_DISTANCE_KM)
-        fades = rng.exponential(1.0 / mu, size=out_cluster.size)
+        fades = rng.exponential(1.0, size=out_cluster.size)
         out.append(float(np.sum(fades * z ** (-alpha))))
     return np.array(out)
 
 
 def test_inter_cluster_empty_out_set(rng):
     state = rng.bit_generator.state
-    val = inter_cluster_interference(np.ones((1, 0)), 1.0, 4.0, rng)
+    val = inter_cluster_interference(np.ones((1, 0)), 4.0, rng)
     assert np.array_equal(val, [0.0])
     assert rng.bit_generator.state == state  # nothing drawn
 
 
 def test_inter_cluster_single_interferer_mean(rng):
-    # one interferer at 1 km: E[I_r] = 1/mu
-    samples = inter_cluster_interference(np.ones((20000, 1)), 1.0, 4.0, rng)
+    # one interferer at 1 km: E[I_r] = 1
+    samples = inter_cluster_interference(np.ones((20000, 1)), 4.0, rng)
     assert samples.shape == (20000,)
     assert abs(np.mean(samples) - 1.0) < 0.03
 
@@ -183,7 +179,7 @@ def test_inter_cluster_monotone_in_radius(rng):
         last = np.inf
         for radius in (2.0, 4.0, 6.0, 8.0):
             inside = center_d <= radius
-            val = inter_cluster_interference(distances[:, ~inside], 1.0, 4.0,
+            val = inter_cluster_interference(distances[:, ~inside], 4.0,
                                              np.random.default_rng(seed))[0]
             assert val <= last + 1e-12
             last = val
@@ -199,11 +195,10 @@ def test_inter_cluster_batch_matches_per_ue_loop(n_bs, radius):
     out_cluster = np.flatnonzero(~inside)
     ues = np.arange(0, len(ue), 3)
     dense = point_distances(ue[:, None, :], bs[None, :, :])
-    for mu, alpha in [(1.0, 4.0), (2.5, 3.0)]:
+    for alpha in (4.0, 3.0):
         fast, slow = np.random.default_rng(11), np.random.default_rng(11)
-        got = inter_cluster_interference(distance_block(ue[ues], bs[out_cluster]), mu, alpha,
-                                         fast)
-        ref = interference_per_ue(out_cluster, ues, dense, mu, alpha, slow)
+        got = inter_cluster_interference(distance_block(ue[ues], bs[out_cluster]), alpha, fast)
+        ref = interference_per_ue(out_cluster, ues, dense, alpha, slow)
         assert np.array_equal(got, ref)
         assert fast.random() == slow.random()
 

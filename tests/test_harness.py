@@ -42,7 +42,7 @@ def test_validate_names_fields():
 
 @pytest.mark.parametrize("field, value", [
     ("snr_db", math.inf), ("snr_db", [0.0, math.nan]), ("lambda_b", math.nan),
-    ("lambda_b", math.inf), ("mu", math.nan), ("region_km", (10.0, math.inf)),
+    ("lambda_b", math.inf), ("lambda_u", math.nan), ("region_km", (10.0, math.inf)),
     ("cluster_radius_km", math.inf),
 ])
 def test_validate_rejects_non_finite_floats(field, value):
@@ -56,14 +56,18 @@ def test_validate_occupancy_warning():
 
 
 def test_config_file_roundtrip(tmp_path):
+    # a comment starts at a `#` that opens the line or follows whitespace;
+    # any other `#` is part of the value
     text = """
 # reference network
 region_km = 10x10
 lambda_b = 0.3
 snr_db = -6,0,10,20
 schemes = conventional, zfdpc
-drops = 25
-seed = 9
+drops = 25  # twenty-five
+  # an indented comment
+seed = 9\t#tab
+output_dir = out#1
 """
     path = tmp_path / "exp.cfg"
     path.write_text(text)
@@ -72,6 +76,7 @@ seed = 9
     assert cfg.snr_db == [-6.0, 0.0, 10.0, 20.0]
     assert cfg.schemes == ("conventional", "zfdpc")
     assert cfg.drops == 25 and cfg.seed == 9
+    assert cfg.output_dir == "out#1"
 
 
 def test_config_file_bad_line(tmp_path):
@@ -402,21 +407,21 @@ TAGGED = ("tic", "smf2", "smf2-interf")
 def test_tagged_samples_schemes(rng):
     before = rng.bit_generator.state
     with pytest.raises(ConfigError, match="zfdpc"):
-        tagged_rate_samples(("tic", "zfdpc"), 10, 0.3, 0.1, 1.0, 4.0, rng)
+        tagged_rate_samples(("tic", "zfdpc"), 10, 0.3, 0.1, 4.0, rng)
     assert rng.bit_generator.state == before
-    s = tagged_rate_samples(("tic",), 2000, 0.3, 0.1, 1.0, 4.0, rng)
+    s = tagged_rate_samples(("tic",), 2000, 0.3, 0.1, 4.0, rng)
     assert list(s) == ["tic"]
     assert s["tic"].shape == (2000,) and np.all(s["tic"] >= 0)
 
 
-def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=20000):
+def lexsort_rate_samples(scheme, n, lam, sigma_sq, alpha, rng, batch=20000):
     """Reference tagged sampler: one lexsort over (sample, distance) per batch.
 
     Same draws as tagged_rate_samples; the smf2-interf field beyond the two
     nearest BSs is summed exactly with math.fsum.
     """
     radius = trunc_radius(lam) + 10.0
-    tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
+    tail_mean = 2.0 * np.pi * lam / (alpha - 2.0) * radius ** (2.0 - alpha)
     out = []
     for done in range(0, n, batch):
         m = min(batch, n - done)
@@ -425,7 +430,7 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=20000):
         r = radius * np.sqrt(rng.uniform(size=total))
         owner = np.repeat(np.arange(m), counts)
         r = r[np.lexsort((r, owner))]
-        p = rng.exponential(1.0 / mu, size=total) * r ** (-alpha)
+        p = rng.exponential(1.0, size=total) * r ** (-alpha)
         starts = np.concatenate([[0], np.cumsum(counts)])
         z1p = p[starts[:-1]]
         z2p = p[starts[:-1] + 1]
@@ -445,7 +450,7 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=20000):
 def test_tagged_samples_match_lexsort_reference(scheme):
     # ten blocks; for smf2-interf, subtracting the two nearest powers from
     # the whole field instead of summing the rest misses this by up to 1.9e-5
-    args = (5000, 0.3, 0.1, 1.0, 4.0)
+    args = (5000, 0.3, 0.1, 4.0)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = tagged_rate_samples(TAGGED, *args, rng)[scheme]
     ref = lexsort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
@@ -456,10 +461,10 @@ def test_tagged_samples_match_lexsort_reference(scheme):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=20000):
+def padded_sort_rate_samples(scheme, n, lam, sigma_sq, alpha, rng, batch=20000):
     """Reference tagged sampler: each whole batch as one inf-padded, row-sorted array."""
     radius = trunc_radius(lam) + 10.0
-    tail_mean = 2.0 * np.pi * lam / (mu * (alpha - 2.0)) * radius ** (2.0 - alpha)
+    tail_mean = 2.0 * np.pi * lam / (alpha - 2.0) * radius ** (2.0 - alpha)
     out = np.empty(n)
     done = 0
     while done < n:
@@ -472,7 +477,7 @@ def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=200
         p[filled] = radius * np.sqrt(rng.uniform(size=total))
         p.sort(axis=1)
         np.power(p, -alpha, out=p)
-        p[filled] *= rng.exponential(1.0 / mu, size=total)
+        p[filled] *= rng.exponential(1.0, size=total)
         z1p = p[:, 0]
         z2p = p[:, 1]
         if scheme == "tic":
@@ -487,22 +492,19 @@ def padded_sort_rate_samples(scheme, n, lam, sigma_sq, mu, alpha, rng, batch=200
     return out
 
 
-ALPHA_MU_GRID = [(a, m) for a in (3.0, 4.0, 5.0) for m in (0.5, 1.0, 2.0)]
-
-
 @pytest.mark.parametrize("scheme", ["tic", "smf2", "smf2-interf"])
-@pytest.mark.parametrize("n, alpha_mu", [
-    (333, ALPHA_MU_GRID),  # below one block
-    (5001, ALPHA_MU_GRID),  # ten blocks, the last a partial batch of the oracle
-    (5120, [(4.0, 1.0)]),  # exactly ten full blocks
-    (22000, [(4.0, 1.0)]),  # 43 blocks, the last partial
+@pytest.mark.parametrize("n, alphas", [
+    (333, (3.0, 4.0, 5.0)),  # below one block
+    (5001, (3.0, 4.0, 5.0)),  # ten blocks, the last a partial batch of the oracle
+    (5120, (4.0,)),  # exactly ten full blocks
+    (22000, (4.0,)),  # 43 blocks, the last partial
 ], ids=["below-one-block", "partial-batch", "ten-blocks", "many-blocks"])
-def test_tagged_samples_match_padded_sort_bits(scheme, n, alpha_mu):
+def test_tagged_samples_match_padded_sort_bits(scheme, n, alphas):
     # the scheme alone and reduced from the field all three schemes share give
     # the reference's bits, block by block, and the generator ends where the
     # reference leaves it
-    for alpha, mu in alpha_mu:
-        args = (n, 0.3, 0.1, mu, alpha)
+    for alpha in alphas:
+        args = (n, 0.3, 0.1, alpha)
         ref_rng = np.random.default_rng(n)
         want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
         for schemes in ((scheme,), TAGGED):
@@ -532,7 +534,7 @@ def test_tagged_samples_memory_is_per_block(schemes):
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        tagged_rate_samples(schemes, 20000, 0.3, 0.1, 1.0, 4.0, rng)
+        tagged_rate_samples(schemes, 20000, 0.3, 0.1, 4.0, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -543,7 +545,7 @@ def test_tagged_samples_memory_is_per_block(schemes):
 def test_tagged_samples_take_any_generator(bit_generator):
     # every draw comes straight from the generator, so any bit generator gives
     # the reference's bits and end state
-    args = (1500, 0.3, 0.1, 1.0, 4.0)
+    args = (1500, 0.3, 0.1, 4.0)
     rng, ref_rng = (np.random.Generator(bit_generator(3)) for _ in range(2))
     got = tagged_rate_samples(("smf2-interf",), *args, rng)["smf2-interf"]
     want = padded_sort_rate_samples("smf2-interf", *args, ref_rng, batch=harness._BLOCK_ROWS)
@@ -558,7 +560,7 @@ def test_tagged_samples_keep_a_buffered_uint32(scheme):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     for g in (rng, ref_rng):
         g.integers(2**32, dtype=np.uint32)
-    args = (5001, 0.3, 0.1, 1.0, 4.0)
+    args = (5001, 0.3, 0.1, 4.0)
     got = tagged_rate_samples((scheme,), *args, rng)[scheme]
     want = padded_sort_rate_samples(scheme, *args, ref_rng, batch=harness._BLOCK_ROWS)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -685,6 +687,7 @@ def test_cli_dumped_channels_are_the_drops_own(tmp_path):
     ("thp_vectors = 10\n", [], "line 1: unknown key 'thp_vectors'"),
     # a config file that is not UTF-8 text
     (b"\xff\xfe = 3\n", [], "config: cannot read 'bad.cfg'"),
+    ("mu = 2\n", [], "line 1: unknown key 'mu'"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -737,7 +740,7 @@ def test_cli_snr_db_help_example_runs(tmp_path, capsys):
 def test_cli_run_degenerate_stream_exits_0(tmp_path, monkeypatch, capsys):
     # the last cohort row repeats the one before, so its stream is degenerate
     # with an exactly zero diagonal: zero rate for zfdpc, zero power for THP
-    def repeated_row_channel(z, mu, alpha, rng):
+    def repeated_row_channel(z, alpha, rng):
         H = np.eye(len(z), dtype=complex)
         if len(z) > 1:
             H[-1] = H[-2]
@@ -807,6 +810,25 @@ def test_cli_run_output_dir_that_cannot_be_made_exits_2_before_any_drop(
                     + dumps) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: output_dir: cannot create '{out / made}'"), err
+
+
+@pytest.mark.parametrize("preset", [None, "fig-conv-zf"])
+def test_cli_validate_reports_output_dir_that_run_cannot_make(tmp_path, capsys, preset):
+    # run writes to <output_dir>/<preset or run>; a regular file on the way
+    # makes run exit 2, so validate exits 2 too, and makes no directory
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / (preset or "run")).write_text("")
+    argv = ["validate", "--schemes", "tic"] + (["--preset", preset] if preset else [])
+    before = sorted(tmp_path.rglob("*"))
+    for out in (tmp_path / "taken", tmp_path / "taken" / "a" / "b", tmp_path / "out"):
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir: cannot create"), err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert main(argv + ["--output-dir", str(tmp_path / "new" / "dir")]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_crossvalidate_assert_exits_4_per_scheme(monkeypatch, capsys):

@@ -154,7 +154,7 @@ def test_degenerate_stream_transmits_nothing(rng):
     assert np.allclose(u[:2], data[0, :2], atol=1e-12)
     # each QPSK symbol has unit energy, so the two live streams total 2
     assert drop_power_sample(fact, 0.1, [4], rng)[4][0] == pytest.approx(2.0, abs=1e-12)
-    powers = drop_power_sample(fact, [1.0, 0.01], ["adaptive", 4, 64], seed=3, vectors=9)
+    powers = drop_power_sample(fact, [1.0, 0.01], ["adaptive", 4, 64], seed=3)
     assert np.allclose(powers[4], 2.0, atol=1e-12)
     assert all(np.all(np.isfinite(p)) for p in powers.values())
 
