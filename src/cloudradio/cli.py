@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: run, validate, crossvalidate, list-presets.  Exit codes:
-0 ok, 2 config error, 3 numerical error, 4 assertion failure (--assert).
+0 ok, 2 config error, 3 numerical error, 4 failed crossvalidate --assert.
 Default output directory comes from $CLOUDRADIO_OUTPUT_DIR when set.
 """
 
@@ -20,15 +20,6 @@ from .harness import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
                       load_config_file, parse_field, preset_config, run, validate)
 from .numerics import NumericalError
 
-# reference expectations in bps/Hz applied under --assert; (scheme, snr, stat) -> (lo, hi)
-PRESET_CHECKS = {
-    "fig-conv-zf": [
-        ("conventional", "10", "mean", 1.467, 1.793),
-        ("zfdpc", "10", "mean", 4.437, 5.423),
-    ],
-    "fig-noise": [("zfdpc", "20", "mean", 7.013, 8.571)],
-    "fig-uplink": [("mmse", "10", "mean", 3.357, 4.103)],
-}
 CROSSVAL_LIMITS = {"tic": 0.02, "smf2": 0.02, "smf2-interf": 0.03}
 
 
@@ -76,17 +67,14 @@ def main(argv=None) -> int:
                        help="write BS/UE positions of the first drops as CSV")
     p_run.add_argument("--dump-channels", action="store_true",
                        help="write channel matrices (re/im interleaved) as CSV")
-    p_run.add_argument("--crossvalidate", dest="with_crossval", action="store_true",
-                       help="attach analytic sup gaps for schemes that have them")
-    p_run.add_argument("--assert", dest="check", action="store_true",
-                       help="fail (exit 4) when preset expectations are missed")
 
     p_val = sub.add_parser("validate", help="check a config without running it")
     _add_overrides(p_val)
 
     p_x = sub.add_parser("crossvalidate", help="Monte Carlo vs analytic coverage")
     _add_overrides(p_x)
-    p_x.add_argument("--samples", type=int, help="tagged-user draws per scheme")
+    p_x.add_argument("--samples", type=int, default=100_000,
+                     help="tagged-user draws per scheme")
     p_x.add_argument("--assert", dest="check", action="store_true")
 
     sub.add_parser("list-presets", help="show available figure presets")
@@ -140,20 +128,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "crossvalidate":
-        if args.samples is not None:
-            cfg = replace(cfg, crossval_samples=args.samples)
-        report = crossvalidate(cfg)
+        report = crossvalidate(cfg, args.samples)
         print(json.dumps(report, indent=2, sort_keys=True))
-        return _fail_on(_crossval_failures(report)) if args.check else 0
+        failures = _crossval_failures(report) if args.check else []
+        for f in failures:
+            print(f"assertion failed: {f}", file=sys.stderr)
+        return 4 if failures else 0
 
     # run
-    name = args.preset or "run"
-    report = run(cfg, workers=args.workers, name=name,
-                 dump_geometry=args.dump_geometry, dump_channels=args.dump_channels,
-                 with_crossval=args.with_crossval)
+    report = run(cfg, workers=args.workers, name=args.preset or "run",
+                 dump_geometry=args.dump_geometry, dump_channels=args.dump_channels)
     print(report.to_json())
-    if args.check:
-        return _fail_on(_check_preset(name, report) + _crossval_failures(report.crossval or {}))
     return 0
 
 
@@ -170,30 +155,10 @@ def _output_dir_errors(cfg, name) -> list:
     return [f"output_dir: cannot create '{path}': '{existing}' is not a directory"]
 
 
-def _fail_on(failures) -> int:
-    """Print one `assertion failed:` line per failure; 4 if there is any, else 0."""
-    for f in failures:
-        print(f"assertion failed: {f}", file=sys.stderr)
-    return 4 if failures else 0
-
-
 def _crossval_failures(crossval) -> list:
     """One failure per scheme whose sup gap is not below its CROSSVAL_LIMITS entry."""
     return [f"{s} crossval sup gap {r['sup_gap']:.4g} not below {CROSSVAL_LIMITS[s]}"
             for s, r in crossval.items() if r["sup_gap"] >= CROSSVAL_LIMITS[s]]
-
-
-def _check_preset(name, report) -> list:
-    failures = []
-    for scheme, snr, stat, lo, hi in PRESET_CHECKS.get(name, []):
-        try:
-            value = report.summaries[scheme][snr][stat]
-        except KeyError:
-            failures.append(f"{scheme}@{snr}dB missing from report")
-            continue
-        if not lo <= value <= hi:
-            failures.append(f"{scheme}@{snr}dB {stat}={value:.3f} outside [{lo}, {hi}]")
-    return failures
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,7 +25,7 @@ from .channel import (build_channel, inter_cluster_interference, sigma_sq_from_s
                       take_partial_csi)
 from .geometry import (Region, associate, distance_block, sample_ppp, select_cohort,
                        split_cluster)
-from .numerics import blas_threads, lq_factor
+from .numerics import NumericalError, blas_threads, lq_factor
 from .stats import build_cdf, gain_percent
 
 __all__ = [
@@ -74,7 +74,6 @@ class ExperimentConfig:
     cluster_radius_km: float | None = None
     seed: int = 1234
     output_dir: str | None = None
-    crossval_samples: int = 100_000
 
     @property
     def lambda_u_effective(self) -> float:
@@ -130,8 +129,6 @@ def validate(config: ExperimentConfig):
             errors.append(f"csi_l: required by scheme '{s}'")
         if s.startswith("clustered") and (config.cluster_radius_km or 0) <= 0:
             errors.append(f"cluster_radius_km: required by scheme '{s}'")
-    if config.crossval_samples < 1:
-        errors.append("crossval_samples: must be at least 1")
     if config.seed < 0:
         errors.append("seed: must be non-negative")
     return errors, warnings
@@ -235,7 +232,7 @@ def parse_field(key, val):
         if key == "snr_db":
             parts = [_finite(p) for p in val.split(",")]
             return parts if len(parts) > 1 else parts[0]
-        if key in ("drops", "csi_l", "seed", "crossval_samples"):
+        if key in ("drops", "csi_l", "seed"):
             return int(val)
         if key == "output_dir":
             return val
@@ -328,7 +325,12 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     snrs = config.snr_list
     sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in snrs])
     drop = Drop(config, drop_index, H, cluster, sigma_sq)
-    rows = {s: SCHEMES[s](drop) for s in config.schemes}
+    # a rate that overflows is reported below as a NumericalError, not warned about
+    with np.errstate(over="ignore"):
+        rows = {s: SCHEMES[s](drop) for s in config.schemes}
+    for s, r in rows.items():
+        if r is not None and not np.isfinite(r).all():
+            raise NumericalError(f"{s}: a rate of drop {drop_index} is not finite")
     return {(s, snr): r[j] for j, snr in enumerate(snrs) for s, r in rows.items()
             if r is not None}
 
@@ -402,7 +404,6 @@ class ExperimentReport:
     gains_vs_conventional: dict
     wall_clock_s: float
     drops_effective: int
-    crossval: dict | None = None
 
     def to_json(self, **kw):
         return json.dumps(asdict(self), indent=2, sort_keys=True, **kw)
@@ -422,19 +423,16 @@ def _one_blas_thread():
 # pool of n processes would otherwise run n times as many threads as cores
 @blas_threads(1)
 def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
-        dump_channels=False, with_crossval=False) -> ExperimentReport:
+        dump_channels=False) -> ExperimentReport:
     """Execute a config: simulate drops, aggregate, emit CSVs and a summary.
 
     Identical (seed, config) give byte-identical CSVs for any worker count.
     The dump flags make the first DEBUG_DROPS drops write what they drew under
-    debug/.  with_crossval additionally runs the analytic comparison for any
-    scheme that has one and attaches the sup gaps to the report.
+    debug/.
     """
     if workers < 1:
         raise ConfigError("workers: must be at least 1")
     _require_valid(config)
-    if with_crossval:
-        _crossval_schemes(config)
     t0 = time.perf_counter()
     out_root = Path(config.output_dir or ".") / name
     dumps = {}
@@ -497,9 +495,6 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
         wall_clock_s=time.perf_counter() - t0,
         drops_effective=effective,
     )
-    if with_crossval:
-        report.crossval = crossvalidate(config)
-        report.wall_clock_s = time.perf_counter() - t0
     (out_root / "summary.json").write_text(report.to_json())
     return report
 
@@ -599,22 +594,36 @@ def _faded_powers(counts, radius, alpha, rng):
     return u
 
 
-def crossvalidate(config: ExperimentConfig) -> dict:
+def crossvalidate(config: ExperimentConfig, samples=100_000) -> dict:
     """Monte Carlo vs analytic coverage on a shared threshold grid.
 
-    For every configured scheme with an analytic counterpart, reports the sup
-    CDF gap and the SNR shift (dB) between the two curves at CDF level 0.5.
-    Every scheme reads the same tagged samples' fields, drawn once, block by
-    block, from the (seed, 0xC0FFEE) substream that no drop draws from.
+    For every configured scheme with an analytic counterpart, draws `samples`
+    tagged-user rates and reports the sup CDF gap and the SNR shift (dB)
+    between the two curves at CDF level 0.5.  Every scheme reads the same
+    tagged samples' fields, drawn once, block by block, from the
+    (seed, 0xC0FFEE) substream that no drop draws from.
     """
-    wanted = _crossval_schemes(config)
+    if samples < 1:
+        raise ConfigError("samples: must be at least 1")
+    wanted = tuple(s for s in config.schemes if s in CROSSVAL_SCHEMES)
+    if not wanted:
+        raise ConfigError("schemes: crossvalidate needs one of " + ", ".join(CROSSVAL_SCHEMES))
+    # 'smf2-interf' exists only as an analytic pairing, not as a run scheme
+    rest = tuple(s for s in config.schemes if s != "smf2-interf") or ("tic",)
+    _require_valid(replace(config, schemes=rest))
+    if len(config.snr_list) != 1:
+        raise ConfigError("snr_db: crossvalidate expects a scalar SNR")
     sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])
     rng = default_rng(SeedSequence(config.seed, spawn_key=(0xC0FFEE,)))
-    per_scheme = tagged_rate_samples(wanted, config.crossval_samples, config.lambda_b, sigma_sq,
-                                     config.alpha, rng)
+    # a rate that overflows is reported below as a NumericalError, not warned about
+    with np.errstate(over="ignore"):
+        per_scheme = tagged_rate_samples(wanted, samples, config.lambda_b, sigma_sq,
+                                         config.alpha, rng)
     report = {}
-    for scheme, samples in per_scheme.items():
-        cdf = build_cdf(samples)
+    for scheme, rates in per_scheme.items():
+        if not np.isfinite(rates).all():
+            raise NumericalError(f"{scheme}: a tagged sample is not finite")
+        cdf = build_cdf(rates)
         grid = np.linspace(0.0, cdf.quantile(0.9999) + 0.5, 241)
         curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, sigma_sq, grid, alpha=config.alpha)
         mc_cov = 1.0 - cdf.cdf_at(grid)
@@ -626,19 +635,6 @@ def crossvalidate(config: ExperimentConfig) -> dict:
             "snr_shift_db_at_median": shift,
         }
     return report
-
-
-def _crossval_schemes(config):
-    """The configured schemes crossvalidate compares; ConfigError unless it can run them."""
-    wanted = tuple(s for s in config.schemes if s in CROSSVAL_SCHEMES)
-    if not wanted:
-        raise ConfigError("schemes: crossvalidate needs one of " + ", ".join(CROSSVAL_SCHEMES))
-    # 'smf2-interf' exists only as an analytic pairing, not as a run scheme
-    rest = tuple(s for s in config.schemes if s != "smf2-interf") or ("tic",)
-    _require_valid(replace(config, schemes=rest))
-    if len(config.snr_list) != 1:
-        raise ConfigError("snr_db: crossvalidate expects a scalar SNR")
-    return wanted
 
 
 def _median_threshold(grid, coverage):

@@ -109,9 +109,8 @@ def saturation_sweep():
 
 @pytest.fixture(scope="session")
 def crossval_report():
-    cfg = ExperimentConfig(schemes=("tic", "smf2", "smf2-interf"),
-                           crossval_samples=100_000, seed=SEED)
-    return crossvalidate(cfg)
+    cfg = ExperimentConfig(schemes=("tic", "smf2", "smf2-interf"), seed=SEED)
+    return crossvalidate(cfg, samples=100_000)
 
 
 def test_criterion_01_conventional_baseline(base10):

@@ -2,8 +2,10 @@ import concurrent.futures
 import json
 import math
 import re
+import shlex
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,33 +580,46 @@ def test_crossvalidate_requires_counterpart():
 def test_crossvalidate_entry_does_not_depend_on_the_other_schemes():
     # every scheme reduces the same tagged fields, so a scheme's samples do not
     # depend on where the schemes requested before it left the generator
-    alone = crossvalidate(ExperimentConfig(schemes=("smf2-interf",), crossval_samples=3000,
-                                           seed=11))
-    every = crossvalidate(ExperimentConfig(schemes=TAGGED, crossval_samples=3000, seed=11))
+    alone = crossvalidate(ExperimentConfig(schemes=("smf2-interf",), seed=11), samples=3000)
+    every = crossvalidate(ExperimentConfig(schemes=TAGGED, seed=11), samples=3000)
     assert alone["smf2-interf"] == every["smf2-interf"]
 
 
 def test_crossvalidate_tic_small():
-    cfg = ExperimentConfig(schemes=("tic",), crossval_samples=20000, seed=7)
-    rep = crossvalidate(cfg)
+    rep = crossvalidate(ExperimentConfig(schemes=("tic",), seed=7), samples=20000)
     assert rep["tic"]["sup_gap"] < 0.02
     assert abs(rep["tic"]["snr_shift_db_at_median"]) < 0.5
-
-
-def test_run_with_crossval_attached(tmp_path):
-    cfg = ExperimentConfig(schemes=("tic",), drops=4, seed=9, crossval_samples=8000,
-                           output_dir=str(tmp_path))
-    report = run(cfg, name="xv", with_crossval=True)
-    assert report.crossval is not None
-    assert "sup_gap" in report.crossval["tic"]
-    on_disk = json.loads((tmp_path / "xv" / "summary.json").read_text())
-    assert on_disk["crossval"]["tic"]["samples"] == 8000
 
 
 def test_cli_list_presets(capsys):
     assert main(["list-presets"]) == 0
     out = capsys.readouterr().out
     assert "fig-conv-zf" in out
+
+
+def _help_flags(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv + ["--help"])
+    return re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)
+
+
+def test_readme_cli_commands_parse_and_name_existing_flags(monkeypatch, capsys):
+    # every line of README's CLI block parses, and nothing runs; every --flag
+    # README names anywhere is an option of some subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    parsed = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(args.command) or 0)
+    for line in block.splitlines():
+        program, *argv = shlex.split(line)
+        assert program == "cloudradio"
+        assert main(argv) == 0, line
+    assert len(parsed) == len(block.splitlines()) > 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    options = {flag for c in commands for flag in _help_flags(capsys, [c])}
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - options == set()
 
 
 def test_cli_validate_exit_codes(capsys):
@@ -688,6 +703,7 @@ def test_cli_dumped_channels_are_the_drops_own(tmp_path):
     # a config file that is not UTF-8 text
     (b"\xff\xfe = 3\n", [], "config: cannot read 'bad.cfg'"),
     ("mu = 2\n", [], "line 1: unknown key 'mu'"),
+    ("crossval_samples = 2000\n", [], "line 1: unknown key 'crossval_samples'"),
 ])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, config_text, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -764,31 +780,23 @@ def test_cli_env_output_dir(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "run" / "tic.csv").exists()
 
 
-def test_cli_run_assert_failure_exits_4(tmp_path, capsys):
-    # the fig-conv-zf expectations cannot be met by this model (see README
-    # discrepancy notes), so --assert must exit 4 with a named check
-    code = main(["run", "--preset", "fig-conv-zf", "--drops", "40", "--seed", "2",
-                 "--output-dir", str(tmp_path), "--assert"])
-    assert code == 4
-    assert "assertion failed" in capsys.readouterr().err
+@pytest.mark.parametrize("deleted", [
+    pytest.param(["--log-base", "3"], id="--log-base"),
+    pytest.param(["--smf-l", "3"], id="--smf-l"),
+    # crossvalidate is the one route to the sup gaps, and the acceptance
+    # suite the one home of the reference bands
+    pytest.param(["--crossvalidate"], id="--crossvalidate"),
+    pytest.param(["--assert"], id="--assert"),
+])
+def test_cli_run_rejects_deleted_settings(tmp_path, monkeypatch, capsys, deleted):
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop was simulated")
 
-
-def test_cli_run_assert_reads_its_bands_in_bps_per_hz(tmp_path, capsys):
-    # the bands and the summaries are both in bps/Hz; on these drops the
-    # conventional mean is 2.272 bps/Hz, outside [1.467, 1.793]
-    code = main(["run", "--preset", "fig-conv-zf", "--drops", "100", "--seed", "20240811",
-                 "--output-dir", str(tmp_path), "--assert"])
-    assert code == 4
-    err = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("assertion failed: conventional@10dB mean=2.272") for line in err)
-
-
-@pytest.mark.parametrize("flag", ["--log-base", "--smf-l"])
-def test_cli_run_rejects_deleted_settings(tmp_path, capsys, flag):
+    monkeypatch.setattr(harness, "simulate_drop", no_drop)
     with pytest.raises(SystemExit) as exc:
-        main(["run", flag, "3", "--drops", "2", "--output-dir", str(tmp_path)])
+        main(["run", "--schemes", "tic", *deleted, "--drops", "2", "--output-dir", str(tmp_path)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(deleted)}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -842,28 +850,38 @@ def test_cli_crossvalidate_assert_exits_4_per_scheme(monkeypatch, capsys):
         "assertion failed: tic crossval", "assertion failed: smf2 crossval"]
 
 
-def test_cli_run_crossvalidate_assert_exits_4_per_scheme(tmp_path, monkeypatch, capsys):
-    # the run preset has no expectations of its own, so the crossval gap is the one failure
-    monkeypatch.setattr(cli, "CROSSVAL_LIMITS", dict.fromkeys(cli.CROSSVAL_LIMITS, 0.0))
-    path = tmp_path / "tic.cfg"
-    path.write_text("schemes = tic\ndrops = 2\ncrossval_samples = 2000\n")
-    code = main(["run", "--config", str(path), "--crossvalidate", "--assert",
-                 "--output-dir", str(tmp_path)])
-    assert code == 4
-    err = capsys.readouterr().err.splitlines()
-    assert [line.split(" sup gap ")[0] for line in err] == ["assertion failed: tic crossval"]
-
-
 def test_cli_crossvalidate_rejects_zero_samples(tmp_path, capsys):
     assert main(["crossvalidate", "--schemes", "tic", "--samples", "0"]) == 2
+    assert capsys.readouterr().err == "config error: samples: must be at least 1\n"
+    # the sample count is a crossvalidate argument, not a config key
     path = tmp_path / "zero.cfg"
     path.write_text("schemes = tic\ncrossval_samples = 0\n")
     assert main(["crossvalidate", "--config", str(path)]) == 2
-    assert "crossval_samples" in capsys.readouterr().err
+    assert "unknown key 'crossval_samples'" in capsys.readouterr().err
 
 
-def test_cli_run_crossvalidate_without_scheme_fails_before_drops(tmp_path, capsys):
-    code = main(["run", "--preset", "fig-conv-zf", "--crossvalidate", "--drops", "20",
+def test_cli_crossvalidate_preset_reports_its_tagged_schemes(capsys):
+    # fig-bounds runs zfdpc, tic, smf and smf2; tic and smf2 have analytic curves
+    assert main(["crossvalidate", "--preset", "fig-bounds", "--samples", "2000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["smf2", "tic"]
+    assert all(r["samples"] == 2000 for r in report.values())
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_overflowing_rate_exits_3_before_any_csv(tmp_path, capsys):
+    # the noise power 1e-310 is positive and finite, but the tic SINR
+    # |h|^2 / sigma^2 overflows to inf: exit 3 naming the scheme, no warning
+    code = main(["run", "--snr-db", "3100", "--schemes", "tic", "--drops", "2", "--seed", "1",
                  "--output-dir", str(tmp_path)])
-    assert code == 2
-    assert not list(tmp_path.rglob("*.csv"))
+    assert code == 3
+    assert capsys.readouterr() == ("", "numerical error: tic: a rate of drop 0 is not finite\n")
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_crossvalidate_overflowing_sample_exits_3(capsys):
+    code = main(["crossvalidate", "--schemes", "tic,smf2,smf2-interf", "--snr-db", "3100",
+                 "--samples", "2000", "--seed", "1"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "numerical error: tic: a tagged sample is not finite\n")
