@@ -1,9 +1,10 @@
 """Analytic coverage curves against scheme-matched Monte Carlo.
 
-The single-branch (total interference cancellation) and two-branch
-matched-filter coverage integrals are evaluated by adaptive quadrature and
-compared with tagged-user simulations on a shared threshold grid; these are
-the anchor checks tying the simulator to the closed-form side.
+The single-branch (total interference cancellation) coverage, a closed form
+at alpha = 4, and the two-branch matched-filter coverage integral, evaluated
+by adaptive quadrature, are compared with tagged-user simulations on a shared
+threshold grid; these are the anchor checks tying the simulator to the
+analytic side.
 """
 
 import math

@@ -21,7 +21,6 @@ __all__ = [
     "build_channel",
     "take_partial_csi",
     "inter_cluster_interference",
-    "diagonal_dominance_fraction",
 ]
 
 # clamp for colocated UE/BS; avoids the path-loss singularity at z -> 0
@@ -94,16 +93,3 @@ def inter_cluster_interference(z, alpha, rng) -> np.ndarray:
     fades = rng.exponential(1.0, size=z.shape)
     return np.sum(fades * z ** (-alpha), axis=1)
 
-
-def diagonal_dominance_fraction(H) -> float:
-    """Fraction of streams whose faded diagonal dominates row AND column.
-
-    Distance-level row dominance is guaranteed by association; the full
-    magnitude-level property only holds statistically under fading, so it is
-    reported rather than asserted.
-    """
-    a = np.abs(H)
-    d = np.diag(a)
-    row_ok = d >= a.max(axis=1) - 1e-15
-    col_ok = d >= a.max(axis=0) - 1e-15
-    return float(np.mean(row_ok & col_ok))

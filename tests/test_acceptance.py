@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 from cloudradio import (ExperimentConfig, build_cdf, crossvalidate, detect_saturation,
                         gain_percent, lq_factor, qam_constellation, run, simulate_drop, thp,
                         thp_precode)
-from cloudradio.analytic import gamma_threshold, tau_tic
+from cloudradio.analytic import _tic_quadrature, gamma_threshold, tau_tic, tau_tic_curve
 from cloudradio.channel import sigma_sq_from_snr_db
 from cloudradio.geometry import Region, sample_ppp, split_cluster
 from cloudradio.thp import draw_symbols, select_modulation
@@ -178,13 +178,18 @@ def test_criterion_06_tic_bound(base10, crossval_report):
     c = Checker(6)
     gap = crossval_report["tic"]["sup_gap"]
     c.check("Monte Carlo vs tau_tic sup gap < 0.02", gap < 0.02, f"gap = {gap:.4f}")
-    # closed form vs quadrature to 1e-6 (asserted inside tau_tic on each call)
-    vals = [tau_tic(0.3, 0.1, t) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    # t = 1 nat, which is 1/ln 2 bps/Hz
-    harmonic = tau_tic(0.3, 0.1, 1.0 / math.log(2.0), alpha=2.0)
+    # tau_tic is the closed form at alpha 2 and 4; t = 1 nat is 1/ln 2 bps/Hz
+    nat = 1.0 / math.log(2.0)
+    worst = 0.0
+    for alpha, ts in ((4.0, [0.25, 0.5, 1.0, 2.0, 4.0]), (2.0, [nat])):
+        closed = tau_tic_curve(0.3, 0.1, ts, alpha=alpha)
+        quad = _tic_quadrature(0.3, 0.1, gamma_threshold(np.array(ts)), alpha)
+        worst = max(worst, np.max(np.abs(closed - quad) / closed))
+    harmonic = tau_tic(0.3, 0.1, nat, alpha=2.0)
     c.check("quadrature vs closed form to 1e-6 (alpha 2 and 4)",
-            np.all(np.isfinite(vals)) and abs(harmonic - 0.8458) < 2e-4,
-            f"natural-log alpha=2 value {harmonic:.4f} vs 0.8458")
+            worst < 1e-6 and abs(harmonic - 0.8458) < 2e-4,
+            f"worst relative gap {worst:.1e}; natural-log alpha=2 value {harmonic:.4f}"
+            " vs 0.8458")
     tic = build_cdf(base10[("tic", 10.0)])
     zf = build_cdf(base10[("zfdpc", 10.0)])
     shift = snr_shift_db(zf.cell_edge, tic.cell_edge)

@@ -10,8 +10,9 @@ from scipy.special import erfcx
 
 from cloudradio import (NumericalError, analytic, cli, gamma_threshold, tau_smf2_curve,
                         tau_tic_curve)
-from cloudradio.analytic import (REL_TOL, _check_quad, _laplace_exponent_integral, tau_smf2,
-                                 tau_tic, trunc_radius)
+from cloudradio.analytic import (REL_TOL, _check_quad, _laplace_exponent_integral,
+                                 _tic_quadrature, tau_smf2, tau_tic, trunc_radius)
+from cloudradio.channel import sigma_sq_from_snr_db
 
 
 def test_trunc_radius_tail_mass():
@@ -55,19 +56,47 @@ def test_tau_tic_alpha4_matches_quadrature_oracle():
     assert tau_tic(lam, s2, t) == pytest.approx(oracle, rel=1e-5)
 
 
+def tic_closed_form_gap(lam, sigma_sq, thresholds, alpha):
+    """Worst |closed form - quadrature| of tau_tic_curve, as a share of quad's gate.
+
+    Both curves are 2*pi*lam times an integral I; the gate bounds the error of
+    I by max(REL_TOL*|I|, 1e-13).  Thresholds t > 0 only.
+    """
+    two_pi_lam = 2 * np.pi * lam
+    closed = tau_tic_curve(lam, sigma_sq, thresholds, alpha=alpha) / two_pi_lam
+    integral = _tic_quadrature(lam, sigma_sq, gamma_threshold(np.asarray(thresholds)),
+                               alpha) / two_pi_lam
+    return np.max(np.abs(closed - integral) / np.maximum(REL_TOL * np.abs(integral), 1e-13))
+
+
 @pytest.mark.parametrize("sigma_sq, t", [(0.1, 1.0), (0.1, 27.0), (0.1, 40.0), (0.1, 48.0),
                                          (1e-3, 45.0), (1e-3, 50.0),
                                          (0.1, 16.351901503154576), (0.1, 20.488837707931733)])
 def test_tau_tic_deep_tail_returns_closed_form(sigma_sq, t):
-    # the quad cross-check must find the integrand's peak near
+    # the quadrature must find the integrand's peak near
     # z = (gamma*sigma^2)**(-1/4), far inside the PPP scale at deep thresholds;
     # at t = 16.35 and 20.49 a quad without breaks under-reported its error
-    # and the cross-check raised on the correct closed form
+    # and disagreed with the correct closed form
     q = 0.3 * np.pi
     c = gamma_threshold(t) * sigma_sq
     closed = q * np.sqrt(np.pi / (4.0 * c)) * math.exp(q * q / (4.0 * c)) * math.erfc(
         q / (2.0 * np.sqrt(c)))
     assert tau_tic(0.3, sigma_sq, t) == pytest.approx(closed, rel=1e-12)
+    for alpha in (2.0, 4.0):
+        assert tic_closed_form_gap(0.3, sigma_sq, [t], alpha) <= 1.0
+
+
+@pytest.mark.parametrize("lam", [7.5e-4, 0.3, 7.5])
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+def test_tau_tic_closed_forms_match_quadrature(alpha, lam):
+    # the closed form is the curve; the quadrature, which other alpha take,
+    # must agree with it within its own gate from -300 to +200 dB.  The bound
+    # is that gate: 1e-6 of the coverage with a 1e-18 floor fails 63 to 126
+    # thresholds of this grid at -200 and -300 dB (alpha 4, lam 0.3 and 7.5)
+    grid = np.linspace(0.0, 48.0, 241)[1:]
+    gaps = [tic_closed_form_gap(lam, sigma_sq_from_snr_db(snr), grid, alpha)
+            for snr in range(-300, 201, 20)]
+    assert max(gaps) <= 1.0, gaps
 
 
 def test_erfcx_matches_scipy():
@@ -78,10 +107,12 @@ def test_erfcx_matches_scipy():
 
 
 @pytest.mark.parametrize("argv", [["--snr-db", "-40"], ["--snr-db", "200"],
-                                  ["--lambda-b", "50", "--snr-db", "10"]])
+                                  ["--lambda-b", "50", "--snr-db", "10"], ["--snr-db=-300"]])
 def test_crossvalidate_extremes_exit_0(argv, capsys):
     # the alpha = 4 closed form's erfcx argument spans its two branches and
-    # the switch: near 0 at -40 dB, large at 200 dB and at lambda_b = 50
+    # the switch: near 0 at -40 dB, large at 200 dB and at lambda_b = 50.  At
+    # -300 dB coverage is near 1e-14, below what a 1e-6 relative comparison
+    # with quadrature can hold
     assert cli.main(["crossvalidate", "--schemes", "tic,smf2,smf2-interf", *argv,
                      "--samples", "2000", "--seed", "3"]) == 0
 
@@ -287,7 +318,8 @@ def test_coverage_check_raises_numerical_error(monkeypatch):
 
 
 def test_each_curve_is_one_quad_call(monkeypatch):
-    # analytic.quad is the one outer integrator; the benchmark tracer counts its calls
+    # analytic.quad is the one outer integrator; the benchmark tracer counts its
+    # calls.  The alpha = 4 TIC curve is its closed form and makes none
     calls = []
     real = analytic.quad
     monkeypatch.setattr(analytic, "quad", lambda *a: calls.append(a[2:]) or real(*a))
@@ -296,7 +328,7 @@ def test_each_curve_is_one_quad_call(monkeypatch):
     tau_tic_curve(0.3, 0.1, grid)
     tau_smf2_curve(0.3, 0.1, grid)
     tau_smf2_curve(0.3, 0.1, grid, True)
-    assert calls == [(24, "tau_tic")] * 2 + [(24, "tau_smf2")] * 2
+    assert calls == [(24, "tau_tic")] + [(24, "tau_smf2")] * 2
 
 
 def test_tau_tic_alpha3_found_threshold_matches_mpmath(monkeypatch):

@@ -5,8 +5,7 @@ import pytest
 
 from cloudradio import (Region, associate, build_channel, inter_cluster_interference,
                         sample_ppp, select_cohort, take_partial_csi)
-from cloudradio.channel import (MIN_DISTANCE_KM, diagonal_dominance_fraction,
-                                sigma_sq_from_snr_db)
+from cloudradio.channel import MIN_DISTANCE_KM, sigma_sq_from_snr_db
 from cloudradio.geometry import distance_block, point_distances
 from cloudradio.harness import _write_channel_csv
 
@@ -93,12 +92,6 @@ def test_build_channel_matches_complex_formula(k):
         want = build_channel_two_temporaries(np.maximum(z, MIN_DISTANCE_KM), alpha, want_rng)
         assert H.tobytes() == want.tobytes(), seed
         assert got_rng.random() == want_rng.random()
-
-
-def test_magnitude_dominance_is_only_statistical(rng, drop):
-    _, _, _, _, H = drop
-    frac = diagonal_dominance_fraction(H)
-    assert 0.0 <= frac <= 1.0
 
 
 def test_partial_csi_full_budget_is_identity(drop):
