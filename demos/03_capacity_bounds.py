@@ -8,16 +8,13 @@ SNR-shift between the CDFs at the cell-edge and median levels.
 
 import numpy as np
 
-from cloudradio import ExperimentConfig, build_cdf, simulate_drop
+from cloudradio import ExperimentConfig, build_cdf, simulate
 from cloudradio.analytic import gamma_threshold
 
 cfg = ExperimentConfig(schemes=("zfdpc", "tic", "smf", "smf2"), snr_db=10.0,
                        drops=300, seed=23)
-samples = {}
-for i in range(cfg.drops):
-    for (scheme, _), rates in simulate_drop(cfg, i).items():
-        samples.setdefault(scheme, []).append(rates)
-cdfs = {s: build_cdf(np.concatenate(v)) for s, v in samples.items()}
+cdfs = {s: build_cdf(np.concatenate([r for _, r in drops]))
+        for (s, _), drops in simulate(cfg).items()}
 
 
 def shift_db(a, b, q):

@@ -8,15 +8,12 @@ A joint MMSE receiver trades some rate for linear complexity.
 
 import numpy as np
 
-from cloudradio import ExperimentConfig, build_cdf, lq_factor, simulate_drop
+from cloudradio import ExperimentConfig, build_cdf, lq_factor, simulate
 
 cfg = ExperimentConfig(schemes=("zfdpc", "uplink-sic", "mmse", "conventional"),
                        snr_db=10.0, drops=300, seed=31)
-samples = {}
-for i in range(cfg.drops):
-    for (scheme, _), rates in simulate_drop(cfg, i).items():
-        samples.setdefault(scheme, []).append(rates)
-cdfs = {s: build_cdf(np.concatenate(v)) for s, v in samples.items()}
+cdfs = {s: build_cdf(np.concatenate([r for _, r in drops]))
+        for (s, _), drops in simulate(cfg).items()}
 
 print(f"{'scheme':>12} {'mean':>8} {'cell edge':>10}")
 for s in ("conventional", "mmse", "uplink-sic", "zfdpc"):

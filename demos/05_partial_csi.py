@@ -8,19 +8,16 @@ full-CSI mean rate.
 
 import numpy as np
 
-from cloudradio import ExperimentConfig, build_cdf, simulate_drop
+from cloudradio import ExperimentConfig, build_cdf, simulate
 
 full_cfg = ExperimentConfig(schemes=("zfdpc",), snr_db=10.0, drops=200, seed=47)
-full = build_cdf(np.concatenate(
-    [simulate_drop(full_cfg, i)[("zfdpc", 10.0)] for i in range(full_cfg.drops)]))
+full = build_cdf(np.concatenate([r for _, r in simulate(full_cfg)["zfdpc", 10.0]]))
 
 print(f"full-CSI ZF-DPC mean: {full.mean:.3f} bps/Hz\n")
 print(f"{'l':>4} {'mean':>8} {'fraction of full':>17} {'cell edge':>10}")
 for l in (2, 4, 6, 10, 15):
     cfg = ExperimentConfig(schemes=("zfdpc-partial",), snr_db=10.0, drops=200,
                            seed=47, csi_l=l)
-    rates = np.concatenate(
-        [simulate_drop(cfg, i)[("zfdpc-partial", 10.0)] for i in range(cfg.drops)])
-    cdf = build_cdf(rates)
+    cdf = build_cdf(np.concatenate([r for _, r in simulate(cfg)["zfdpc-partial", 10.0]]))
     print(f"{l:>4} {cdf.mean:8.3f} {cdf.mean / full.mean:17.1%} {cdf.cell_edge:10.3f}")
 print("\nsame seed everywhere, so every row sees identical drops and fades")

@@ -5,7 +5,7 @@ without remedy.  Rates rise with SNR while noise dominates, then settle on an
 interference-limited plateau that the saturation detector locates.
 """
 
-from cloudradio import ExperimentConfig, build_cdf, detect_saturation, run, simulate_drop
+from cloudradio import ExperimentConfig, detect_saturation, run, simulate
 
 import numpy as np
 
@@ -25,11 +25,9 @@ cfg = ExperimentConfig(region_km=(20.0, 20.0), lambda_b=0.1, cluster_radius_km=8
                        csi_l=6, schemes=("clustered-partial",),
                        snr_db=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0],
                        drops=120, seed=5)
-acc = {}
-for i in range(cfg.drops):
-    for (_, snr), rates in simulate_drop(cfg, i).items():
-        acc.setdefault(snr, []).append(rates)
-means = [float(np.mean(np.concatenate(acc[s]))) for s in cfg.snr_list]
+pooled = simulate(cfg)
+means = [float(np.mean(np.concatenate([r for _, r in pooled["clustered-partial", s]])))
+         for s in cfg.snr_list]
 for snr, m in zip(cfg.snr_list, means):
     print(f"  {snr:5.0f} dB: mean {m:.2f} bps/Hz")
 snr_db, plateau = detect_saturation(cfg.snr_list, means)

@@ -3,9 +3,9 @@ seeding, CSV/JSON emission, and Monte Carlo vs analytic cross-validation.
 
 A run iterates independent drops.  Each drop derives its own random substream
 from (seed, drop index), so results are byte-identical for a given seed and
-config regardless of worker count.  simulate_drop draws one network and runs
-each configured scheme of the SCHEMES registry once over the whole SNR sweep;
-the --dump-* files are written by the drop from what it drew.
+config regardless of worker count.  simulate_drop draws one network, runs each
+configured scheme of the SCHEMES registry once over the whole SNR sweep and
+dumps what it drew; simulate is the one loop that pools the drops' rates.
 """
 
 import json
@@ -39,6 +39,7 @@ __all__ = [
     "validate",
     "run",
     "crossvalidate",
+    "simulate",
     "simulate_drop",
     "tagged_rate_samples",
 ]
@@ -294,12 +295,12 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
                   dump_geometry=False, dump_channels=False) -> dict:
     """One network realization evaluated for every configured scheme.
 
-    Returns {(scheme, snr_db): rates array in bps/Hz}.  Each scheme in SCHEMES
-    runs once over the whole SNR sweep, so the channel, the fades and every
+    Returns {scheme: (m, k_s) rates in bps/Hz}, row j at config.snr_list[j],
+    without the schemes that have no streams in the drop.  Each scheme runs
+    once over the whole SNR sweep, so the channel, the fades and every
     factorization are shared by the sweep, which isolates the noise effect.
-    Power schemes (THP) produce a single sample per drop and SNR.  With
-    debug_dir set, the drop writes the point sets and the channel matrix it
-    drew there.
+    THP rows are (m, 1), one power sample per SNR.  With debug_dir set, the
+    drop writes the point sets and the channel matrix it drew there.
     """
     rng = _drop_rng(config.seed, drop_index)
     region = Region(*config.region_km)
@@ -322,8 +323,7 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     if any(s.startswith("clustered") for s in config.schemes):
         cluster = _cluster_channel(config, region, bs, cohort, z, rng)
 
-    snrs = config.snr_list
-    sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in snrs])
+    sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in config.snr_list])
     drop = Drop(config, drop_index, H, cluster, sigma_sq)
     # a rate that overflows is reported below as a NumericalError, not warned about
     with np.errstate(over="ignore"):
@@ -331,8 +331,7 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     for s, r in rows.items():
         if r is not None and not np.isfinite(r).all():
             raise NumericalError(f"{s}: a rate of drop {drop_index} is not finite")
-    return {(s, snr): r[j] for j, snr in enumerate(snrs) for s, r in rows.items()
-            if r is not None}
+    return {s: r for s, r in rows.items() if r is not None}
 
 
 def _cluster_channel(config, region, bs, cohort, z, rng):
@@ -414,14 +413,45 @@ def _worker(args):
     return simulate_drop(config, idx, **dumps)
 
 
+# a pool process keeps this limit for its whole life, so it is never exited; it
+# is held here, since a collected context runs its exit and restores the count
+_POOL_BLAS_LIMIT = blas_threads(1)
+
+
 def _one_blas_thread():
-    # a pool process keeps the limit for its whole life, so nothing is restored
-    blas_threads(1).__enter__()
+    _POOL_BLAS_LIMIT.__enter__()
 
 
-# k ~ 30 matrices cost OpenBLAS more in thread start-up than in work, and a
-# pool of n processes would otherwise run n times as many threads as cores
+# k ~ 30 matrices cost OpenBLAS more in thread start-up than in work, a pool of n processes
+# would run n times as many threads as cores, and the thread count can move a rate's last bits
 @blas_threads(1)
+def simulate(config: ExperimentConfig, workers=1, dumps=None) -> dict:
+    """{(scheme, snr_db): [(drop_index, rates), ...]} over every drop of config.
+
+    Each list is in drop order for any worker count and skips the drops in which
+    the scheme has no streams.  dumps (simulate_drop's keywords) go to drops < DEBUG_DROPS.
+    """
+    jobs = [(config, i, dumps if dumps and i < DEBUG_DROPS else {}) for i in range(config.drops)]
+    # a fork pool starts all its processes at once, so never more than there are drops
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        # imported here, so a serial run never loads the pool modules
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            chunk = max(1, len(jobs) // (workers * 8))
+            results = list(pool.map(_worker, jobs, chunksize=chunk))
+    else:
+        results = map(_worker, jobs)
+    # both maps yield in job order, so drop i is the i-th result whatever the scheduling
+    pooled = {}
+    for i, drop in enumerate(results):
+        for scheme, rows in drop.items():
+            for snr, rates in zip(config.snr_list, rows):
+                pooled.setdefault((scheme, snr), []).append((i, rates))
+    return pooled
+
+
 def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
         dump_channels=False) -> ExperimentReport:
     """Execute a config: simulate drops, aggregate, emit CSVs and a summary.
@@ -444,27 +474,7 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
         dumps.get("debug_dir", out_root).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir: cannot create '{exc.filename}': {exc.strerror}") from exc
-    jobs = [(config, i, dumps if i < DEBUG_DROPS else {}) for i in range(config.drops)]
-    # a fork pool starts all its processes at once, so never more than there are drops
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        # imported here, so a serial run never loads the pool modules
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            chunk = max(1, len(jobs) // (workers * 8))
-            results = list(pool.map(_worker, jobs, chunksize=chunk))
-    else:
-        results = list(map(_worker, jobs))
-
-    # both maps yield in job order, so drop i is results[i] whatever the scheduling
-    collected = {}
-    effective = 0
-    for i, drop in enumerate(results):
-        if drop:
-            effective += 1
-        for key, rates in drop.items():
-            collected.setdefault(key, []).append((i, rates))
+    collected = simulate(config, workers, dumps)
 
     sweep = len(config.snr_list) > 1
     # each CDF's sorted samples are freed once its summary and CSV are
@@ -493,7 +503,7 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
         summaries=summaries,
         gains_vs_conventional=gains,
         wall_clock_s=time.perf_counter() - t0,
-        drops_effective=effective,
+        drops_effective=len({i for chunks in collected.values() for i, _ in chunks}),
     )
     (out_root / "summary.json").write_text(report.to_json())
     return report

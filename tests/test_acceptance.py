@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from cloudradio import (ExperimentConfig, build_cdf, crossvalidate, detect_saturation,
-                        gain_percent, lq_factor, qam_constellation, run, simulate_drop, thp,
+                        gain_percent, lq_factor, qam_constellation, run, simulate, thp,
                         thp_precode)
 from cloudradio.analytic import _tic_quadrature, gamma_threshold, tau_tic, tau_tic_curve
 from cloudradio.channel import sigma_sq_from_snr_db
@@ -31,11 +31,8 @@ BASE10 = ExperimentConfig(
 
 
 def collect(config):
-    out = {}
-    for i in range(config.drops):
-        for (scheme, snr), rates in simulate_drop(config, i).items():
-            out.setdefault((scheme, snr), []).append(rates)
-    return {k: np.concatenate(v) for k, v in out.items()}
+    return {key: np.concatenate([r for _, r in drops])
+            for key, drops in simulate(config).items()}
 
 
 def snr_shift_db(q_test, q_ref):
@@ -102,9 +99,9 @@ def saturation_sweep():
                            drops=250, seed=SEED)
     samples = collect(cfg)
     snrs = cfg.snr_list
-    means = [samples[("clustered-partial", s)].mean() for s in snrs]
-    edges = [np.quantile(samples[("clustered-partial", s)], 0.05) for s in snrs]
-    return snrs, means, edges
+    # the mean and cell edge that run writes to summary.json
+    cdfs = [build_cdf(samples[("clustered-partial", s)]) for s in snrs]
+    return snrs, [c.mean for c in cdfs], [c.cell_edge for c in cdfs]
 
 
 @pytest.fixture(scope="session")

@@ -129,7 +129,7 @@ def test_serial_commands_load_no_process_pool_or_numpy_ma(tmp_path):
 # benchmark tracer binds
 NOT_EXPORTED = ("laplace_ir", "ks_distance", "thp_loopback", "SaturationResult", "tau_tic",
                 "tau_smf2", "Cohort", "ExperimentReport", "RateCdf", "TriangularFactorization",
-                "diagonal_dominance_fraction")
+                "diagonal_dominance_fraction", "simulate_drop")
 
 
 def test_every_all_entry_resolves_and_unexported_names_stay_out():
