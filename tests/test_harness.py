@@ -15,7 +15,7 @@ from cloudradio import (ConfigError, ExperimentConfig, PRESETS, Region, crossval
                         load_config_file, preset_config, run, sample_ppp, simulate,
                         tagged_rate_samples, validate)
 from cloudradio import channel, cli, harness, numerics, precoding, qam_constellation
-from cloudradio.analytic import trunc_radius
+from cloudradio.analytic import _laplace_exponent_integral
 from cloudradio.cli import main
 from cloudradio.harness import SCHEMES, Drop, simulate_drop
 
@@ -453,12 +453,11 @@ def lexsort_rate_samples(scheme, n, lam, sigma_sq, alpha, rng, batch=20000):
     Same draws as tagged_rate_samples; the smf2-interf field beyond the two
     nearest BSs is summed exactly with math.fsum.
     """
-    radius = trunc_radius(lam) + 10.0
-    tail_mean = 2.0 * np.pi * lam / (alpha - 2.0) * radius ** (2.0 - alpha)
+    radius, tail_mean = harness._tagged_disc(lam, alpha)
     out = []
     for done in range(0, n, batch):
         m = min(batch, n - done)
-        counts = np.maximum(rng.poisson(lam * np.pi * radius**2, size=m), 3)
+        counts = np.maximum(rng.poisson(harness.DISC_BSS, size=m), 3)
         total = int(counts.sum())
         r = radius * np.sqrt(rng.uniform(size=total))
         owner = np.repeat(np.arange(m), counts)
@@ -496,14 +495,12 @@ def test_tagged_samples_match_lexsort_reference(scheme):
 
 def padded_sort_rate_samples(scheme, n, lam, sigma_sq, alpha, rng, batch=20000):
     """Reference tagged sampler: each whole batch as one inf-padded, row-sorted array."""
-    radius = trunc_radius(lam) + 10.0
-    tail_mean = 2.0 * np.pi * lam / (alpha - 2.0) * radius ** (2.0 - alpha)
+    radius, tail_mean = harness._tagged_disc(lam, alpha)
     out = np.empty(n)
     done = 0
     while done < n:
         m = min(batch, n - done)
-        counts = rng.poisson(lam * np.pi * radius**2, size=m)
-        counts = np.maximum(counts, 3)
+        counts = np.maximum(rng.poisson(harness.DISC_BSS, size=m), 3)
         total = int(counts.sum())
         filled = np.arange(counts.max()) < counts[:, None]
         p = np.full(filled.shape, np.inf)
@@ -547,23 +544,30 @@ def test_tagged_samples_match_padded_sort_bits(scheme, n, alphas):
             assert rng.bit_generator.state == ref_rng.bit_generator.state, schemes
 
 
+# the widest row a block's padded arrays can take: a block is 512 samples, each
+# of Poisson(DISC_BSS = 64) BSs, standard deviation 8, and 120 is 7 of those
+# above the mean, exceeded by a block with probability 4e-5 (512 * P[count > 120])
+BLOCK_WIDTH = 120
+
+
+def per_block_budget(n):
+    # four block-sized float arrays, one more than the three held at once: a
+    # block's zero-padded powers, its fades and the filled powers they
+    # multiply.  A block's arrays are freed before the next block draws.  A
+    # scheme's output adds 8 B per sample, and the second term keeps room for
+    # two of them; the third output of all three schemes fits in the margin
+    return 4 * 512 * BLOCK_WIDTH * 8 + 2 * n * 8
+
+
 @pytest.mark.parametrize("schemes", [("tic",), ("smf2",), ("smf2-interf",), TAGGED],
                          ids=["tic", "smf2", "smf2-interf", "all"])
 def test_tagged_samples_memory_is_per_block(schemes):
-    # budget, set from the layout: a block is 512 samples at up to 320 BSs
-    # each (the mean is lam*pi*R**2 = 224 with a standard deviation of 15),
-    # and four block-sized float arrays, one more than the three held at
-    # once: a block's zero-padded powers, its fades and the filled powers
-    # they multiply.  A block's arrays are freed before the next block draws.
-    # A scheme's output adds 8 B per sample; the second term also keeps room
-    # for 20,000 counts, which are now drawn per block and take next to
-    # nothing.  The two more outputs of all three schemes (0.32 MB) fit in the
-    # margin (3.34 MB were read for one scheme, 3.66 MB for all three).
-    # Keeping the previous block's arrays while the next one drew took
-    # smf2-interf to 5.59 MB, holding every unfaded power of 20,000 samples
-    # to 49 MB, and sorting them as one padded array took every scheme to
-    # 124 MB
-    budget = 4 * 512 * 320 * 8 + 2 * 20000 * 8
+    # 2.29 MB.  When the disc reached 10 km beyond the truncation radius, a
+    # block held 224 BSs per sample at lambda_b 0.3 and the budget assumed
+    # 320 (5.56 MB).  Keeping the previous block's arrays while the next one
+    # drew, holding every unfaded power of 20,000 samples, or sorting them
+    # as one padded array each took the peak far past that (5.6, 49 and 124 MB
+    # with the old disc)
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
@@ -571,7 +575,72 @@ def test_tagged_samples_memory_is_per_block(schemes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < budget
+    assert peak < per_block_budget(20000)
+
+
+def test_crossvalidate_memory_is_per_block_at_any_density():
+    # the disc holds DISC_BSS BSs on average at any lambda_b, so crossvalidate
+    # at lambda_b 1000 keeps within the sampler's per-block budget; a disc
+    # reaching 10 km past the truncation radius held 320,000 BSs per sample
+    # there, a block array of 164M floats (1.3 GB)
+    cfg = ExperimentConfig(schemes=TAGGED, lambda_b=1000.0, seed=3)
+    tracemalloc.start()
+    try:
+        crossvalidate(cfg, samples=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_block_budget(2000)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
+@pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+def test_tagged_samples_are_scale_free(c, alpha):
+    # lengths times c and powers times c**-alpha: the disc holds DISC_BSS BSs
+    # on average at any lam, so both calls make the same draws and every SINR
+    # is the same up to rounding.  Bound, argued before measuring, in ulps of
+    # relative difference between the two calls: R within 3.5 of c times
+    # itself, after lam / c**2, pi * lam, the quotient and the square root;
+    # a BS's power within 5 * 3.5 plus 3 for the power and the fade; the
+    # pairwise sum of at most 120 powers adds 7 per call; mu_R and
+    # sigma_sq * c**-alpha within 16 and 2.  So an SINR is within 60, and
+    # log1p and the division by log(2) add 2 per call: a rate is within 64,
+    # and the test allows 100
+    n, lam, sigma_sq = 3000, 0.3, 0.1
+    rng, scaled_rng = np.random.default_rng(4), np.random.default_rng(4)
+    want = tagged_rate_samples(TAGGED, n, lam, sigma_sq, alpha, rng)
+    got = tagged_rate_samples(TAGGED, n, lam / c**2, sigma_sq * c**-alpha, alpha, scaled_rng)
+    for s in TAGGED:
+        assert np.all(np.abs(got[s] - want[s]) <= 100 * np.finfo(float).eps * want[s]), s
+    assert scaled_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
+def test_far_field_mean_errs_within_the_tagged_bound(alpha):
+    # the far field's exact Laplace transform, exp(-2 pi lam J(s, R, alpha)),
+    # against exp(-s mu_R), the sampler's mean in its place, at y = s mu_R on a
+    # grid; no random numbers.  W's law depends on DISC_BSS and alpha alone,
+    # so one lam stands for all.  The bounds of tagged_rate_samples' docstring:
+    # 0 <= delta = log E e^(-yW) + y <= rho y**2, a Laplace factor's gap
+    # D = e^-y (e^delta - 1) at most 0.56 rho, and an smf2-interf coverage's
+    # divided difference of gaps at most 1.1 rho
+    lam = 0.3
+    radius, tail_mean = harness._tagged_disc(lam, alpha)
+    rho = (alpha - 2.0) ** 2 / (4.0 * (alpha - 1.0) * harness.DISC_BSS)
+    y = np.logspace(-4.0, 3.0, 701)
+    delta = y - 2.0 * np.pi * lam * _laplace_exponent_integral(y / tail_mean, radius, alpha)
+    assert np.all(delta >= 0.0) and np.all(delta <= rho * y * y)
+    gap = np.exp(delta - y) * -np.expm1(-delta)
+    assert gap.max() <= 0.56 * rho
+    # (y2 D1 - y1 D2) / (y2 - y1) with the near field and noise as e^(-b y)
+    # factors, b = (sigma_sq + I_near) / mu_R >= 0, over every pair y1 < y2
+    y1, y2 = y[:, None], y[None, :]
+    upper = y1 < y2
+    for b in (0.0, 0.1, 1.0, 10.0):
+        k = np.exp(-b * y) * gap
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dd = (y2 * k[:, None] - y1 * k[None, :]) / (y2 - y1)
+        assert np.max(np.abs(dd[upper])) <= 1.1 * rho, b
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
