@@ -272,8 +272,9 @@ class Drop:
 
     @cached_property
     def lq(self):
-        # one factorization shared by the THP schemes and, with them, zfdpc
-        return lq_factor(self.H)
+        # one factorization shared by the THP schemes and, with them, zfdpc;
+        # neither reads Q, so it is not formed
+        return lq_factor(self.H, q=False)
 
     @cached_property
     def thp_power(self):

@@ -4,8 +4,10 @@ lq_factor produces H = L Q with L lower triangular (real non-negative
 diagonal) and Q unitary, via Householder QR of the conjugate transpose:
 H^dagger = Q~ R~  =>  H = R~^dagger Q~^dagger.  The phase convention makes
 the factorization unique for full-rank H, so downstream rate formulas depend
-only on |l_ii|.  stream_gains gives those |l_ii| alone, from the same
-Householder QR without forming Q.
+only on |l_ii|.  Q costs more than L: lq_factor(H, q=False) gives L and the
+degenerate mask without it, from the R-only mode of the same Householder QR,
+so they are the bits of the full factorization.  stream_gains gives the
+|l_ii| alone, from that R-only QR as well.
 
 blas_threads limits the loaded OpenBLAS libraries to a thread count for the
 span of a block: on k ~ 30 matrices their thread start-up costs more than the
@@ -38,13 +40,14 @@ class NumericalError(RuntimeError):
 class TriangularFactorization:
     """H = L Q with L lower triangular, diag(L) real >= 0, Q unitary.
 
+    Q is None when the factorization was made without it (lq_factor's q=False).
     degenerate[i] marks streams with numerically vanishing diagonal; rate
     formulas treat them as zero-rate instead of erroring, because Monte Carlo
     runs must not abort on rounding-scale events.
     """
 
     L: np.ndarray
-    Q: np.ndarray
+    Q: np.ndarray | None
     degenerate: np.ndarray
 
     @property
@@ -70,18 +73,24 @@ def _degenerate(mag, H):
     return mag < DEGENERATE_RTOL * max(np.linalg.norm(H), 1e-300)
 
 
-def lq_factor(H) -> TriangularFactorization:
-    """Factor a square complex matrix as H = L Q (see module docstring)."""
+def lq_factor(H, q=True) -> TriangularFactorization:
+    """Factor a square complex matrix as H = L Q (see module docstring).
+
+    With q=False the factorization's Q is None, and L and degenerate come
+    from the R-only QR: the same bits as with q=True.
+    """
     H = _checked(H)
-    Qt, Rt = np.linalg.qr(H.conj().T)
+    if q:
+        Qt, Rt = np.linalg.qr(H.conj().T)
+    else:
+        Qt, Rt = None, np.linalg.qr(H.conj().T, mode="r")
     L = np.tril(Rt.conj().T)
-    Q = Qt.conj().T
     # rotate column/row phases so diag(L) is real and non-negative
     d = np.diag(L)
     mag = np.abs(d)
     phase = np.where(mag > 0, d.conj() / np.where(mag > 0, mag, 1.0), 1.0)
     L = L * phase[None, :]
-    Q = phase.conj()[:, None] * Q
+    Q = None if Qt is None else phase.conj()[:, None] * Qt.conj().T
     np.fill_diagonal(L, mag)
     return TriangularFactorization(L=L, Q=Q, degenerate=_degenerate(mag, H))
 

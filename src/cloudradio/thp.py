@@ -11,8 +11,11 @@ array.  qam_constellation gives an order's points and modulo base as a plain
 (array, float) pair, and the two are rows of two tables built once from it.
 thp_precode runs the k sequential steps over a whole batch of data vectors at
 once, and drop_power_sample evaluates every mode of a drop over a whole SNR
-sweep in one precode pass.  The program needs only the transmit power, so the
-receiver's modulo, which recovers the data, is a test oracle in
+sweep in one precode pass.  One draw of symbol indices serves every (mode,
+SNR) row of that pass: each order is a power of two, so a row reads the top
+log2 M bits of the words the draw took, which are the indices its own fresh
+generator would draw (see draw_symbols).  The program needs only the transmit
+power, so the receiver's modulo, which recovers the data, is a test oracle in
 tests/test_thp.py.
 """
 
@@ -45,16 +48,20 @@ def qam_constellation(M):
     return (re + 1j * im).ravel(), float(tau)
 
 
-# per order, in SUPPORTED_ORDERS' rows: the modulo base, and the points padded
-# with zeros so that one fancy index reads symbols of any mix of orders
+# per order, in SUPPORTED_ORDERS' rows: the modulo base, and the point that each
+# index w < 64 of the shared draw selects, the one at its top log2 M bits (see
+# draw_symbols); flat, so that one index reads symbols of any mix of orders
+_ORDERS = np.array(SUPPORTED_ORDERS)
 _BASES = np.array([qam_constellation(M)[1] for M in SUPPORTED_ORDERS])
-_POINTS = np.array([np.pad(qam_constellation(M)[0], (0, max(SUPPORTED_ORDERS) - M))
-                    for M in SUPPORTED_ORDERS])
+_WORDS = max(SUPPORTED_ORDERS)
+_SYMBOLS = np.concatenate([qam_constellation(M)[0][np.arange(_WORDS) * M // _WORDS]
+                           for M in SUPPORTED_ORDERS])
 
 
 def _rows(orders):
-    # row of each constellation order in _POINTS and _BASES
-    return np.searchsorted(SUPPORTED_ORDERS, orders)
+    # row of each constellation order in _ORDERS and _BASES, and in _SYMBOLS of
+    # _WORDS points each
+    return np.searchsorted(_ORDERS, orders)
 
 
 def select_modulation(caps):
@@ -65,18 +72,25 @@ def select_modulation(caps):
     caps = np.asarray(caps)
     if np.any(caps < 0):
         raise ValueError("capacity must be non-negative")
-    return np.select([caps > 7, caps > 4], [64, 16], 4)
+    # the number of thresholds passed is the order's row
+    return _ORDERS[(caps > 4).astype(np.intp) + (caps > 7)]
 
 
 def draw_symbols(orders, rng, batch=1):
     """I.i.d. uniform symbols of each stream's order, shape (batch, k), C order.
 
-    Stream by stream, batch draws each: one rng.integers call consumes the
-    generator as a per-stream loop of rng.integers(M, size=batch) does.
+    orders is one row of k stream orders, or a stack of rows, shape (r, k),
+    which gives shape (r, batch, k).  One rng.integers(64, size=(k, batch))
+    call serves every row: stream by stream, batch indices, each the top 6
+    bits of one 32-bit word of the generator.  A stream of order M reads the
+    point at the top log2 M of them.  For a power-of-two M, numpy's bounded
+    draw never rejects a word and returns its top log2 M bits, so each row's
+    symbols, and the generator's state after the call, are those of a
+    per-stream loop of rng.integers(M, size=batch) over that row alone.
     """
-    orders = np.asarray(orders)
-    idx = rng.integers(orders[:, None], size=(orders.size, batch))
-    return _POINTS[_rows(orders)[:, None], idx].T.copy()
+    rows = _rows(orders)
+    idx = rng.integers(_WORDS, size=(rows.shape[-1], batch))
+    return np.swapaxes(_SYMBOLS[(rows * _WORDS)[..., None] + idx], -1, -2).copy()
 
 
 def thp_precode(L, data, taus, off=None):
@@ -107,11 +121,15 @@ def thp_precode(L, data, taus, off=None):
     # feedback product rounds
     u = np.array(data, dtype=complex, order="C")
     batch = u.shape[0]
-    u[:, off] = 0.0
-    live = np.flatnonzero(~off[1:]) + 1  # stream 0 has no feedback and no modulo
-    # divided for live rows only: a degenerate row's diagonal may be 0
-    coef = np.zeros(L.shape, dtype=complex)
-    coef[live] = L[live] / diag[live, None]
+    if off.any():
+        u[:, off] = 0.0
+        live = (np.flatnonzero(~off[1:]) + 1).tolist()  # stream 0: no feedback, no modulo
+        # divided for live rows only: a degenerate row's diagonal may be 0
+        coef = np.zeros(L.shape, dtype=complex)
+        coef[live] = L[live] / diag[live, None]
+    else:
+        live = range(1, k)
+        coef = L / diag[:, None]
     tau = np.empty((k, batch, 2))
     tau[...] = np.atleast_2d(taus).T[..., None]
     # tau/2 in both parts of a complex: adding or subtracting it is the float
@@ -119,7 +137,7 @@ def thp_precode(L, data, taus, off=None):
     half = (tau / 2.0).view(complex)[..., 0]
     x = np.empty(batch, dtype=complex)
     parts = x.view(np.float64).reshape(batch, 2)
-    for i in live.tolist():
+    for i in live:
         np.subtract(u[:, i], u[:, :i] @ coef[i, :i], out=x)
         np.add(x, half[i], out=x)
         np.mod(parts, tau[i], out=parts)
@@ -143,21 +161,23 @@ def drop_power_sample(fact, sigma_sq, modes, seed) -> dict:
     transmit nothing.  Each of modes is "adaptive" (constellations from the
     per-stream ZF-DPC capacity in bps/Hz) or a fixed order in {4, 16, 64}.
     Returns {mode: one sample per entry of sigma_sq}, every mode at every
-    noise power from one precode pass.  Each sample draws its data from
-    np.random.default_rng(seed): a fresh generator per sample when seed is a
-    seed, and seed itself when it is a Generator, so one mode at one noise
-    power continues that generator's stream.  A fixed order does not depend
-    on the noise: its sample is computed once and repeated over sigma_sq.
+    noise power from one precode pass.  A fixed order does not depend on the
+    noise: its sample is computed once and repeated over sigma_sq.
+
+    The data of every sample comes from one draw_symbols call on
+    np.random.default_rng(seed).  For a seed, each sample's draws are those of
+    a fresh generator of its own.  Given a Generator, a call of one mode at
+    one noise power continues that generator's stream; with more samples,
+    every sample reads the same draw.
     """
     L = fact.L
     sigma_sq = np.atleast_1d(sigma_sq)
     orders = {mode: _orders(L, sigma_sq, mode) for mode in modes}
     rows = np.concatenate(list(orders.values()))
-    data = np.concatenate([draw_symbols(o, np.random.default_rng(seed), DATA_VECTORS)
-                           for o in rows])
+    data = draw_symbols(rows, np.random.default_rng(seed), DATA_VECTORS)
     taus = np.repeat(_BASES[_rows(rows)], DATA_VECTORS, axis=0)
-    u = thp_precode(L, data, taus, fact.degenerate).reshape(len(rows), DATA_VECTORS, -1)
-    power = iter([float(np.mean(np.sum(np.abs(x) ** 2, axis=1))) for x in u])
+    u = thp_precode(L, data.reshape(-1, L.shape[0]), taus, fact.degenerate)
+    power = np.mean(np.sum(np.abs(u.reshape(data.shape)) ** 2, axis=2), axis=1)
     # np.resize repeats a fixed order's one sample over the sweep
-    return {mode: np.resize([next(power) for _ in o], sigma_sq.size)
-            for mode, o in orders.items()}
+    split = np.cumsum([len(o) for o in orders.values()])[:-1]
+    return {mode: np.resize(p, sigma_sq.size) for mode, p in zip(orders, np.split(power, split))}

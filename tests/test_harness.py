@@ -401,6 +401,29 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
             assert rows[j, 0] == want, (scheme, s2)
 
 
+def test_drop_factors_without_q_unless_a_scheme_reads_it(monkeypatch):
+    # zfdpc and the THP schemes read only L from Drop.lq, so it has no Q;
+    # zfdpc-partial precodes with its own factorization's Q, still unitary
+    partial = []
+
+    def spy(H, q=True):
+        fact = numerics.lq_factor(H, q)
+        partial.append(fact)
+        return fact
+
+    monkeypatch.setattr(precoding, "lq_factor", spy)
+    cfg = ExperimentConfig(schemes=("zfdpc", "zfdpc-partial", "thp-adaptive", "thp-fixed4"),
+                           snr_db=[0.0, 10.0], csi_l=2)
+    H = random_complex(np.random.default_rng(9), 6)
+    drop = Drop(cfg, 0, H, None, np.array([1.0, 0.1]))
+    for s in cfg.schemes:
+        SCHEMES[s](drop)
+    assert drop.lq.Q is None
+    assert len(partial) == 1
+    Q = partial[0].Q
+    assert np.linalg.norm(Q @ Q.conj().T - np.eye(6)) <= 1e-10
+
+
 def test_zfdpc_scheme_reads_the_shared_factorization():
     # with a THP scheme, zfdpc takes its gains from Drop.lq, which THP factors
     # anyway; without one, from the R-only QR, and no Q is formed.  Either way

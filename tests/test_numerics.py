@@ -98,6 +98,20 @@ def test_stream_gains_are_the_bits_of_lq_factor(rng):
     assert numerics.stream_gains(np.array([[3j]])).tolist() == [3.0]
 
 
+def test_lq_factor_without_q_is_the_bits_of_the_full_factorization(rng):
+    # q=False takes L from the R-only QR, the same Householder reduction: L and
+    # the degenerate mask must be the full call's bits, with no Q formed
+    for k in (1, 2, 9, 30):
+        H = random_complex(rng, k) * np.geomspace(1e-3, 1e3, k)[:, None]
+        if k > 2:
+            H[2] = H[1]  # a degenerate stream
+        full, bare = lq_factor(H), lq_factor(H, q=False)
+        assert bare.Q is None
+        assert bare.L.tobytes() == full.L.tobytes(), k
+        assert bare.degenerate.tobytes() == full.degenerate.tobytes(), k
+        assert bare.degenerate.any() == (k > 2)
+
+
 def test_hpd_inverse_scalar_matrix():
     assert np.allclose(hpd_inverse(2.0 * np.eye(4)), 0.5 * np.eye(4))
     assert np.allclose(hpd_inverse(np.eye(3, dtype=complex)), np.eye(3))

@@ -267,6 +267,39 @@ def test_draw_symbols_matches_per_stream_draws():
         assert gen.random() == ref_gen.random()
 
 
+@pytest.mark.parametrize("M", SUPPORTED_ORDERS)
+def test_bounded_draw_of_a_power_of_two_is_the_top_bits_of_a_wider_one(M):
+    # the numpy contract draw_symbols rests on: for a power-of-two bound the
+    # bounded draw never rejects a word and returns its top log2 M bits, so an
+    # index below 64 shifted right by 6 - log2 M is the index below M, and the
+    # generator ends in the same state
+    shift = 6 - int(np.log2(M))
+    for k in (1, 2, 29, 130):
+        for seed in range(3):
+            wide, narrow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = wide.integers(64, size=(k, 100)) >> shift
+            assert np.array_equal(got, narrow.integers(M, size=(k, 100))), (k, seed)
+            assert wide.bit_generator.state == narrow.bit_generator.state, (k, seed)
+
+
+def test_draw_symbols_on_a_stack_of_rows_matches_each_row_alone():
+    # one draw serves every row of orders: row r is row r drawn alone from a
+    # fresh generator, and the generator ends where that one-row draw leaves it
+    gen = np.random.default_rng(5)
+    for k in (1, 2, 29):
+        rows = np.array(SUPPORTED_ORDERS)[gen.integers(len(SUPPORTED_ORDERS), size=(4, k))]
+        rows[0] = 64
+        for batch in (1, 7, 100):
+            shared = np.random.default_rng(23)
+            got = draw_symbols(rows, shared, batch)
+            assert got.shape == (4, batch, k) and got.flags.c_contiguous
+            for r, orders in enumerate(rows):
+                alone = np.random.default_rng(23)
+                want = draw_symbols(orders, alone, batch)
+                assert np.array_equal(got[r].view(float), want.view(float)), (k, batch, r)
+                assert shared.bit_generator.state == alone.bit_generator.state
+
+
 def test_power_cdf_degenerate_for_diagonal_qpsk(rng):
     facts = [lq_factor(np.eye(6)) for _ in range(120)]
     cdf = power_cdf(facts, sigma_sq_from_snr_db(10.0), 4, rng)
