@@ -121,15 +121,10 @@ def thp_precode(L, data, taus, off=None):
     # feedback product rounds
     u = np.array(data, dtype=complex, order="C")
     batch = u.shape[0]
-    if off.any():
-        u[:, off] = 0.0
-        live = (np.flatnonzero(~off[1:]) + 1).tolist()  # stream 0: no feedback, no modulo
-        # divided for live rows only: a degenerate row's diagonal may be 0
-        coef = np.zeros(L.shape, dtype=complex)
-        coef[live] = L[live] / diag[live, None]
-    else:
-        live = range(1, k)
-        coef = L / diag[:, None]
+    u[:, off] = 0.0
+    live = (np.flatnonzero(~off[1:]) + 1).tolist()  # stream 0: no feedback, no modulo
+    # a degenerate row's diagonal may be 0: it is divided by 1, and never read
+    coef = L / np.where(off, 1.0, diag)[:, None]
     tau = np.empty((k, batch, 2))
     tau[...] = np.atleast_2d(taus).T[..., None]
     # tau/2 in both parts of a complex: adding or subtracting it is the float
@@ -165,15 +160,17 @@ def drop_power_sample(fact, sigma_sq, modes, seed) -> dict:
     noise: its sample is computed once and repeated over sigma_sq.
 
     The data of every sample comes from one draw_symbols call on
-    np.random.default_rng(seed).  For a seed, each sample's draws are those of
-    a fresh generator of its own.  Given a Generator, a call of one mode at
-    one noise power continues that generator's stream; with more samples,
-    every sample reads the same draw.
+    np.random.default_rng(seed), so each sample's draws are those of a fresh
+    generator of its own.  Given a Generator, which continues its stream,
+    the call must draw one sample: one mode, at one noise power unless its
+    order is fixed.
     """
     L = fact.L
     sigma_sq = np.atleast_1d(sigma_sq)
     orders = {mode: _orders(L, sigma_sq, mode) for mode in modes}
     rows = np.concatenate(list(orders.values()))
+    if isinstance(seed, np.random.Generator) and len(rows) > 1:
+        raise ValueError("a Generator serves one sample; pass a seed for several")
     data = draw_symbols(rows, np.random.default_rng(seed), DATA_VECTORS)
     taus = np.repeat(_BASES[_rows(rows)], DATA_VECTORS, axis=0)
     u = thp_precode(L, data.reshape(-1, L.shape[0]), taus, fact.degenerate)

@@ -300,6 +300,22 @@ def test_draw_symbols_on_a_stack_of_rows_matches_each_row_alone():
                 assert shared.bit_generator.state == alone.bit_generator.state
 
 
+def test_drop_power_sample_takes_a_generator_for_one_sample_only():
+    # one draw serves every sample, so a Generator asked for several would
+    # give them all the same symbols: it is refused, and a seed is not.  A
+    # fixed order over a sweep is one sample, repeated
+    fact = lq_factor(random_complex(np.random.default_rng(2), 4))
+    for sigma_sq, modes in ((0.1, [4, 16]), ([1.0, 0.01], ["adaptive"])):
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="one sample"):
+            drop_power_sample(fact, sigma_sq, modes, gen)
+        assert gen.bit_generator.state == state
+        drop_power_sample(fact, sigma_sq, modes, 3)
+    for sigma_sq, mode in ((0.1, "adaptive"), ([1.0, 0.01], 4)):
+        drop_power_sample(fact, sigma_sq, [mode], np.random.default_rng(3))
+
+
 def test_power_cdf_degenerate_for_diagonal_qpsk(rng):
     facts = [lq_factor(np.eye(6)) for _ in range(120)]
     cdf = power_cdf(facts, sigma_sq_from_snr_db(10.0), 4, rng)
