@@ -16,11 +16,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (ConfigError, ExperimentConfig, PRESETS, crossvalidate,
+from .harness import (SCHEMES, ConfigError, ExperimentConfig, PRESETS, crossvalidate,
                       load_config_file, parse_field, preset_config, run, validate)
 from .numerics import NumericalError
 
-CROSSVAL_LIMITS = {"tic": 0.02, "smf2": 0.02, "smf2-interf": 0.03}
+CROSSVAL_LIMITS = {s: r.limit for s, r in SCHEMES.items() if r.limit is not None}
 
 
 # config fields that --field-name options set, each parsed as a config file line is

@@ -4,15 +4,15 @@ seeding, CSV/JSON emission, and Monte Carlo vs analytic cross-validation.
 A run iterates independent drops.  Each drop derives its own random substream
 from (seed, drop index), so results are byte-identical for a given seed and
 config regardless of worker count.  simulate_drop draws one network, runs each
-configured scheme of the SCHEMES registry once over the whole SNR sweep and
-dumps what it drew; simulate is the one loop that pools the drops' rates.
+configured scheme's kernel (a field of its SCHEMES record) once over the whole
+SNR sweep and dumps what it drew; simulate is the one loop that pools the drops' rates.
 """
 
 import json
 import math
 import re
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,17 +44,6 @@ __all__ = [
     "tagged_rate_samples",
 ]
 
-# scheme -> (its analytic coverage curve, looked up on `analytic` at each call;
-# the SINR of a tagged sample from the faded powers f0 and f1 of its nearest
-# and second-nearest BSs and i_r, the rest of its field with the far tail)
-CROSSVAL_SCHEMES = {
-    "tic": (lambda *a, **kw: analytic.tau_tic_curve(*a, **kw),
-            lambda f0, f1, i_r, sigma_sq: f0 / sigma_sq),
-    "smf2": (lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=False, **kw),
-             lambda f0, f1, i_r, sigma_sq: (f0 + f1) / sigma_sq),
-    "smf2-interf": (lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=True, **kw),
-                    lambda f0, f1, i_r, sigma_sq: (f0 + f1) / (sigma_sq + i_r)),
-}
 DEBUG_DROPS = 4  # drops that write --dump-* files
 
 
@@ -92,8 +81,11 @@ class ExperimentConfig:
         return d
 
 
-def validate(config: ExperimentConfig):
-    """Check every config invariant; returns (errors, warnings) naming fields."""
+def validate(config: ExperimentConfig, analytic=False):
+    """Check every config invariant; returns (errors, warnings) naming fields.
+
+    With analytic, as crossvalidate checks, a scheme without a kernel is known too.
+    """
     errors, warnings = [], []
     for f in fields(config):
         value = getattr(config, f.name)
@@ -116,20 +108,23 @@ def validate(config: ExperimentConfig):
     if not config.schemes:
         errors.append("schemes: must not be empty")
     for s in config.schemes:
-        if s not in SCHEMES:
+        if s not in SCHEMES or not (analytic or SCHEMES[s].kernel):
             errors.append(f"schemes: unknown scheme '{s}'")
     snrs = config.snr_list
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         errors.append("snr_db: sweep must be strictly increasing")
+    elif len(set(map(_snr_key, snrs))) < len(snrs):
+        errors.append("snr_db: sweep points equal to 6 significant digits share an output file")
     if not all(_has_noise_power(snr) for snr in snrs):
         errors.append("snr_db: noise power 10^(-snr_db/10) must be a finite positive number")
     if config.csi_l is not None and config.csi_l < 1:
         errors.append("csi_l: must be at least 1")
+    if config.cluster_radius_km is not None and config.cluster_radius_km <= 0:
+        errors.append("cluster_radius_km: must be positive")
     for s in config.schemes:
-        if s in ("zfdpc-partial", "clustered-partial") and config.csi_l is None:
-            errors.append(f"csi_l: required by scheme '{s}'")
-        if s.startswith("clustered") and (config.cluster_radius_km or 0) <= 0:
-            errors.append(f"cluster_radius_km: required by scheme '{s}'")
+        for field in SCHEMES[s].needs if s in SCHEMES else ():
+            if getattr(config, field) is None:
+                errors.append(f"{field}: required by scheme '{s}'")
     if config.seed < 0:
         errors.append("seed: must be non-negative")
     return errors, warnings
@@ -143,8 +138,8 @@ def _has_noise_power(snr_db):
     return math.isfinite(sigma_sq) and sigma_sq > 0
 
 
-def _require_valid(config):
-    errors, _ = validate(config)
+def _require_valid(config, analytic=False):
+    errors, _ = validate(config, analytic)
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -277,19 +272,21 @@ class Drop:
         return lq_factor(self.H, q=False)
 
     @cached_property
+    def thp_modes(self):  # the thp_mode of every configured THP scheme, in config order
+        return [SCHEMES[s].thp_mode for s in self.config.schemes if SCHEMES[s].thp_mode]
+
+    @cached_property
     def thp_power(self):
-        """{scheme: power samples, one row per SNR point} of every configured THP scheme.
+        """{thp_mode: power samples, one row per SNR point} of every configured THP scheme.
 
         One precode pass serves them all.  Every (mode, SNR) sample averages
         thp.DATA_VECTORS data vectors drawn from a fresh (seed, (drop, 1))
         substream, so the THP draws leave the rate schemes' stream alone and
         each sample equals its own run.
         """
-        c = self.config
-        modes = {s: _THP_MODES[s] for s in c.schemes if s in _THP_MODES}
-        seed = SeedSequence(c.seed, spawn_key=(self.index, 1))
-        power = thp.drop_power_sample(self.lq, self.sigma_sq, modes.values(), seed)
-        return {s: power[mode][:, None] for s, mode in modes.items()}
+        seed = SeedSequence(self.config.seed, spawn_key=(self.index, 1))
+        power = thp.drop_power_sample(self.lq, self.sigma_sq, self.thp_modes, seed)
+        return {mode: p[:, None] for mode, p in power.items()}
 
 
 def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
@@ -321,14 +318,14 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     if stem and dump_channels:
         _write_channel_csv(f"{stem}_H.csv", H)
     cluster = None
-    if any(s.startswith("clustered") for s in config.schemes):
+    if any("cluster_radius_km" in SCHEMES[s].needs for s in config.schemes):
         cluster = _cluster_channel(config, region, bs, cohort, z, rng)
 
     sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in config.snr_list])
     drop = Drop(config, drop_index, H, cluster, sigma_sq)
     # a rate that overflows is reported below as a NumericalError, not warned about
     with np.errstate(over="ignore"):
-        rows = {s: SCHEMES[s](drop) for s in config.schemes}
+        rows = {s: SCHEMES[s].kernel(drop) for s in config.schemes}
     for s, r in rows.items():
         if r is not None and not np.isfinite(r).all():
             raise NumericalError(f"{s}: a rate of drop {drop_index} is not finite")
@@ -365,28 +362,54 @@ def _write_channel_csv(path, H):
     np.savetxt(path, out, fmt="%.9g", delimiter=",")
 
 
-_THP_MODES = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
-             "thp-fixed64": 64}
+# one record per scheme name, read by field, never by name.  kernel: fn(drop)
+# -> a row of rates in bps/Hz (THP: of powers) per SNR point of drop.sigma_sq,
+# or None if the drop has no streams for it; a scheme without one is analytic
+# only.  thp_mode: a THP scheme's thp.drop_power_sample mode.  needs: the config
+# fields it requires.  baseline: what run's gains are measured against.  curve:
+# its coverage, fn(lam, sigma_sq, grid, alpha=); sinr: fn(f0, f1, i_r, sigma_sq),
+# a tagged SINR from its two nearest BSs' faded powers and i_r, the rest of its
+# field.  limit: the sup gap that fails crossvalidate --assert.  Each function
+# looks its target up on its module at each call, so a rebound attribute runs.
+@dataclass(frozen=True)
+class Scheme:
+    kernel: object = None
+    thp_mode: object = None
+    needs: tuple = ()
+    baseline: str | None = "conventional"
+    curve: object = None
+    sinr: object = None
+    limit: float | None = None
 
 
-# scheme name -> fn(drop) -> one row of rates in bps/Hz (THP: of powers) per SNR
-# point of drop.sigma_sq, or None when the drop has no streams for the scheme
 SCHEMES = {
-    "conventional": lambda d: precoding.conventional_rates(d.H, d.sigma_sq),
+    "conventional": Scheme(lambda d: precoding.conventional_rates(d.H, d.sigma_sq), baseline=None),
     # the THP schemes factor H anyway; without them the R-only QR gives the gains
-    "zfdpc": lambda d: precoding.zfdpc_rates(
-        d.lq if _THP_MODES.keys() & set(d.config.schemes) else d.H, d.sigma_sq),
-    "uplink-sic": lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq),
-    "mmse": lambda d: precoding.mmse_rates(d.H, d.sigma_sq),
-    "tic": lambda d: precoding.tic_rate(d.H, d.sigma_sq),
-    "smf": lambda d: precoding.smf_rate(d.H, d.sigma_sq, len(d.H)),
-    "smf2": lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, len(d.H))),
-    "zfdpc-partial": lambda d: precoding.zfdpc_partial_rates(
-        d.H, take_partial_csi(d.H, min(d.config.csi_l, len(d.H))), d.sigma_sq),
-    "clustered": lambda d: d.cluster and precoding.clustered_rates(*d.cluster, d.sigma_sq),
-    "clustered-partial": lambda d: d.cluster and precoding.clustered_rates(
-        *d.cluster, d.sigma_sq, csi_l=d.config.csi_l),
-    **{s: (lambda d, s=s: d.thp_power[s]) for s in _THP_MODES},
+    "zfdpc": Scheme(lambda d: precoding.zfdpc_rates(d.lq if d.thp_modes else d.H, d.sigma_sq)),
+    "uplink-sic": Scheme(lambda d: precoding.uplink_sic_rates(d.H, d.sigma_sq)),
+    "mmse": Scheme(lambda d: precoding.mmse_rates(d.H, d.sigma_sq)),
+    "tic": Scheme(lambda d: precoding.tic_rate(d.H, d.sigma_sq),
+                  curve=lambda *a, **kw: analytic.tau_tic_curve(*a, **kw),
+                  sinr=lambda f0, f1, i_r, sigma_sq: f0 / sigma_sq, limit=0.02),
+    "smf": Scheme(lambda d: precoding.smf_rate(d.H, d.sigma_sq, len(d.H))),
+    "smf2": Scheme(
+        lambda d: precoding.smf_rate(d.H, d.sigma_sq, min(2, len(d.H))),
+        curve=lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=False, **kw),
+        sinr=lambda f0, f1, i_r, sigma_sq: (f0 + f1) / sigma_sq, limit=0.02),
+    "smf2-interf": Scheme(
+        baseline=None, limit=0.03,
+        curve=lambda *a, **kw: analytic.tau_smf2_curve(*a, with_interference=True, **kw),
+        sinr=lambda f0, f1, i_r, sigma_sq: (f0 + f1) / (sigma_sq + i_r)),
+    "zfdpc-partial": Scheme(lambda d: precoding.zfdpc_partial_rates(
+        d.H, take_partial_csi(d.H, min(d.config.csi_l, len(d.H))), d.sigma_sq), needs=("csi_l",)),
+    "clustered": Scheme(lambda d: d.cluster and precoding.clustered_rates(*d.cluster, d.sigma_sq),
+                        needs=("cluster_radius_km",)),
+    "clustered-partial": Scheme(lambda d: d.cluster and precoding.clustered_rates(
+        *d.cluster, d.sigma_sq, csi_l=d.config.csi_l), needs=("csi_l", "cluster_radius_km")),
+    "thp-adaptive": Scheme(lambda d: d.thp_power["adaptive"], thp_mode="adaptive", baseline=None),
+    "thp-fixed4": Scheme(lambda d: d.thp_power[4], thp_mode=4, baseline=None),
+    "thp-fixed16": Scheme(lambda d: d.thp_power[16], thp_mode=16, baseline=None),
+    "thp-fixed64": Scheme(lambda d: d.thp_power[64], thp_mode=64, baseline=None),
 }
 
 
@@ -490,8 +513,8 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
 
     gains = {}
     for (scheme, snr), cdf in kept.items():
-        basecdf = kept.get(("conventional", snr))
-        if basecdf is not None and scheme != "conventional" and scheme not in _THP_MODES:
+        basecdf = kept.get((SCHEMES[scheme].baseline, snr))
+        if basecdf is not None:
             gains.setdefault(scheme, {})[_snr_key(snr)] = {
                 "mean_pct": gain_percent(cdf, basecdf, "mean"),
                 "cell_edge_pct": gain_percent(cdf, basecdf, "cell_edge"),
@@ -557,8 +580,8 @@ def tagged_rate_samples(schemes, n, lam, sigma_sq, alpha, rng):
     it, mu_R = 2*pi*lam*R**(2-alpha) / (alpha-2), is added to i_r.  The draws
     depend on N alone, so (lam / c**2, sigma_sq * c**-alpha) gives the same
     samples up to rounding: the sampler is scale-free.  Every scheme of
-    `schemes` (names in CROSSVAL_SCHEMES) reads the same fields: a scheme's
-    sample i is its SINR reduction of field i.  The draws do not depend on
+    `schemes` (SCHEMES names with a sinr) reads the same fields: a scheme's
+    sample i is its sinr reduction of field i.  The draws do not depend on
     `schemes`, so neither do a scheme's samples nor the generator's end state.
 
     N is set by a bound on replacing the far field I by mu_R.  W = I / mu_R
@@ -598,7 +621,7 @@ def tagged_rate_samples(schemes, n, lam, sigma_sq, alpha, rng):
     rng may be any numpy Generator.
     """
     for scheme in schemes:
-        if scheme not in CROSSVAL_SCHEMES:
+        if scheme not in SCHEMES or SCHEMES[scheme].sinr is None:
             raise ConfigError(f"schemes: no analytic counterpart for '{scheme}'")
     radius, tail_mean = _tagged_disc(lam, alpha)
 
@@ -608,7 +631,7 @@ def tagged_rate_samples(schemes, n, lam, sigma_sq, alpha, rng):
         p = _faded_powers(counts, radius, alpha, rng)
         i_r = p[:, 2:].sum(axis=1) + tail_mean
         for s in schemes:
-            sinr = CROSSVAL_SCHEMES[s][1](p[:, 0], p[:, 1], i_r, sigma_sq)
+            sinr = SCHEMES[s].sinr(p[:, 0], p[:, 1], i_r, sigma_sq)
             out[s][row:row + m] = np.log1p(sinr) / np.log(2.0)
 
     out = {s: np.empty(n) for s in schemes}
@@ -651,12 +674,11 @@ def crossvalidate(config: ExperimentConfig, samples=100_000) -> dict:
     """
     if samples < 1:
         raise ConfigError("samples: must be at least 1")
-    wanted = tuple(s for s in config.schemes if s in CROSSVAL_SCHEMES)
+    wanted = tuple(s for s in config.schemes if s in SCHEMES and SCHEMES[s].curve)
     if not wanted:
-        raise ConfigError("schemes: crossvalidate needs one of " + ", ".join(CROSSVAL_SCHEMES))
-    # 'smf2-interf' exists only as an analytic pairing, not as a run scheme
-    rest = tuple(s for s in config.schemes if s != "smf2-interf") or ("tic",)
-    _require_valid(replace(config, schemes=rest))
+        raise ConfigError("schemes: crossvalidate needs one of "
+                          + ", ".join(s for s, r in SCHEMES.items() if r.curve))
+    _require_valid(config, analytic=True)
     if len(config.snr_list) != 1:
         raise ConfigError("snr_db: crossvalidate expects a scalar SNR")
     sigma_sq = sigma_sq_from_snr_db(config.snr_list[0])
@@ -671,7 +693,7 @@ def crossvalidate(config: ExperimentConfig, samples=100_000) -> dict:
             raise NumericalError(f"{scheme}: a tagged sample is not finite")
         cdf = build_cdf(rates)
         grid = np.linspace(0.0, cdf.quantile(0.9999) + 0.5, 241)
-        curve = CROSSVAL_SCHEMES[scheme][0](config.lambda_b, sigma_sq, grid, alpha=config.alpha)
+        curve = SCHEMES[scheme].curve(config.lambda_b, sigma_sq, grid, alpha=config.alpha)
         mc_cov = 1.0 - cdf.cdf_at(grid)
         gap = float(np.max(np.abs(mc_cov - curve)))
         shift = _snr_shift_db(grid, mc_cov, curve)

@@ -22,6 +22,9 @@ from cloudradio.harness import SCHEMES, Drop, simulate_drop
 from conftest import random_complex
 
 TINY = dict(drops=6, seed=42, schemes=("conventional", "zfdpc", "tic"))
+# every scheme a run can configure: all but the analytic-only smf2-interf
+RUN_SCHEMES = tuple(s for s, r in SCHEMES.items() if r.kernel)
+THP_MODES = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16, "thp-fixed64": 64}
 
 
 def test_validate_ok_presets():
@@ -35,12 +38,82 @@ def test_validate_names_fields():
     assert any(e.startswith("drops") for e in errors)
     errors, _ = validate(ExperimentConfig(schemes=("nope",)))
     assert any("nope" in e for e in errors)
-    errors, _ = validate(ExperimentConfig(schemes=("clustered",)))
-    assert any(e.startswith("cluster_radius_km") for e in errors)
-    errors, _ = validate(ExperimentConfig(schemes=("zfdpc-partial",)))
-    assert any(e.startswith("csi_l") for e in errors)
     errors, _ = validate(ExperimentConfig(snr_db=[10.0, 5.0]))
     assert any(e.startswith("snr_db") for e in errors)
+
+
+# every (scheme, config field) pair the table says the scheme needs
+NEEDS = [(s, f) for s, r in SCHEMES.items() for f in r.needs]
+
+
+@pytest.mark.parametrize("scheme, field", NEEDS, ids=[f"{s}-{f}" for s, f in NEEDS])
+def test_validate_names_each_field_a_scheme_needs(scheme, field):
+    full = ExperimentConfig(schemes=(scheme,), csi_l=3, cluster_radius_km=4.0)
+    assert validate(full) == ([], [])
+    errors, _ = validate(replace(full, **{field: None}))
+    assert errors == [f"{field}: required by scheme '{scheme}'"]
+
+
+def test_the_table_names_what_each_field_reads():
+    # the fields that replaced name tests: the config fields the partial-CSI
+    # and clustered schemes need, THP's modes, the schemes without a run
+    # baseline and the crossval limits
+    assert {s: r.needs for s, r in SCHEMES.items() if r.needs} == {
+        "zfdpc-partial": ("csi_l",), "clustered": ("cluster_radius_km",),
+        "clustered-partial": ("csi_l", "cluster_radius_km")}
+    assert {s: r.thp_mode for s, r in SCHEMES.items() if r.thp_mode} == THP_MODES
+    assert {s for s, r in SCHEMES.items() if r.baseline is None} == {
+        "conventional", "smf2-interf", *THP_MODES}
+    assert {r.baseline for r in SCHEMES.values()} == {None, "conventional"}
+    assert [s for s, r in SCHEMES.items() if not r.kernel] == ["smf2-interf"]
+    assert cli.CROSSVAL_LIMITS == {"tic": 0.02, "smf2": 0.02, "smf2-interf": 0.03}
+    assert all((r.curve is None) == (r.sinr is None) == (r.limit is None)
+               for r in SCHEMES.values())
+
+
+def test_validate_refuses_a_cluster_radius_that_is_not_positive():
+    # on its own, whatever the schemes; a clustered scheme then reads the
+    # same error, not "required by"
+    for schemes in (("conventional",), ("clustered",)):
+        for radius in (0.0, -3.0):
+            errors, _ = validate(ExperimentConfig(schemes=schemes, cluster_radius_km=radius))
+            assert errors == ["cluster_radius_km: must be positive"], (schemes, radius)
+
+
+def test_validate_refuses_sweep_points_that_share_a_file_name():
+    # 10 and 10.0000001 both print as '10', so one CSV and one summary key
+    # would hold the second point's rates and lose the first's
+    errors, _ = validate(ExperimentConfig(snr_db=[10.0, 10.0000001]))
+    assert errors == ["snr_db: sweep points equal to 6 significant digits share an output file"]
+    assert validate(ExperimentConfig(snr_db=[10.0, 10.0001])) == ([], [])
+    # a sweep that is not increasing names only that
+    errors, _ = validate(ExperimentConfig(snr_db=[10.0, 10.0]))
+    assert errors == ["snr_db: sweep must be strictly increasing"]
+
+
+def test_cli_run_refuses_sweep_points_that_share_a_file_name(tmp_path, capsys):
+    code = main(["run", "--schemes", "conventional", "--snr-db", "10,10.0000001", "--drops", "2",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: snr_db: sweep points equal to 6 "
+                                       "significant digits share an output file\n")
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_refuses_the_analytic_only_scheme_outside_crossvalidate(tmp_path, capsys, command):
+    assert main([command, "--schemes", "smf2-interf", "--drops", "2",
+                 "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: schemes: unknown scheme 'smf2-interf'\n"
+    assert list(tmp_path.iterdir()) == []
+    errors, _ = validate(ExperimentConfig(schemes=("smf2-interf",)))
+    assert errors == ["schemes: unknown scheme 'smf2-interf'"]
+    assert validate(ExperimentConfig(schemes=("smf2-interf",)), analytic=True) == ([], [])
+
+
+def test_cli_crossvalidates_the_analytic_only_scheme(capsys):
+    assert main(["crossvalidate", "--schemes", "smf2-interf", "--samples", "2000"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["smf2-interf"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -116,11 +189,11 @@ def test_simulate_drop_deterministic():
 def test_sweep_equals_its_single_snr_runs():
     # every scheme runs once per drop over the whole sweep; each SNR row must
     # be bit-identical to a run configured with that SNR alone
-    cfg = ExperimentConfig(region_km=(12.0, 12.0), schemes=tuple(SCHEMES),
+    cfg = ExperimentConfig(region_km=(12.0, 12.0), schemes=RUN_SCHEMES,
                            snr_db=[0.0, 10.0, 30.0], csi_l=3, cluster_radius_km=4.0, seed=8)
     for i in range(5):
         sweep = simulate_drop(cfg, i)
-        assert set(sweep) == set(SCHEMES)
+        assert set(sweep) == set(RUN_SCHEMES)
         for j, snr in enumerate(cfg.snr_list):
             single = simulate_drop(replace(cfg, snr_db=snr), i)
             assert single.keys() == sweep.keys()
@@ -183,7 +256,7 @@ def test_drop_pipeline_is_scale_invariant(monkeypatch, c):
             assert got.keys() == want.keys(), (name, i)
             for s, r in want.items():
                 assert got[s].shape == r.shape, (name, i, s)
-                if s in harness._THP_MODES:
+                if SCHEMES[s].thp_mode:
                     assert np.all(np.abs(got[s] - r) <= 2.0**-20 * r), (name, i, s)
                 else:
                     assert np.all(np.abs(got[s] - r) <= 2.0**-28 * (1.0 + r)), (name, i, s)
@@ -382,8 +455,8 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
     # one precode pass for all four schemes over the sweep; each (scheme, SNR)
     # sample must equal the unbatched algorithm on a fresh (seed, (drop, 1))
     # substream, bit for bit
-    modes = {"thp-adaptive": "adaptive", "thp-fixed4": 4, "thp-fixed16": 16,
-             "thp-fixed64": 64}
+    modes = {s: r.thp_mode for s, r in SCHEMES.items() if r.thp_mode}
+    assert modes == THP_MODES
     cfg = ExperimentConfig(schemes=tuple(modes), snr_db=[0.0, 10.0, 30.0], seed=8)
     gen = np.random.default_rng(4)
     H = random_complex(gen, 9) * np.geomspace(0.3, 30.0, 9)[:, None]
@@ -393,7 +466,7 @@ def test_batched_thp_matches_per_mode_and_snr_draws():
     caps = np.log2(1 + np.abs(np.diag(L)) ** 2 / 0.1)
     assert np.any(caps <= 4) and np.any(caps > 7)  # mixed constellations at 10 dB
     for scheme, mode in modes.items():
-        rows = SCHEMES[scheme](drop)
+        rows = SCHEMES[scheme].kernel(drop)
         assert rows.shape == (3, 1)
         for j, s2 in enumerate(sigma_sq):
             sub = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(5, 1)))
@@ -417,7 +490,7 @@ def test_drop_factors_without_q_unless_a_scheme_reads_it(monkeypatch):
     H = random_complex(np.random.default_rng(9), 6)
     drop = Drop(cfg, 0, H, None, np.array([1.0, 0.1]))
     for s in cfg.schemes:
-        SCHEMES[s](drop)
+        SCHEMES[s].kernel(drop)
     assert drop.lq.Q is None
     assert len(partial) == 1
     Q = partial[0].Q
@@ -438,7 +511,7 @@ def test_zfdpc_scheme_reads_the_shared_factorization():
             if k > 2:
                 H[2] = H[1]  # a degenerate stream
             drop = Drop(cfg, 0, H, None, sigma_sq)
-            got = SCHEMES["zfdpc"](drop)
+            got = SCHEMES["zfdpc"].kernel(drop)
             assert ("lq" in vars(drop)) == shared, (schemes, k)
             want = precoding.zfdpc_rates(H, sigma_sq)
             assert got.tobytes() == want.tobytes(), (schemes, k)
