@@ -6,11 +6,10 @@ z_ij the UE-to-BS distance and h_ij a circularly-symmetric complex Gaussian
 fade with unit mean power.  Nearest-BS association makes the diagonal the
 row-wise distance minimum, which is what the triangular precoder exploits.
 
-Every function here takes its distances as a block that geometry computed
-(`geometry.distance_block`): the k x k cohort block for build_channel, and the
-in-cluster by out-of-cluster block for the interference draw.  A clustered
-drop slices both of its blocks from the cohort block, so no drop holds a
-UE-by-BS matrix of the whole network.
+build_channel takes its distances as the k x k cohort block that geometry
+computed (`geometry.distance_block`), so no drop holds a UE-by-BS matrix of the
+whole network.  Its channel is the drop's only one: a clustered drop reads its
+two blocks from it, and inter_cluster_interference sums the out-of-cluster one.
 """
 
 import numpy as np
@@ -80,16 +79,12 @@ def take_partial_csi(H, l) -> np.ndarray:
     return known
 
 
-def inter_cluster_interference(z, alpha, rng) -> np.ndarray:
+def inter_cluster_interference(H_out) -> np.ndarray:
     """Received power at each in-cluster UE from all out-of-cluster BSs.
 
-    z is the distance block (km), row per in-cluster UE and column per
-    out-of-cluster BS.  Out-of-cluster streams are not part of the
-    cooperating channel matrix, so their fades are drawn here, one row of
-    fresh fades per UE in row order; each stream carries unit transmit power.
-    Without out-of-cluster BSs nothing is drawn and every UE gets 0.
+    H_out is the cohort channel's block of rows of the in-cluster UEs and
+    columns of the out-of-cluster BSs, each of which sends its own stream at
+    unit power; the power a UE receives is its row's sum of |h|^2.  Without
+    out-of-cluster BSs every UE gets 0.
     """
-    z = np.maximum(z, MIN_DISTANCE_KM)
-    fades = rng.exponential(1.0, size=z.shape)
-    return np.sum(fades * z ** (-alpha), axis=1)
-
+    return np.sum(np.abs(H_out) ** 2, axis=1)

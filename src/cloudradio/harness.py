@@ -110,6 +110,8 @@ def validate(config: ExperimentConfig, analytic=False):
     for s in config.schemes:
         if s not in SCHEMES or not (analytic or SCHEMES[s].kernel):
             errors.append(f"schemes: unknown scheme '{s}'")
+    for s in dict.fromkeys(s for s in config.schemes if config.schemes.count(s) > 1):
+        errors.append(f"schemes: '{s}' listed twice")
     snrs = config.snr_list
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         errors.append("snr_db: sweep must be strictly increasing")
@@ -319,7 +321,7 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
         _write_channel_csv(f"{stem}_H.csv", H)
     cluster = None
     if any("cluster_radius_km" in SCHEMES[s].needs for s in config.schemes):
-        cluster = _cluster_channel(config, region, bs, cohort, z, rng)
+        cluster = _cluster_channel(config, region, bs, cohort, H)
 
     sigma_sq = np.array([sigma_sq_from_snr_db(snr) for snr in config.snr_list])
     drop = Drop(config, drop_index, H, cluster, sigma_sq)
@@ -332,20 +334,18 @@ def simulate_drop(config: ExperimentConfig, drop_index: int, debug_dir=None,
     return {s: r for s, r in rows.items() if r is not None}
 
 
-def _cluster_channel(config, region, bs, cohort, z, rng):
+def _cluster_channel(config, region, bs, cohort, H):
     """(H_in, i_r) of the cohort streams inside the cluster disc; None if it has none.
 
-    Stream i of the cohort is row and column i of the cohort distance block z,
-    so the split of the cohort's BSs indexes both blocks this needs straight
-    from it.
+    Stream i of the cohort is row and column i of H, so the split of the
+    cohort's BSs indexes both blocks straight from it: the in-cluster channel,
+    and the out-of-cluster block whose row powers are i_r.  Nothing is drawn.
     """
     disc = split_cluster(bs[cohort.bs_indices], region.center, config.cluster_radius_km)
     inside, outside = np.flatnonzero(disc), np.flatnonzero(~disc)
     if not inside.size:
         return None
-    H_in = build_channel(z[np.ix_(inside, inside)], config.alpha, rng)
-    i_r = inter_cluster_interference(z[np.ix_(inside, outside)], config.alpha, rng)
-    return H_in, i_r
+    return H[np.ix_(inside, inside)], inter_cluster_interference(H[np.ix_(inside, outside)])
 
 
 def _write_points_csv(path, points):
@@ -501,13 +501,16 @@ def run(config: ExperimentConfig, workers=1, name="run", dump_geometry=False,
     collected = simulate(config, workers, dumps)
 
     sweep = len(config.snr_list) > 1
-    # each CDF's sorted samples are freed once its summary and CSV are
-    # written; the gains read only its mean and cell edge, kept here
+    # each CDF is freed once summarised and written, less the mean and cell edge the gains
+    # read; a scheme with no streams in any drop gets a header-only CSV and n = 0
     summaries, kept, templates = {}, {}, {}
-    for (scheme, snr), chunks in sorted(collected.items()):
-        cdf = build_cdf(np.concatenate([r for _, r in chunks]))
-        kept[(scheme, snr)] = SimpleNamespace(mean=cdf.mean, cell_edge=cdf.cell_edge)
-        summaries.setdefault(scheme, {})[_snr_key(snr)] = cdf.summary()
+    for scheme, snr in [(s, snr) for s in config.schemes for snr in config.snr_list]:
+        chunks = collected.get((scheme, snr), [])
+        summaries.setdefault(scheme, {})[_snr_key(snr)] = {"n": 0}
+        if chunks:
+            cdf = build_cdf(np.concatenate([r for _, r in chunks]))
+            kept[(scheme, snr)] = SimpleNamespace(mean=cdf.mean, cell_edge=cdf.cell_edge)
+            summaries[scheme][_snr_key(snr)] = cdf.summary()
         fname = f"{scheme}_snr{_snr_key(snr)}.csv" if sweep else f"{scheme}.csv"
         _write_rates_csv(out_root / fname, chunks, templates)
 

@@ -1,13 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cloudradio import (Region, associate, build_channel, inter_cluster_interference,
-                        sample_ppp, select_cohort, take_partial_csi)
+                        sample_ppp, select_cohort, split_cluster, take_partial_csi)
 from cloudradio.channel import MIN_DISTANCE_KM, sigma_sq_from_snr_db
 from cloudradio.geometry import distance_block, point_distances
 from cloudradio.harness import _write_channel_csv
+
+from conftest import random_complex
 
 
 def test_pathloss_exponent_law(rng):
@@ -132,68 +135,64 @@ def test_partial_csi_budget_range(drop):
         take_partial_csi(H, len(H) + 1)
 
 
-def interference_per_ue(out_cluster, ue_indices, distances, alpha, rng):
-    """Reference I_r: one draw of out-of-cluster fades per UE, in UE order."""
-    out = []
-    for u in ue_indices:
-        if out_cluster.size == 0:
-            out.append(0.0)
-            continue
-        z = np.maximum(distances[u, out_cluster], MIN_DISTANCE_KM)
-        fades = rng.exponential(1.0, size=out_cluster.size)
-        out.append(float(np.sum(fades * z ** (-alpha))))
-    return np.array(out)
-
-
-def test_inter_cluster_empty_out_set(rng):
-    state = rng.bit_generator.state
-    val = inter_cluster_interference(np.ones((1, 0)), 4.0, rng)
-    assert np.array_equal(val, [0.0])
-    assert rng.bit_generator.state == state  # nothing drawn
+def test_inter_cluster_empty_out_set():
+    # a cluster that holds every BS leaves an empty block: every UE gets 0
+    H = random_complex(np.random.default_rng(1), 4)
+    assert np.array_equal(inter_cluster_interference(H[:, :0]), np.zeros(4))
+    assert inter_cluster_interference(H[:0, :]).shape == (0,)
 
 
 def test_inter_cluster_single_interferer_mean(rng):
-    # one interferer at 1 km: E[I_r] = 1
-    samples = inter_cluster_interference(np.ones((20000, 1)), 4.0, rng)
-    assert samples.shape == (20000,)
+    # one interferer at 1 km: E[I_r] = E|h|^2 = 1, the law of the exponential
+    # fades the block replaced; every column of a unit-distance channel is one
+    H = build_channel(np.ones((150, 150)), 4.0, rng)
+    samples = np.concatenate([inter_cluster_interference(H[:, [j]]) for j in range(150)])
+    assert samples.shape == (22500,)
     assert abs(np.mean(samples) - 1.0) < 0.03
 
 
-def test_inter_cluster_monotone_in_radius(rng):
-    # same fade draw per radius (fixed substream): I_r can only shrink as the
-    # cluster grows
-    n_bs = 40
-    pos = rng.uniform(0, 10, (n_bs, 2))
-    ued = np.hypot(pos[:, 0] - 5.0, pos[:, 1] - 5.0)
-    distances = ued[None, :]
-    center_d = ued
-    for trial in range(200):
-        seed = 1000 + trial
-        last = np.inf
-        for radius in (2.0, 4.0, 6.0, 8.0):
-            inside = center_d <= radius
-            val = inter_cluster_interference(distances[:, ~inside], 4.0,
-                                             np.random.default_rng(seed))[0]
-            assert val <= last + 1e-12
-            last = val
+def test_inter_cluster_monotone_in_radius(drop):
+    # on one cohort channel a larger cluster leaves a subset of the
+    # out-of-cluster BSs, so no UE's power grows; a disc without BSs leaves
+    # every link and one with all of them none
+    bs, _, _, cohort, H = drop
+
+    def out_block(radius):  # sliced as the harness slices it, C-contiguous
+        disc = split_cluster(bs[cohort.bs_indices], (5.0, 5.0), radius)
+        return H[np.ix_(np.arange(len(H)), np.flatnonzero(~disc))]
+
+    last = inter_cluster_interference(H)
+    assert out_block(1e-9).shape == H.shape
+    assert np.array_equal(inter_cluster_interference(out_block(1e-9)), last)
+    shrank = False
+    for radius in (2.0, 4.0, 6.0, 8.0, 100.0):
+        power = inter_cluster_interference(out_block(radius))
+        assert np.all(power <= last * (1.0 + 1e-12)), radius
+        shrank |= bool(np.any(power < last))
+        last = power
+    assert shrank and np.array_equal(last, np.zeros(len(H)))
 
 
 @pytest.mark.parametrize("n_bs, radius", [(12, 3.0), (300, 2.0), (300, 9.0), (5, 20.0)])
 def test_inter_cluster_batch_matches_per_ue_loop(n_bs, radius):
-    # one (k_in, n_out) fade array equals k_in per-UE draws, bit for bit
+    # the block's power is each row's sum of |h|^2, held against a math.fsum
+    # per UE over its out-of-cluster links.  Bound, u = 2**-53: a term
+    # |h|**2 errs by 5u (hypot within 1 ulp, then squared), numpy's sum of n
+    # non-negative terms by (n - 1)u, and the reference by 2u (each part's
+    # square and the fsum round once): (n + 6)u, and 2u for second order
     geo = np.random.default_rng(n_bs)
     bs = geo.uniform(0.0, 10.0, (n_bs, 2))
     ue = geo.uniform(0.0, 10.0, (40, 2))
-    inside = np.hypot(bs[:, 0] - 5.0, bs[:, 1] - 5.0) <= radius
-    out_cluster = np.flatnonzero(~inside)
-    ues = np.arange(0, len(ue), 3)
-    dense = point_distances(ue[:, None, :], bs[None, :, :])
+    out_cluster = np.flatnonzero(np.hypot(bs[:, 0] - 5.0, bs[:, 1] - 5.0) > radius)
+    z = distance_block(ue[::3], bs[out_cluster])
+    h = (geo.standard_normal(z.shape) + 1j * geo.standard_normal(z.shape)) * np.sqrt(0.5)
+    n = out_cluster.size
     for alpha in (4.0, 3.0):
-        fast, slow = np.random.default_rng(11), np.random.default_rng(11)
-        got = inter_cluster_interference(distance_block(ue[ues], bs[out_cluster]), alpha, fast)
-        ref = interference_per_ue(out_cluster, ues, dense, alpha, slow)
-        assert np.array_equal(got, ref)
-        assert fast.random() == slow.random()
+        H_out = h * z ** (-alpha / 2.0)
+        got = inter_cluster_interference(H_out)
+        want = np.array([math.fsum([*(row.real ** 2), *(row.imag ** 2)]) for row in H_out])
+        assert got.shape == (len(z),)
+        assert np.all(np.abs(got - want) <= (n + 8) * 2.0**-53 * want), alpha
 
 
 def test_noise_model():

@@ -80,6 +80,27 @@ def test_validate_refuses_a_cluster_radius_that_is_not_positive():
             assert errors == ["cluster_radius_km: must be positive"], (schemes, radius)
 
 
+def test_validate_refuses_a_scheme_listed_twice():
+    # a drop keys its rows by scheme name, so a second listing would be echoed
+    # in the summary's config and write no file of its own
+    errors, _ = validate(ExperimentConfig(schemes=("zfdpc", "tic", "zfdpc", "zfdpc", "tic")))
+    assert errors == ["schemes: 'zfdpc' listed twice", "schemes: 'tic' listed twice"]
+    errors, _ = validate(ExperimentConfig(schemes=("tic", "tic")), analytic=True)
+    assert errors == ["schemes: 'tic' listed twice"]
+
+
+@pytest.mark.parametrize("argv", [["run", "--schemes", "zfdpc,zfdpc"],
+                                  ["validate", "--schemes", "zfdpc,zfdpc"],
+                                  ["crossvalidate", "--schemes", "tic,tic", "--samples", "100"]],
+                         ids=["run", "validate", "crossvalidate"])
+def test_cli_refuses_a_scheme_listed_twice(tmp_path, capsys, argv):
+    scheme = argv[2].split(",")[0]
+    assert main(argv + ["--drops", "2", "--output-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"config error: schemes: '{scheme}' listed twice\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_refuses_sweep_points_that_share_a_file_name():
     # 10 and 10.0000001 both print as '10', so one CSV and one summary key
     # would hold the second point's rates and lose the first's
@@ -202,6 +223,49 @@ def test_sweep_equals_its_single_snr_runs():
                 assert np.array_equal(sweep[s][j], rows[0]), (s, snr)
 
 
+@pytest.mark.parametrize("thp", [(), ("thp-adaptive",)], ids=["alone", "with-thp"])
+def test_clustered_equals_zfdpc_at_a_covering_radius(thp):
+    # a cluster that holds every BS cooperates over the whole cohort channel:
+    # it reads the drop's own H and no inter-cluster power, so each clustered
+    # scheme is its unclustered one bit for bit, whether zfdpc reads the THP
+    # factorization or its own R-only QR
+    cfg = ExperimentConfig(schemes=("zfdpc", "clustered", "zfdpc-partial", "clustered-partial",
+                                    *thp), snr_db=[0.0, 10.0, 30.0], csi_l=3,
+                           cluster_radius_km=100.0, seed=3)
+    for i in range(20):
+        rows = simulate_drop(cfg, i)
+        assert rows["clustered"].tobytes() == rows["zfdpc"].tobytes(), i
+        assert rows["clustered-partial"].tobytes() == rows["zfdpc-partial"].tobytes(), i
+
+
+def test_a_drop_draws_one_channel_whatever_its_schemes(monkeypatch):
+    # the clustered schemes read blocks of the cohort channel: a drop builds
+    # one channel and leaves its generator in the same state with or without them
+    built, rngs = [], []
+    drop_rng = harness._drop_rng
+
+    def counted_build(*args):
+        built.append(args)
+        return channel.build_channel(*args)
+
+    def kept_rng(seed, index):
+        rngs.append(drop_rng(seed, index))
+        return rngs[-1]
+
+    monkeypatch.setattr(harness, "build_channel", counted_build)
+    monkeypatch.setattr(harness, "_drop_rng", kept_rng)
+    plain = ExperimentConfig(schemes=("conventional", "zfdpc"), csi_l=3, cluster_radius_km=4.0)
+    clustered = replace(plain, schemes=plain.schemes + ("clustered", "clustered-partial"))
+    for i in range(6):
+        states = []
+        for cfg in (plain, clustered):
+            built.clear()
+            rows = simulate_drop(cfg, i)
+            assert len(built) == 1, (cfg.schemes, i)
+            states.append(rngs[-1].bit_generator.state)
+        assert "clustered" in rows and states[0] == states[1], i
+
+
 # presets that together run every rate scheme and THP
 SCALE_PRESETS = ("fig-bounds", "fig-uplink", "fig-partial", "fig-partial-8", "fig-tx-pow")
 
@@ -221,8 +285,11 @@ def test_drop_pipeline_is_scale_invariant(monkeypatch, c):
     #   shift's log10 and product, the sum, /10 and 10**x amplified by ln 10:
     #   under 24u); a distance (hypot at both scales, 4u); a channel entry
     #   (z**(-alpha/2), 2 * 4u + 2 * 2u, and its product: 14u); a received
-    #   power (38u); the inter-cluster power (22u per term and its sum's
-    #   2(n - 1)u, n < 240 BSs).  Every input is within delta = 2**9 u;
+    #   power (38u); the inter-cluster power, a row sum of received powers
+    #   (38u) that numpy sums pairwise: n < 240 BSs make at most two blocks
+    #   of at most 127 terms, each through eight accumulators and a remainder,
+    #   25 roundings deep, so the two sums round apart by 50u, 88u in all.
+    #   Every input is within delta = 2**9 u;
     # - the kernels amplify that by their conditioning: conventional takes
     #   the signal from its row sum, and the factorizations (ZF-DPC, SIC,
     #   partial CSI, clustering, the MMSE inverse) by the cohort channel's
@@ -418,6 +485,26 @@ def test_run_clustered_schemes(tmp_path):
                            cluster_radius_km=6.0, csi_l=4, output_dir=str(tmp_path))
     report = run(cfg, name="cl")
     assert "clustered" in report.summaries and "clustered-partial" in report.summaries
+
+
+def test_cli_run_writes_a_scheme_without_streams(tmp_path, capsys):
+    # no BS lies within 1 m of the centre, so clustered has no streams in any
+    # drop: its CSV is a header and its summary n = 0, with no gain, and the
+    # schemes with streams keep the bytes of a run without it
+    argv = ["run", "--drops", "3", "--seed", "1", "--cluster-radius-km", "0.001"]
+    assert main(argv + ["--schemes", "conventional,clustered", "--output-dir",
+                        str(tmp_path / "both")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summaries"]["clustered"] == {"10": {"n": 0}}
+    assert report["summaries"]["conventional"]["10"]["n"] > 0
+    assert report["gains_vs_conventional"] == {}
+    root = tmp_path / "both" / "run"
+    assert sorted(p.name for p in root.iterdir()) == [
+        "clustered.csv", "conventional.csv", "summary.json"]
+    assert (root / "clustered.csv").read_text() == "drop_id,stream,rate\n"
+    assert main(argv + ["--schemes", "conventional", "--output-dir", str(tmp_path / "one")]) == 0
+    alone = tmp_path / "one" / "run" / "conventional.csv"
+    assert (root / "conventional.csv").read_bytes() == alone.read_bytes()
 
 
 def test_run_thp_power_scheme(tmp_path):
@@ -842,8 +929,9 @@ def test_cli_dump_flags(tmp_path):
 
 
 def test_cli_dumped_channels_are_the_drops_own(tmp_path):
-    # clustered schemes draw more from the drop's stream after H, so a dump
-    # replayed from the stream in another order would show another matrix
+    # the dump is the one channel the drop draws, which every scheme reads,
+    # the clustered ones as its blocks: the rates recomputed from it are the
+    # CSVs', and a pool process dumps the serial run's bytes
     argv = ["run", "--preset", "fig-cluster", "--schemes", "conventional,zfdpc,clustered",
             "--drops", "6", "--seed", "5", "--dump-channels"]
     assert main(argv + ["--output-dir", str(tmp_path / "w1")]) == 0
