@@ -80,18 +80,21 @@ def lq_factor(H, q=True) -> TriangularFactorization:
     from the R-only QR: the same bits as with q=True.
     """
     H = _checked(H)
+    k = H.shape[0]
     if q:
         Qt, Rt = np.linalg.qr(H.conj().T)
     else:
         Qt, Rt = None, np.linalg.qr(H.conj().T, mode="r")
-    L = np.tril(Rt.conj().T)
-    # rotate column/row phases so diag(L) is real and non-negative
-    d = np.diag(L)
-    mag = np.abs(d)
-    phase = np.where(mag > 0, d.conj() / np.where(mag > 0, mag, 1.0), 1.0)
-    L = L * phase[None, :]
+    # L = R~^dagger, its strict upper triangle +0, written once
+    L = np.conjugate(Rt.T, out=np.zeros_like(Rt), where=np.tri(k, dtype=bool))
+    # rotate column/row phases so diag(L) is real and non-negative: column j
+    # times conj(l_jj)/|l_jj| = r~_jj/|r~_jj|, or 1 where r~_jj is 0
+    r = np.diagonal(Rt)
+    mag = np.abs(r)
+    phase = np.divide(r, mag, out=np.ones(k, Rt.dtype), where=mag > 0)
+    L *= phase
     Q = None if Qt is None else phase.conj()[:, None] * Qt.conj().T
-    np.fill_diagonal(L, mag)
+    L.flat[:: k + 1] = mag
     return TriangularFactorization(L=L, Q=Q, degenerate=_degenerate(mag, H))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import block_diag
-from scipy.special import erfcx
+from scipy.special import erfcx, hyp2f1
 
 from cloudradio import (NumericalError, analytic, cli, gamma_threshold, tau_smf2_curve,
                         tau_tic_curve)
@@ -189,7 +189,7 @@ def laplace_exponent_quad(A, excl, alpha):
 
 
 def test_laplace_alpha4_closed_form_vs_quadrature():
-    # the hypergeometric form next to alpha = 4 must reduce to the arctan form
+    # the series next to alpha = 4 must reduce to the arctan form
     for A, excl in [(1.0, 1.0), (5.0, 2.0), (0.3, 0.5)]:
         closed = _laplace_exponent_integral(A, excl, 4.0)
         generic = _laplace_exponent_integral(A, excl, 4.0 + 1e-12)
@@ -221,13 +221,55 @@ def test_laplace_alpha4_matches_mpmath_across_ratios():
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 5.0, 6.0])
 def test_laplace_generic_alpha_closed_form_vs_quadrature(alpha):
-    # the hypergeometric form, one vector call, against one quad per element
+    # the series, one vector call, against one quad per element
     A = np.logspace(-6.0, 6.0, 25)
     for excl in (0.05, 1.0, 3.0):
         closed = _laplace_exponent_integral(A, excl, alpha)
         ref = np.array([laplace_exponent_quad(a, excl, alpha) for a in A])
         assert closed.shape == A.shape
         assert np.max(np.abs(closed / ref - 1.0)) < 1e-6
+
+
+def laplace_exponent_hyp2f1(A, excl, alpha):
+    """The Laplace exponent as excl**2 * b/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -b), b =
+    A/excl**alpha, from scipy's hyp2f1: an oracle independent of the module's series."""
+    b = A / excl**alpha
+    return excl**2 * b / (alpha - 2.0) * hyp2f1(1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -b)
+
+
+def laplace_series_bound(b, alpha):
+    """The relative error bound _laplace_exponent_integral's docstring argues at excl = 1:
+    23u for b <= 2, kappa (19 + delta |ln b|) u above, kappa = W/f, u = 2**-53."""
+    delta = 2.0 / alpha
+    whole = np.pi * b**delta / (alpha * np.sin(np.pi * min(delta, 1.0 - delta)))
+    kappa = whole / laplace_exponent_hyp2f1(b, 1.0, alpha)
+    return np.where(b <= 2.0, 23.0, kappa * (19.0 + delta * np.abs(np.log(b)))) * 2.0**-53
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 3.5, 5.0, 6.0, 8.0, 12.0])
+def test_laplace_series_matches_hyp2f1_within_its_bound(alpha):
+    # both series over 24 decades, with the split b = 2 and the float above it.
+    # The bound holds the series' own error; hyp2f1's is added here, and the
+    # worst point reads 0.74 of the bound (alpha 2.5, b = 1.39)
+    b = np.concatenate([np.logspace(-12.0, 12.0, 20001), [2.0, np.nextafter(2.0, 3.0)]])
+    err = np.abs(_laplace_exponent_integral(b, 1.0, alpha) / laplace_exponent_hyp2f1(b, 1.0, alpha)
+                 - 1.0)
+    assert np.all(err <= laplace_series_bound(b, alpha))
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 5.0, 6.0])
+def test_laplace_series_matches_mpmath_quadrature(alpha):
+    # f(b) = integral_1^inf w b/(b + w**alpha) dw at 40 digits, with a break
+    # where w**alpha passes b; the series must hold its bound against it
+    import mpmath
+    b = np.array([1e-6, 0.1, 1.0, 2.0, 2.5, 100.0, 1e6])
+    got = _laplace_exponent_integral(b, 1.0, alpha)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for bi, value, bound in zip(b, got, laplace_series_bound(b, alpha)):
+            B = mpmath.mpf(bi)
+            ref = mpmath.quad(lambda w: w * B / (B + w**a), [1, 1 + B ** (1 / a), mpmath.inf])
+            assert abs(mpmath.mpf(value) / ref - 1) <= bound, bi
 
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0, 6.0])
@@ -434,19 +476,28 @@ def smf2_per_threshold(lam, sigma_sq, t, with_interference=False, alpha=4.0):
     """Reference tau_smf2: one nested scalar quad per threshold, outer error gated.
 
     The outer quad runs over u = ln z1, so it finds the integrand's peak at a
-    deep threshold, where it sits far inside the PPP scale.
+    deep threshold, where it sits far inside the PPP scale.  The Laplace
+    exponent is scipy's hyp2f1 form, at alpha = 4 its reduction
+    (sqrt(A)/2) arctan(sqrt(A)/excl**2), so the reference shares no code with
+    analytic's series.  The integrands are scalar math on floats, so each of
+    the nested quad's calls stays cheap.
     """
-    g = gamma_threshold(t)
+    g = float(gamma_threshold(t))
     if g <= 0:
         return 1.0
-    q = lam * np.pi
+    q = lam * math.pi
     zmax = trunc_radius(lam)
-    two_pi_lam = 2.0 * np.pi * lam
+    two_pi_lam = 2.0 * math.pi * lam
+
+    def exponent(A, excl):
+        if alpha == 4.0:
+            return 0.5 * math.sqrt(A) * math.atan(math.sqrt(A) / (excl * excl))
+        return float(laplace_exponent_hyp2f1(A, excl, alpha))
 
     def F(x, excl):
-        out = np.exp(-g * sigma_sq * x)
+        out = math.exp(-g * sigma_sq * x)
         if with_interference:
-            out *= np.exp(-two_pi_lam * _laplace_exponent_integral(g * x, excl, alpha))
+            out *= math.exp(-two_pi_lam * exponent(g * x, excl))
         return out
 
     def bracket(z1, z2):
@@ -460,11 +511,11 @@ def smf2_per_threshold(lam, sigma_sq, t, with_interference=False, alpha=4.0):
         return (x2 * F(x1, z2) - x1 * F(x2, z2)) / (x2 - x1)
 
     def inner(z1):
-        return quad(lambda z2: z2 * np.exp(-q * z2 * z2) * bracket(z1, z2),
+        return quad(lambda z2: z2 * math.exp(-q * z2 * z2) * bracket(z1, z2),
                     z1, zmax, epsabs=1e-14, epsrel=REL_TOL, limit=200)[0]
 
-    hi = np.log(zmax)
-    val, err = quad(lambda u: np.exp(2.0 * u) * inner(np.exp(u)), hi - 40.0, hi,
+    hi = math.log(zmax)
+    val, err = quad(lambda u: math.exp(2.0 * u) * inner(math.exp(u)), hi - 40.0, hi,
                     epsabs=1e-13, epsrel=REL_TOL, limit=200)
     val = _check_quad(val, err, "tau_smf2") * two_pi_lam**2
     return float(np.clip(val, 0.0, 1.0))

@@ -132,6 +132,40 @@ def test_cli_refuses_the_analytic_only_scheme_outside_crossvalidate(tmp_path, ca
     assert validate(ExperimentConfig(schemes=("smf2-interf",)), analytic=True) == ([], [])
 
 
+def test_validate_bounds_the_expected_cohort_of_a_run():
+    # validate alone: nothing is drawn, so nothing large is allocated.  The
+    # benchmark's cohorts (30 and 120) and every preset stay far inside
+    assert harness.MAX_COHORT == 2048
+    assert validate(ExperimentConfig(region_km=(32.0, 64.0), lambda_b=1.0)) == ([], [])
+    errors, _ = validate(ExperimentConfig(region_km=(32.0, 64.0), lambda_b=1.001))
+    assert errors == ["lambda_b: expected cohort lambda_b * area = 2050.05 exceeds 2048 streams"]
+    errors, _ = validate(ExperimentConfig(lambda_b=100.0))
+    assert errors == ["lambda_b: expected cohort lambda_b * area = 10000 exceeds 2048 streams"]
+    # crossvalidate's tagged disc holds 64 BSs on average at any lambda_b
+    assert validate(ExperimentConfig(lambda_b=100.0), analytic=True) == ([], [])
+
+
+@pytest.mark.parametrize("argv, cohort", [
+    (["--lambda-b", "100"], "10000"),
+    (["--lambda-b", "300", "--lambda-u", "3000"], "30000"),
+], ids=["lambda-b", "lambda-u"])
+def test_cli_validate_refuses_a_cohort_too_large_for_memory(capsys, argv, cohort):
+    # a 10,000-stream drop would need a 1.6 GB channel matrix alone
+    assert main(["validate", *argv]) == 2
+    assert capsys.readouterr() == ("", f"config error: lambda_b: expected cohort lambda_b * area"
+                                       f" = {cohort} exceeds 2048 streams\n")
+
+
+def test_cli_run_refuses_a_cohort_above_the_limit(tmp_path, capsys, monkeypatch):
+    # the limit lowered to 20, so the default 30-stream cohort is refused: were
+    # the rule missing, this run would draw one small drop, never a large one
+    monkeypatch.setattr(harness, "MAX_COHORT", 20)
+    assert main(["run", "--drops", "1", "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "config error: lambda_b: expected cohort lambda_b * area"
+                                       " = 30 exceeds 20 streams\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_crossvalidates_the_analytic_only_scheme(capsys):
     assert main(["crossvalidate", "--schemes", "smf2-interf", "--samples", "2000"]) == 0
     assert list(json.loads(capsys.readouterr().out)) == ["smf2-interf"]

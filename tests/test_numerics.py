@@ -112,6 +112,47 @@ def test_lq_factor_without_q_is_the_bits_of_the_full_factorization(rng):
         assert bare.degenerate.any() == (k > 2)
 
 
+def rotated_qr_factor(H, q):
+    """Reference lq_factor: L = tril(R~^dagger), each column times conj(l_jj)/|l_jj| (1
+    where l_jj is 0) by a full k x k product, then the diagonal set to |l_jj|."""
+    Qt, Rt = np.linalg.qr(H.conj().T) if q else (None, np.linalg.qr(H.conj().T, mode="r"))
+    L = np.tril(Rt.conj().T)
+    d = np.diag(L)
+    mag = np.abs(d)
+    phase = np.where(mag > 0, d.conj() / np.where(mag > 0, mag, 1.0), 1.0)
+    L = L * phase[None, :]
+    np.fill_diagonal(L, mag)
+    return L, None if Qt is None else phase.conj()[:, None] * Qt.conj().T
+
+
+def test_lq_factor_is_the_bits_of_the_rotated_qr_factor(rng):
+    # lq_factor writes L's strict upper triangle once, and rotates with a
+    # masked division and an in-place product: every bit of L and Q, and the
+    # sign of every zero, must be the reference's, and so must the dtype.
+    # Degenerate streams from a zero row, a repeated row, a rank-1 matrix and
+    # the zero matrix; real entries, with +0 imaginary parts and as a real
+    # array; single precision
+    for k in (1, 2, 3, 9, 30, 60):
+        cases = [random_complex(rng, k) for _ in range(3)]
+        cases += [random_complex(rng, k) * np.geomspace(1e-3, 1e3, k)[:, None],
+                  random_complex(rng, k).real.astype(complex), random_complex(rng, k).real,
+                  random_complex(rng, k).astype(np.complex64), np.zeros((k, k), complex),
+                  np.outer(rng.normal(size=k), rng.normal(size=k)) * (1 - 2j)]
+        cases[0][rng.integers(k)] = 0.0
+        cases[1][-1] = cases[1][0]
+        for i, H in enumerate(cases):
+            for q in (False, True):
+                L, Q = rotated_qr_factor(H, q)
+                f = lq_factor(H, q)
+                assert f.L.dtype == L.dtype and f.L.tobytes() == L.tobytes(), (k, i, q)
+                assert f.L.flags.c_contiguous, (k, i, q)
+                assert (f.Q is None) if Q is None else (f.Q.dtype == Q.dtype
+                                                       and f.Q.tobytes() == Q.tobytes()), (k, i, q)
+                mag = np.abs(np.diag(L))
+                assert f.degenerate.tolist() == (mag < 1e-12 * max(np.linalg.norm(H), 1e-300)
+                                                 ).tolist(), (k, i, q)
+
+
 def test_hpd_inverse_scalar_matrix():
     assert np.allclose(hpd_inverse(2.0 * np.eye(4)), 0.5 * np.eye(4))
     assert np.allclose(hpd_inverse(np.eye(3, dtype=complex)), np.eye(3))
